@@ -5,17 +5,13 @@ from .frames import (
     FareyFrame,
     HomologyClass,
     SplitKind,
-    linking_slope,
     splitting_disk_slope,
     splitting_tunnel_slope,
     validate_frame,
 )
 from .iteration import (
     EngineMismatchError,
-    IterationTrace,
     SequenceKind,
-    SignTables,
-    TraceStep,
     TwistSequence,
     assemble_invariants,
     binary_invariants,
@@ -26,14 +22,12 @@ from .iteration import (
     step_sign,
 )
 from .slopes import (
-    Rational,
     SimpleSlope,
     Slope,
     TunnelInvariants,
     format_rational,
     invariants_equal,
     parse_rational,
-    reduce,
     simple_class,
     slope_to_simple,
 )
@@ -54,14 +48,10 @@ __all__ = [
     "EngineMismatchError",
     "FareyFrame",
     "HomologyClass",
-    "IterationTrace",
-    "Rational",
     "SequenceKind",
-    "SignTables",
     "SimpleSlope",
     "Slope",
     "SplitKind",
-    "TraceStep",
     "TunnelInvariants",
     "TwistSequence",
     "TwoBridgeFraction",
@@ -71,11 +61,9 @@ __all__ = [
     "closed_form_slopes",
     "format_rational",
     "invariants_equal",
-    "linking_slope",
     "oracle_slopes",
     "parse_rational",
     "position_coords",
-    "reduce",
     "semisimple_slopes",
     "sign_tables",
     "simple_class",

@@ -33,7 +33,7 @@ EXIT_INVALID = 3
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
+    print(catalog.dump_line(obj))
 
 
 def _int_list(text: str) -> list[int]:
@@ -69,8 +69,17 @@ def _cmd_iterate(args) -> int:
     )
     if args.trace:
         _, trace = oracle_slopes(frame, kind, twists)
-        for line in trace.json_lines():
-            print(line)
+        for step in trace:
+            _emit(
+                {
+                    "k": step.k,
+                    "c_prev": list(step.c_prev.pair()),
+                    "upper": list(step.upper.pair()),
+                    "lower": list(step.lower.pair()),
+                    "linking": step.linking,
+                    "slope": step.slope.text(),
+                }
+            )
     out = {
         "descriptor": catalog.descriptor_dict(
             frame, kind, twists, args.splitting_bit, args.from_trivial
@@ -124,33 +133,32 @@ def _cmd_two_bridge_from_twists(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_correspondence(args) -> int:
-    result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
+def _report_grid(result, cases_key: str, failures_key: str) -> int:
+    """Print each failure, then the summary; a grid that checked nothing is an input error."""
+    if not result.cases:
+        raise ValueError("the verification grid is empty; widen its bounds")
     for failure in result.failures:
         _emit(failure)
-    _emit({"checked": result.cases, "failures": len(result.failures)})
+    _emit({cases_key: result.cases, failures_key: len(result.failures)})
     return EXIT_OK if result.ok else EXIT_FAILURE
+
+
+def _cmd_verify_correspondence(args) -> int:
+    result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
+    return _report_grid(result, "checked", "failures")
 
 
 def _cmd_verify_oracle(args) -> int:
     result = run_oracle_grid(args.frame_bound, args.depth, args.n_range, workers=worker_count())
-    for failure in result.failures:
-        _emit(failure)
-    _emit({"cases": result.cases, "mismatches": len(result.failures)})
-    return EXIT_OK if result.ok else EXIT_FAILURE
+    return _report_grid(result, "cases", "mismatches")
 
 
 def _cmd_enumerate(args) -> int:
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kinds = [SequenceKind(value) for value in args.kind] if args.kind else list(SequenceKind)
-    existing = {
-        json.dumps(entry["invariants"], separators=(",", ":"))
-        for entry in catalog.load_entries(args.catalog)
-    }
-    seen_run: set[str] = set()
-    fresh_lines: list[str] = []
+    known = catalog.load_keys(args.catalog)
+    unique: dict[str, str] = {}  # dedup key -> entry line, first occurrence in this run
     points = 0
-    appended = 0
     for kind in kinds:
         for tw in twist_tuples(args.depth, args.n_range):
             points += 1
@@ -158,27 +166,25 @@ def _cmd_enumerate(args) -> int:
             invariants = assemble_invariants(
                 frame, kind, twists, args.splitting_bit, args.from_trivial
             )
-            key = catalog.invariants_key(invariants)
-            if key in seen_run:
+            key = catalog.invariants_key(invariants.to_dict())
+            if key in unique:
                 continue
-            seen_run.add(key)
-            entry = catalog.entry_dict(
-                catalog.descriptor_dict(frame, kind, twists, args.splitting_bit, args.from_trivial),
-                invariants,
-                frame.flags,
+            line = catalog.dump_line(
+                catalog.entry_dict(
+                    catalog.descriptor_dict(frame, kind, twists, args.splitting_bit, args.from_trivial),
+                    invariants,
+                    frame.flags,
+                )
             )
-            _emit(entry)
-            if key not in existing:
-                existing.add(key)
-                fresh_lines.append(catalog.dump_line(entry))
-                appended += 1
-    catalog.append_lines(args.catalog, fresh_lines)
+            print(line)
+            unique[key] = line
+    appended = catalog.append_new(args.catalog, known, unique)
     _emit(
         {
             "points": points,
-            "unique": len(seen_run),
+            "unique": len(unique),
             "appended": appended,
-            "existing": len(seen_run) - appended,
+            "existing": len(unique) - appended,
         }
     )
     return EXIT_OK

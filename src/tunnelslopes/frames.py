@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .slopes import Rational, Slope
+from .slopes import Slope
 
 RHO_COORDS = "(ρ,ρ⁰)"
 LAMBDA_COORDS = "(λ,λ⁰)"
@@ -101,10 +101,6 @@ class FareyFrame:
         return HomologyClass(self.p + self.r, self.q + self.s)
 
     @property
-    def determinant(self) -> int:
-        return self.p * self.s - self.q * self.r
-
-    @property
     def degenerate(self) -> bool:
         """True when the composite knot is trivial or 2-bridge rather than a true torus knot."""
         return abs(self.p + self.r) <= DEGENERATE_BOUND or abs(self.q + self.s) <= DEGENERATE_BOUND
@@ -149,11 +145,6 @@ def validate_frame(p: int, q: int, r: int, s: int, *, bypass: bool = False) -> F
     if det not in (1, -1):
         raise ValueError(f"frame determinant p*s - q*r must be +-1, got {det}")
     return FareyFrame(p, q, r, s)
-
-
-def linking_slope(upper: HomologyClass, lower: HomologyClass) -> Rational:
-    """Twice the linking number of an upper circle with a lower one: 2 * m_upper * ell_lower."""
-    return Fraction(2 * upper.m * lower.ell)
 
 
 def splitting_disk_slope(frame: FareyFrame, kind: SplitKind) -> Slope:

@@ -8,7 +8,7 @@ independent engines compute the slope sequence:
   two small integer recursions over the parities of the twist counts;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
-  linking number; it also returns the full trace.
+  linking number; it also returns the trace, one `TraceStep` per join.
 
 The engines must agree everywhere.  `assemble_invariants(..., verify=True)`
 checks that on the fly and raises `EngineMismatchError` on any disagreement,
@@ -17,7 +17,6 @@ which would mean a bug in one of them, never a property of the input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -245,33 +244,10 @@ class TraceStep:
     slope: Slope
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    """Debug stream of the step-by-step engine, one record per join."""
-
-    steps: tuple[TraceStep, ...]
-
-    def json_lines(self) -> list[str]:
-        out = []
-        for st in self.steps:
-            out.append(
-                json.dumps(
-                    {
-                        "k": st.k,
-                        "c_prev": list(st.c_prev.pair()),
-                        "upper": list(st.upper.pair()),
-                        "lower": list(st.lower.pair()),
-                        "linking": st.linking,
-                        "slope": st.slope.text(),
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return out
-
-
-def oracle_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> tuple[list[Slope], IterationTrace]:
-    """Slope sequence computed with no closed formulas, plus the full trace.
+def oracle_slopes(
+    frame: FareyFrame, kind: SequenceKind, twists
+) -> tuple[list[Slope], tuple[TraceStep, ...]]:
+    """Slope sequence computed with no closed formulas, plus one TraceStep per join.
 
     Write B for the peeled constituent's class and T for the composite
     knot's.  A pure chain starts from T and accretes B at every join; a mixed
@@ -301,7 +277,7 @@ def oracle_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> tuple[list[S
         steps.append(TraceStep(k, prev, upper, lower, link, slope))
         slopes.append(slope)
         prev = accreted + step_sign(n) * prev
-    return slopes, IterationTrace(tuple(steps))
+    return slopes, tuple(steps)
 
 
 def binary_invariants(kind: SequenceKind, steps: int, splitting_bit: int) -> list[int]:

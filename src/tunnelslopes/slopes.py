@@ -14,22 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Rational = Fraction
 
-
-def reduce(numerator: int, denominator: int) -> Rational:
-    """Return numerator/denominator in lowest terms with a positive denominator."""
-    if denominator == 0:
-        raise ZeroDivisionError("rational number with zero denominator")
-    return Fraction(numerator, denominator)
-
-
-def format_rational(x: Rational) -> str:
+def format_rational(x: Fraction) -> str:
     """Serialize as "num/den", keeping the denominator even when it is 1."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse the "num/den" form produced by `format_rational`; bare "num" is accepted."""
     return Fraction(text.strip())
 
@@ -49,7 +40,7 @@ class Slope:
     slope in its sequence, so it carries no information of its own.
     """
 
-    value: Rational
+    value: Fraction
     coords: str = field(compare=False)
 
     def __post_init__(self) -> None:
@@ -65,7 +56,7 @@ class Slope:
 class SimpleSlope:
     """A slope taken mod 1, stored as its canonical representative in [0, 1)."""
 
-    representative: Rational
+    representative: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "representative", _as_exact(self.representative) % 1)

@@ -15,20 +15,20 @@ from functools import lru_cache
 from math import gcd
 
 from .frames import FareyFrame
-from .iteration import SequenceKind, closed_form_slopes, oracle_slopes
+from .iteration import SequenceKind, TwistSequence, closed_form_slopes, oracle_slopes
 from .two_bridge import validate_cf, verify_correspondence
 
 WORKERS_ENV = "TUNNELSLOPES_WORKERS"
 
 
 def worker_count() -> int:
-    """Worker count from the environment; unset or 1 means in-process."""
+    """Worker count from the environment, at most one per CPU; unset or 1 means in-process."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
@@ -91,7 +91,7 @@ def check_oracle_case(case) -> dict | None:
     return {
         "frame": frame.text(),
         "kind": kind.value,
-        "twists": ",".join(str(n) for n in twists),
+        "twists": TwistSequence(twists).text(),
         "closed": [slope.text() for slope in closed],
         "replayed": [slope.text() for slope in replayed],
     }

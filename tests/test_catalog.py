@@ -84,7 +84,7 @@ def test_recompute_honors_bypass_flag():
 def test_dedup_key_separates_distinct_invariants():
     a = assemble_invariants(FRAME, KIND, (2, 1), 0, False)
     b = assemble_invariants(FRAME, KIND, (2, 3), 0, False)
-    assert invariants_key(a) != invariants_key(b)
-    assert invariants_key(a) == invariants_key(
-        assemble_invariants(FRAME, KIND, (2, 1), 0, False)
+    assert invariants_key(a.to_dict()) != invariants_key(b.to_dict())
+    assert invariants_key(a.to_dict()) == invariants_key(
+        assemble_invariants(FRAME, KIND, (2, 1), 0, False).to_dict()
     )

@@ -55,7 +55,17 @@ def test_iterate_trace_lines(capsys):
     lines = out.splitlines()
     assert len(lines) == 3
     _, trace = oracle_slopes(validate_frame(2, 3, 1, 2), SequenceKind.DROP_RHO_PURE, (2, 1))
-    assert lines[:2] == trace.json_lines()
+    assert [json.loads(line) for line in lines[:2]] == [
+        {
+            "k": step.k,
+            "c_prev": list(step.c_prev.pair()),
+            "upper": list(step.upper.pair()),
+            "lower": list(step.lower.pair()),
+            "linking": step.linking,
+            "slope": step.slope.text(),
+        }
+        for step in trace
+    ]
     assert json.loads(lines[2])["invariants"]["first"] == "41/2"
 
 
@@ -176,6 +186,61 @@ def test_validation_failures_exit_3(capsys):
     assert code == 3 and "nonzero" in err
     code, _, err = run_cli(capsys, "iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "2,0")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-oracle", "--frame-bound=-1"),
+        ("verify-oracle", "--n-range", "0"),
+        ("verify-correspondence", "--max-d=-1"),
+    ],
+)
+def test_empty_grid_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "empty" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1,2]", "must be a JSON object"),
+        ('{"descriptor":{},"flags":[],"schema_version":1}', '"invariants"'),
+    ],
+)
+def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):
+    path = tmp_path / "catalog.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "enumerate", "--catalog", str(path), "--frame", "2,3,1,2", "--kind", "drop-rho-pure",
+        "--depth", "1", "--n-range", "1",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"from_trivial": "false"}, "from_trivial"),
+        ({"from_trivial": 1}, "from_trivial"),
+        ({"splitting_bit": 1.9}, "splitting_bit"),
+        ({"splitting_bit": "1"}, "splitting_bit"),
+        ({"splitting_bit": True}, "splitting_bit"),
+        ({"splitting_bit": None}, "splitting_bit"),
+        ({"splitting_bit": 2}, "splitting_bit"),
+        ({"frame": 2}, "frame"),
+        ({"kind": None}, "kind"),
+        ({"twists": [2, 1]}, "twists"),
+    ],
+)
+def test_compare_rejects_descriptor_types(capsys, extra, message):
+    good = {"frame": "2,3,1,2", "kind": "drop-rho-pure", "twists": "2,1"}
+    bad = json.dumps({**good, **extra})
+    code, out, err = run_cli(capsys, "compare", "--left", json.dumps(good), "--right", bad)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: descriptor ") and err.count("\n") == 1 and message in err
 
 
 def test_bypass_validation_flag(capsys):

@@ -9,7 +9,6 @@ from tunnelslopes import (
     FareyFrame,
     HomologyClass,
     SplitKind,
-    linking_slope,
     splitting_disk_slope,
     splitting_tunnel_slope,
     validate_frame,
@@ -72,12 +71,6 @@ def test_homology_arithmetic():
     assert v.pair() == (3, 5)
 
 
-def test_linking_slope_examples():
-    assert linking_slope(HomologyClass(0, 1), HomologyClass(1, 0)) == 2
-    assert linking_slope(HomologyClass(1, 0), HomologyClass(0, 1)) == 0
-    assert linking_slope(HomologyClass(-1, -2), HomologyClass(2, 3)) == -8
-
-
 def test_disk_slope_examples():
     g = validate_frame(2, 3, 1, 2)
     assert splitting_disk_slope(g, SplitKind.DROP_LAMBDA).value == 10
@@ -96,7 +89,7 @@ def test_disk_slope_is_a_linking_slope(f, kind):
         upper, lower = f.tau_class, peeled
     else:
         upper, lower = peeled, f.tau_class
-    assert splitting_disk_slope(f, kind).value == linking_slope(upper, lower)
+    assert splitting_disk_slope(f, kind).value == 2 * upper.m * lower.ell
 
 
 def test_tunnel_slope_examples():

@@ -23,6 +23,7 @@ from tunnelslopes import (
     step_sign,
     validate_frame,
 )
+from tunnelslopes.cli import main
 from tunnelslopes.verify import frames_in_box
 
 IDENTITY = validate_frame(1, 0, 0, 1)
@@ -150,7 +151,7 @@ def test_singleton_chain_is_single_splitting(f, kind, n):
 def test_oracle_trace_frozen_example():
     slopes, trace = oracle_slopes(TREFOIL_FRAME, SequenceKind.DROP_RHO_PURE, [2, 1])
     assert [s.value for s in slopes] == [Fraction(41, 2), Fraction(-7)]
-    first, second = trace.steps
+    first, second = trace
     assert first.c_prev.pair() == (3, 5)
     assert first.upper.pair() == (3, 5) and first.lower.pair() == (2, 3)
     assert first.linking == 10
@@ -162,17 +163,17 @@ def test_oracle_trace_frozen_example():
 def test_oracle_trace_mixed_example():
     slopes, trace = oracle_slopes(IDENTITY, SequenceKind.DROP_RHO_MIXED_TAU, [2, 3])
     assert [s.value for s in slopes] == [Fraction(5, 2), Fraction(1, 3)]
-    step = trace.steps[1]
+    step = trace[1]
     assert step.c_prev.pair() == (0, 1)
     assert step.upper.pair() == (1, 1)
     assert step.lower.pair() == (0, 1)
     assert step.linking == 0
 
 
-def test_trace_json_lines_shape():
-    _, trace = oracle_slopes(IDENTITY, SequenceKind.DROP_RHO_PURE, [2, 3])
-    lines = trace.json_lines()
-    assert len(lines) == 2
+def test_trace_json_lines_shape(capsys):
+    code = main(["iterate", "--frame", "1,0,0,1", "--kind", "drop-rho-pure", "--twists", "2,3", "--trace"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 3
     record = json.loads(lines[0])
     assert list(record) == ["k", "c_prev", "upper", "lower", "linking", "slope"]
     assert record["slope"] == "5/2"
@@ -181,7 +182,7 @@ def test_trace_json_lines_shape():
 @given(box_frames, all_kinds, twist_lists)
 def test_trace_slope_is_doubled_linking_plus_twist(f, kind, entries):
     _, trace = oracle_slopes(f, kind, entries)
-    for step, n in zip(trace.steps, entries):
+    for step, n in zip(trace, entries):
         assert step.slope.value == 2 * step.linking + Fraction(1, n)
         assert step.upper.m * step.lower.ell == step.linking
 

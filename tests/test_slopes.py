@@ -11,33 +11,11 @@ from tunnelslopes import (
     format_rational,
     invariants_equal,
     parse_rational,
-    reduce,
     simple_class,
     slope_to_simple,
 )
 
 rationals = st.fractions(max_denominator=1000)
-
-
-def test_reduce_examples():
-    assert reduce(10, 4) == Fraction(5, 2)
-    assert reduce(-5, -3) == Fraction(5, 3)
-    assert reduce(0, 7) == Fraction(0, 1)
-
-
-def test_reduce_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        reduce(3, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-def test_reduce_normal_form(n, d):
-    x = reduce(n, d)
-    assert x.denominator > 0
-    from math import gcd
-
-    assert gcd(x.numerator, x.denominator) == 1
-    assert x * d == n
 
 
 def test_format_keeps_unit_denominator():

@@ -1,3 +1,4 @@
+import os
 from math import gcd
 
 import pytest
@@ -87,8 +88,13 @@ def test_grid_result_failure_flag():
 def test_worker_count(monkeypatch):
     monkeypatch.delenv("TUNNELSLOPES_WORKERS", raising=False)
     assert worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TUNNELSLOPES_WORKERS", "4")
     assert worker_count() == 4
+    monkeypatch.setenv("TUNNELSLOPES_WORKERS", "100000")
+    assert worker_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
     monkeypatch.setenv("TUNNELSLOPES_WORKERS", "0")
     assert worker_count() == 1
     monkeypatch.setenv("TUNNELSLOPES_WORKERS", "two")
