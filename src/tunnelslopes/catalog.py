@@ -10,6 +10,8 @@ and every other JSON line the package prints or stores.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
 
 from .frames import FareyFrame
@@ -73,22 +75,46 @@ def invariants_key(invariants: dict) -> str:
     return dump_line(invariants)
 
 
-def entry_dict(descriptor: dict, invariants: TunnelInvariants, flags) -> dict:
+def entry_dict(descriptor: dict, invariants: dict, flags) -> dict:
+    """One catalog entry; `invariants` is a `TunnelInvariants.to_dict()` already built for the key."""
     return {
         "descriptor": descriptor,
-        "invariants": invariants.to_dict(),
+        "invariants": invariants,
         "flags": sorted(flags),
         "schema_version": SCHEMA_VERSION,
     }
 
 
+def _torn(tail: bytes) -> bool:
+    """Whether the bytes after a file's last newline are an append cut short.
+
+    A JSON object cut anywhere before its end does not parse, so a tail that
+    parses is a complete line that only lacks its newline.
+    """
+    try:
+        json.loads(tail.decode("utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+        return True
+    return False
+
+
 def load_entries(path) -> list[dict]:
-    """Read a catalog file; a missing file is an empty catalog."""
+    """Read a catalog file; a missing file is an empty catalog.
+
+    A last line with no newline that does not parse was left by an
+    interrupted append: it is skipped with a warning on stderr, and the next
+    `append_lines` cuts it off.  A bad line anywhere else is an error.
+    """
     path = Path(path)
     if not path.exists():
         return []
+    head, newline, tail = path.read_bytes().rpartition(b"\n")
+    lines = head.decode("utf-8").split("\n") if newline else []
+    torn = tail.strip() and _torn(tail)
+    if not torn:
+        lines.append(tail.decode("utf-8"))
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -105,6 +131,11 @@ def load_entries(path) -> list[dict]:
         if not isinstance(entry.get("invariants"), dict):
             raise ValueError(f"{path}:{lineno}: entry has no \"invariants\" object")
         entries.append(entry)
+    if torn:
+        print(
+            f"{path}:{len(lines) + 1}: warning: skipping a last line cut short by an interrupted append",
+            file=sys.stderr,
+        )
     return entries
 
 
@@ -114,11 +145,22 @@ def load_keys(path) -> set[str]:
 
 
 def append_lines(path, lines) -> None:
+    """Append lines in one write, first cutting off a torn last line (see `load_entries`)."""
     if not lines:
         return
-    with open(path, "a", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    with open(path, "a+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                head, newline, tail = handle.read().rpartition(b"\n")
+                if _torn(tail):
+                    handle.truncate(len(head) + len(newline))
+                else:
+                    data = b"\n" + data
+        handle.write(data)
 
 
 def append_new(path, known: set[str], keyed_lines: dict[str, str]) -> int:

@@ -4,7 +4,8 @@ Single computations, verification grids, enumeration into a catalog, and
 invariant comparison.  All output is JSON lines with a fixed key order per
 record type, rationals as "num/den", so identical invocations are
 byte-identical.  Exit codes: 0 ok, 1 a verification found a mismatch, 2
-usage error (argparse), 3 an input failed validation.
+usage error (argparse), 3 an input failed validation, 4 an internal error
+(any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(obj: dict) -> None:
@@ -166,13 +168,14 @@ def _cmd_enumerate(args) -> int:
             invariants = assemble_invariants(
                 frame, kind, twists, args.splitting_bit, args.from_trivial
             )
-            key = catalog.invariants_key(invariants.to_dict())
+            invariants_dict = invariants.to_dict()
+            key = catalog.invariants_key(invariants_dict)
             if key in unique:
                 continue
             line = catalog.dump_line(
                 catalog.entry_dict(
                     catalog.descriptor_dict(frame, kind, twists, args.splitting_bit, args.from_trivial),
-                    invariants,
+                    invariants_dict,
                     frame.flags,
                 )
             )
@@ -301,6 +304,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a bug, never a mismatch: keep exit 1 for real mismatches
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .frames import (
     HomologyClass,
     SplitKind,
 )
-from .slopes import Slope, TunnelInvariants, slope_to_simple
+from .slopes import Slope, TunnelInvariants, chain_slope, slope_to_simple
 
 
 class SequenceKind(Enum):
@@ -101,7 +101,8 @@ class TwistSequence:
         if not self.entries:
             raise ValueError("a twist sequence has at least one entry")
         for n in self.entries:
-            if not isinstance(n, int) or n == 0:
+            # bool is an int subclass, but True would print as "True" and never parse back
+            if not isinstance(n, int) or isinstance(n, bool) or n == 0:
                 raise ValueError(f"twist counts must be nonzero integers, got {n!r}")
 
     def __len__(self) -> int:
@@ -118,7 +119,11 @@ class TwistSequence:
 
     @classmethod
     def parse(cls, text: str) -> "TwistSequence":
-        return cls(tuple(int(part) for part in text.split(",")))
+        try:
+            entries = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"twist counts must be comma-separated nonzero integers, got {text!r}") from None
+        return cls(entries)
 
 
 def as_twists(twists) -> TwistSequence:
@@ -214,8 +219,9 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     """Slope sequence of a chain, one closed formula per kind.
 
     Entry k combines the frame with the k-th sign-table values and adds the
-    twist term 1/n_k.  Both tables start at 1, so entry 0 always agrees with
-    the single-splitting slope of the chain's initial move.
+    twist term 1/n_k; `chain_slope` builds the sum from its integer lowest
+    terms.  Both tables start at 1, so entry 0 always agrees with the
+    single-splitting slope of the chain's initial move.
     """
     t = as_twists(twists)
     tables = _cached_tables(t.entries)
@@ -223,7 +229,7 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     out = []
     for k, n in enumerate(t.entries):
         coeff = _doubled_linking(kind, frame, tables.mults[k], tables.signs[k])
-        out.append(Slope(coeff + Fraction(1, n), position_coords(k, initial)))
+        out.append(chain_slope(coeff, n, position_coords(k, initial)))
     return out
 
 

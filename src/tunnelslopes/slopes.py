@@ -7,6 +7,14 @@ This module adds the thin layer the rest of the package builds on: text
 serialization, the mod-1 reduction applied to the leading slope of a chain
 grown out of the trivial knot, and the record pairing a slope sequence with
 its bit sequence.
+
+Every chain slope has the form c + 1/n, an integer c (twice a linking
+number) plus the twist term of a join with n != 0 half-twists.  Its lowest
+terms are the integer pair (c*n + 1, n), since any common divisor of c*n + 1
+and n divides 1; `chain_slope` builds the slope from that pair with one
+`Fraction` and no rational addition, the sign of n moving to the numerator.
+Mod-1 classes are likewise taken on integer pairs (`pair_class`): num mod
+den over den, again one `Fraction` per class.
 """
 
 from __future__ import annotations
@@ -46,10 +54,16 @@ class Slope:
     def __post_init__(self) -> None:
         if not self.coords:
             raise ValueError("slope coordinate tag must be nonempty")
-        object.__setattr__(self, "value", _as_exact(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", _as_exact(self.value))
 
     def text(self) -> str:
         return format_rational(self.value)
+
+
+def chain_slope(c: int, n: int, coords: str) -> Slope:
+    """The slope c + 1/n of a join with n half-twists, built from its lowest terms (c*n + 1)/n."""
+    return Slope(Fraction(c * n + 1, n), coords)
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,10 @@ class SimpleSlope:
     representative: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "representative", _as_exact(self.representative) % 1)
+        rep = _as_exact(self.representative)
+        if not 0 <= rep.numerator < rep.denominator:
+            rep %= 1
+        object.__setattr__(self, "representative", rep)
 
     def text(self) -> str:
         return f"[{format_rational(self.representative)}]"
@@ -82,7 +99,14 @@ def slope_to_simple(x) -> SimpleSlope:
     x = _as_exact(x)
     if x == 0:
         raise ZeroDivisionError("slope 0 has no reciprocal")
-    return simple_class(1 / x)
+    return pair_class(x.denominator, x.numerator)
+
+
+def pair_class(num: int, den: int) -> SimpleSlope:
+    """Mod-1 class of num/den, for a nonzero den, taken on the integers."""
+    if den < 0:
+        num, den = -num, -den
+    return SimpleSlope(Fraction(num % den, den))
 
 
 @dataclass(frozen=True)
@@ -103,21 +127,23 @@ class TunnelInvariants:
     def __post_init__(self) -> None:
         if not isinstance(self.first, (SimpleSlope, Slope)):
             raise TypeError(f"first invariant must be a Slope or SimpleSlope, got {type(self.first).__name__}")
-        object.__setattr__(self, "rest", tuple(self.rest))
-        object.__setattr__(self, "binary", tuple(self.binary))
-        for entry in self.rest:
+        rest = tuple(self.rest)
+        binary = tuple(self.binary)
+        object.__setattr__(self, "rest", rest)
+        object.__setattr__(self, "binary", binary)
+        for entry in rest:
             if not isinstance(entry, Slope):
                 raise TypeError(f"rest entries must be Slope, got {type(entry).__name__}")
-        if any(bit not in (0, 1) for bit in self.binary):
+        ones = binary.count(1)
+        if ones + binary.count(0) != len(binary):
             raise ValueError("binary invariants must be 0/1 bits")
-        if len(self.binary) != 1 + len(self.rest):
+        if len(binary) != 1 + len(rest):
             raise ValueError(
-                f"need one bit per join: {len(self.rest)} later slopes require "
-                f"{1 + len(self.rest)} bits, got {len(self.binary)}"
+                f"need one bit per join: {len(rest)} later slopes require "
+                f"{1 + len(rest)} bits, got {len(binary)}"
             )
-        ones = [i for i, bit in enumerate(self.binary) if bit]
-        if len(ones) > 2 or (len(ones) == 2 and ones[1] != ones[0] + 1):
-            raise ValueError(f"at most two bits may be set, adjacent when two: {list(self.binary)}")
+        if ones > 2 or (ones == 2 and binary[binary.index(1) + 1] != 1):
+            raise ValueError(f"at most two bits may be set, adjacent when two: {list(binary)}")
 
     def to_dict(self) -> dict:
         """Canonical serialization; coordinate tags are excluded, like in equality."""

@@ -11,8 +11,7 @@ determines, so the two computations must always agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .frames import SplitKind, validate_frame
 from .iteration import (
@@ -22,7 +21,7 @@ from .iteration import (
     assemble_invariants,
     position_coords,
 )
-from .slopes import Slope, TunnelInvariants, invariants_equal, simple_class
+from .slopes import TunnelInvariants, chain_slope, invariants_equal, pair_class
 
 
 def _step_twist(prev_sign: int, sign: int, turn: int) -> int:
@@ -38,14 +37,16 @@ class TwoBridgeFraction:
     """An alternating even continued fraction, innermost pair first.
 
     Construction enforces the structural rules: equal positive lengths, signs
-    +-1, and every derived step twist nonzero.  The classical hypothesis also
-    demands turns[0] != 0; `validate_cf` adds that check, while
-    `twists_to_cf` may build the single flagged turns[0] == 0 family so that
-    every nonzero leading twist count has a preimage.
+    +-1, and every derived step twist nonzero; it keeps the step twists it
+    derived.  The classical hypothesis also demands turns[0] != 0;
+    `validate_cf` adds that check, while `twists_to_cf` may build the single
+    flagged turns[0] == 0 family so that every nonzero leading twist count
+    has a preimage.
     """
 
     signs: tuple[int, ...]
     turns: tuple[int, ...]
+    _steps: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(self.signs))
@@ -57,11 +58,16 @@ class TwoBridgeFraction:
         for i, sign in enumerate(self.signs):
             if sign not in (1, -1):
                 raise ValueError(f"sign entries must be +-1, got {sign!r} at position {i}")
-        for i in range(1, len(self.signs)):
-            if _step_twist(self.signs[i - 1], self.signs[i], self.turns[i]) == 0:
-                raise ValueError(
-                    f"step twist vanishes at position {i}: opposite adjacent signs with turn 0"
-                )
+        steps = tuple(
+            _step_twist(self.signs[i - 1], self.signs[i], self.turns[i])
+            for i in range(1, len(self.signs))
+        )
+        if 0 in steps:
+            raise ValueError(
+                f"step twist vanishes at position {steps.index(0) + 1}: "
+                "opposite adjacent signs with turn 0"
+            )
+        object.__setattr__(self, "_steps", steps)
 
     @property
     def depth(self) -> int:
@@ -69,10 +75,7 @@ class TwoBridgeFraction:
 
     def step_twists(self) -> tuple[int, ...]:
         """Twist counts of the chained joins, one per position past the innermost."""
-        return tuple(
-            _step_twist(self.signs[i - 1], self.signs[i], self.turns[i])
-            for i in range(1, len(self.signs))
-        )
+        return self._steps
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -108,16 +111,18 @@ def semisimple_slopes(cf: TwoBridgeFraction) -> TunnelInvariants:
     """Invariant of the upper tunnel of the 2-bridge position.
 
     The leading invariant is a mod-1 class fixed by the innermost pair; each
-    later slope is -2 * (previous sign) + 1/(step twist).  All bits are 0:
+    later slope is -2 * (previous sign) + 1/(step twist).  Both are built
+    from integer pairs already in lowest terms: 2b/(4b+1) or (2b-1)/(4b-1)
+    for the leading class, (c*n + 1)/n for each later slope.  All bits are 0:
     these tunnels retain a disk of the innermost splitting all the way up.
     """
     lead_turn = cf.turns[0]
     if cf.signs[0] == 1:
-        first = simple_class(Fraction(2 * lead_turn, 4 * lead_turn + 1))
+        first = pair_class(2 * lead_turn, 4 * lead_turn + 1)
     else:
-        first = simple_class(Fraction(2 * lead_turn - 1, 4 * lead_turn - 1))
+        first = pair_class(2 * lead_turn - 1, 4 * lead_turn - 1)
     rest = tuple(
-        Slope(-2 * cf.signs[i - 1] + Fraction(1, k), position_coords(i, SplitKind.DROP_RHO))
+        chain_slope(-2 * cf.signs[i - 1], k, position_coords(i, SplitKind.DROP_RHO))
         for i, k in enumerate(cf.step_twists(), start=1)
     )
     return TunnelInvariants(first, rest, (0,) * len(cf.signs))
@@ -170,19 +175,23 @@ class CorrespondenceReport:
 
     `bridge_invariants` comes straight from the continued fraction,
     `chain_invariants` from replaying the matching drop chain; `match` is
-    their exact comparison and is stored rather than asserted so that a
-    failure is reportable, never dropped.
+    their exact comparison, computed from the two on each read rather than
+    stored, so a report can never contradict itself and a failure is
+    reportable, never dropped.
     """
 
     cf: TwoBridgeFraction
     twists: TwistSequence
     bridge_invariants: TunnelInvariants
     chain_invariants: TunnelInvariants
-    match: bool
 
-    def __post_init__(self) -> None:
-        if self.match != invariants_equal(self.bridge_invariants, self.chain_invariants):
-            raise ValueError("match field contradicts the stored invariants")
+    @property
+    def match(self) -> bool:
+        return invariants_equal(self.bridge_invariants, self.chain_invariants)
+
+
+# The frame of every chain grown out of the trivial knot here.
+_IDENTITY_FRAME = validate_frame(1, 0, 0, 1)
 
 
 def verify_correspondence(cf: TwoBridgeFraction) -> CorrespondenceReport:
@@ -196,10 +205,10 @@ def verify_correspondence(cf: TwoBridgeFraction) -> CorrespondenceReport:
     twists = cf_to_twists(cf)
     bridge = semisimple_slopes(cf)
     chain = assemble_invariants(
-        validate_frame(1, 0, 0, 1),
+        _IDENTITY_FRAME,
         SequenceKind.DROP_RHO_PURE,
         twists,
         splitting_bit=0,
         from_trivial=True,
     )
-    return CorrespondenceReport(cf, twists, bridge, chain, invariants_equal(bridge, chain))
+    return CorrespondenceReport(cf, twists, bridge, chain)

@@ -50,7 +50,7 @@ def test_entry_round_trip_through_file(tmp_path):
     path = tmp_path / "catalog.jsonl"
     assert load_entries(path) == []
     invariants = assemble_invariants(FRAME, KIND, TWISTS, 0, False)
-    entry = entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False), invariants, FRAME.flags)
+    entry = entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False), invariants.to_dict(), FRAME.flags)
     append_lines(path, [dump_line(entry)])
     loaded = load_entries(path)
     assert loaded == [entry]
@@ -88,3 +88,14 @@ def test_dedup_key_separates_distinct_invariants():
     assert invariants_key(a.to_dict()) == invariants_key(
         assemble_invariants(FRAME, KIND, (2, 1), 0, False).to_dict()
     )
+
+
+def test_torn_only_line_is_skipped_then_cut_off(tmp_path, capsys):
+    path = tmp_path / "catalog.jsonl"
+    path.write_bytes(b'{"descriptor":{"fr')  # the first append of the file, cut short
+    assert load_entries(path) == []
+    assert capsys.readouterr().err.startswith(f"{path}:1: warning: ")
+    invariants = assemble_invariants(FRAME, KIND, TWISTS, 0, False)
+    line = dump_line(entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False), invariants.to_dict(), []))
+    append_lines(path, [line])
+    assert path.read_text(encoding="utf-8") == line + "\n"

@@ -6,6 +6,7 @@ import pytest
 
 from tunnelslopes import SequenceKind, oracle_slopes, validate_frame
 from tunnelslopes.catalog import load_entries, recompute_invariants
+from tunnelslopes import cli
 from tunnelslopes.cli import main
 
 
@@ -207,6 +208,7 @@ def test_empty_grid_exits_3(capsys, argv):
     [
         ("[1,2]", "must be a JSON object"),
         ('{"descriptor":{},"flags":[],"schema_version":1}', '"invariants"'),
+        ('{"descriptor":{"frame":"2,3', "not a JSON line"),  # cut short, yet followed by a newline
     ],
 )
 def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):
@@ -233,6 +235,7 @@ def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, messag
         ({"frame": 2}, "frame"),
         ({"kind": None}, "kind"),
         ({"twists": [2, 1]}, "twists"),
+        ({"twists": True}, "twists"),
     ],
 )
 def test_compare_rejects_descriptor_types(capsys, extra, message):
@@ -241,6 +244,54 @@ def test_compare_rejects_descriptor_types(capsys, extra, message):
     code, out, err = run_cli(capsys, "compare", "--left", json.dumps(good), "--right", bad)
     assert (code, out) == (3, "")
     assert err.startswith("error: descriptor ") and err.count("\n") == 1 and message in err
+
+
+def test_compare_rejects_bool_twist_counts(capsys):
+    good = {"frame": "2,3,1,2", "kind": "drop-rho-pure", "twists": "2,1"}
+    bad = json.dumps({**good, "twists": "True,2"})
+    code, out, err = run_cli(capsys, "compare", "--left", json.dumps(good), "--right", bad)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: twist counts") and err.count("\n") == 1
+
+
+ENUMERATE_SMALL = ("--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "2")
+
+
+def test_enumerate_survives_torn_last_line(tmp_path, capsys):
+    path = tmp_path / "catalog.jsonl"
+    code, first_out, _ = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0
+    whole = path.read_bytes()
+    assert whole.count(b"\n") == 4
+    path.write_bytes(whole[:-30])  # an append cut short inside its last line
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0 and out == first_out.replace('"appended":4,"existing":0', '"appended":1,"existing":3')
+    assert err == f"{path}:4: warning: skipping a last line cut short by an interrupted append\n"
+    assert path.read_bytes() == whole  # the torn line was cut off before the append
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0 and err == "" and out.endswith('"appended":0,"existing":4}\n')
+
+
+def test_catalog_line_missing_only_its_newline_is_kept(tmp_path, capsys):
+    path = tmp_path / "catalog.jsonl"
+    run_cli(capsys, "enumerate", "--catalog", str(path), "--frame", "2,3,1,2", "--kind", "drop-rho-pure",
+            "--depth", "1", "--n-range", "1")
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-1])
+    assert len(load_entries(path)) == 2
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0 and err == "" and out.endswith('"appended":2,"existing":2}\n')
+    assert path.read_bytes().startswith(whole) and len(load_entries(path)) == 4
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_split", broken)
+    code, out, err = run_cli(capsys, "split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n", "1")
+    assert (code, out) == (cli.EXIT_INTERNAL, "") and cli.EXIT_INTERNAL == 4
+    assert err == "internal error: KeyError: 'lost'\n"
 
 
 def test_bypass_validation_flag(capsys):

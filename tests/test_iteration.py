@@ -97,6 +97,15 @@ def test_twist_sequence_validation():
     assert len(t) == 2 and t[1] == -3
 
 
+def test_twist_sequence_rejects_bools():
+    # True == 1 as an int, but it printed as "True,2", which parse cannot read back
+    for entries in ((True, 2), (2, False)):
+        with pytest.raises(ValueError, match="nonzero integers"):
+            TwistSequence(entries)
+    with pytest.raises(ValueError, match="nonzero integers"):
+        TwistSequence.parse("True,2")
+
+
 def test_position_coords():
     assert position_coords(0, SplitKind.DROP_RHO) == "(λ,λ⁰)"
     assert position_coords(0, SplitKind.LIFT_LAMBDA) == "(ρ,ρ⁰)"

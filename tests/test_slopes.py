@@ -14,6 +14,7 @@ from tunnelslopes import (
     simple_class,
     slope_to_simple,
 )
+from tunnelslopes.slopes import chain_slope, pair_class
 
 rationals = st.fractions(max_denominator=1000)
 
@@ -121,3 +122,36 @@ def test_exact_arithmetic_round_trips(x, y):
     assert (x + y) - y == x
     if y != 0:
         assert (x * y) / y == x
+
+
+# The references below are plain Fraction arithmetic, kept here and shared
+# with neither slope engine.
+nonzero_ints = st.integers(-10**6, 10**6).filter(lambda n: n != 0)
+small_nonzero = st.sampled_from((-2, -1, 1, 2))
+
+
+@given(st.integers(-10**6, 10**6), st.one_of(nonzero_ints, small_nonzero))
+def test_chain_slope_is_c_plus_one_over_n(c, n):
+    slope = chain_slope(c, n, "(t)")
+    assert slope.value == c + Fraction(1, n)
+    assert slope.value.denominator == abs(n) and slope.value.numerator == (c * n + 1) * (1 if n > 0 else -1)
+    assert slope.coords == "(t)"
+
+
+def test_chain_slope_two_encodings_of_unit_twists():
+    # c + 1/1 and (c + 2) + 1/(-1) are the same slope
+    assert chain_slope(3, 1, "(a)") == chain_slope(5, -1, "(b)")
+    assert chain_slope(0, -1, "(a)").value == Fraction(-1)
+
+
+@given(rationals.filter(lambda x: x != 0))
+def test_slope_to_simple_matches_reciprocal_reference(x):
+    assert slope_to_simple(x) == simple_class(1 / x)
+
+
+@given(st.integers(-10**6, 10**6), nonzero_ints)
+def test_pair_class_matches_fraction_reference(num, den):
+    cls = pair_class(num, den)
+    assert cls == simple_class(Fraction(num, den))
+    assert 0 <= cls.representative < 1
+

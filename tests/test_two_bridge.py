@@ -133,13 +133,15 @@ def test_correspondence_is_deterministic():
     assert verify_correspondence(cf) == verify_correspondence(cf)
 
 
-def test_correspondence_report_consistency_guard():
-    cf = validate_cf([1], [1])
-    good = verify_correspondence(cf)
-    with pytest.raises(ValueError, match="match field"):
-        CorrespondenceReport(
-            good.cf, good.twists, good.bridge_invariants, good.chain_invariants, not good.match
-        )
+def test_correspondence_report_match_follows_its_invariants():
+    good = verify_correspondence(validate_cf([1], [1]))
+    assert good.match is True
+    other = semisimple_slopes(validate_cf([1], [2]))
+    assert other != good.bridge_invariants
+    bad = CorrespondenceReport(good.cf, good.twists, good.bridge_invariants, other)
+    assert bad.match is False
+    with pytest.raises(AttributeError):
+        bad.match = True
 
 
 def test_cf_text():
