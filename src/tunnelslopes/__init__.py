@@ -18,7 +18,6 @@ from .iteration import (
     closed_form_slopes,
     oracle_slopes,
     position_coords,
-    sign_tables,
     step_sign,
 )
 from .slopes import (
@@ -27,7 +26,6 @@ from .slopes import (
     TunnelInvariants,
     format_rational,
     invariants_equal,
-    parse_rational,
     simple_class,
     slope_to_simple,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "format_rational",
     "invariants_equal",
     "oracle_slopes",
-    "parse_rational",
     "position_coords",
     "semisimple_slopes",
-    "sign_tables",
     "simple_class",
     "slope_to_simple",
     "splitting_disk_slope",

@@ -123,13 +123,16 @@ def load_entries(path) -> list[dict]:
             raise ValueError(f"{path}:{lineno}: not a JSON line: {exc}") from None
         if not isinstance(entry, dict):
             raise ValueError(f"{path}:{lineno}: an entry must be a JSON object, got {type(entry).__name__}")
-        if entry.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}:{lineno}: schema_version {entry.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}"
-            )
+        version = entry.get("schema_version")
+        # True == 1 == 1.0, so an equality test alone would let a bool or a float through
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValueError(f"{path}:{lineno}: schema_version {version!r}, expected {SCHEMA_VERSION}")
         if not isinstance(entry.get("invariants"), dict):
             raise ValueError(f"{path}:{lineno}: entry has no \"invariants\" object")
+        flags = entry.get("flags", [])
+        # a string would pass `recompute_invariants`'s membership test as a substring search
+        if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
+            raise ValueError(f"{path}:{lineno}: \"flags\" must be a list of strings, got {flags!r}")
         entries.append(entry)
     if torn:
         print(

@@ -4,8 +4,9 @@ A chain starts with one of the four splitting moves and then keeps joining
 fresh copies of a fixed knot, one join per entry of its twist sequence.  Two
 independent engines compute the slope sequence:
 
-* `closed_form_slopes` evaluates one closed formula per chain kind, driven by
-  two small integer recursions over the parities of the twist counts;
+* `closed_form_slopes` orients the frame for the initial move and evaluates
+  one of two closed formulas, pure or mixed, driven by two small integer
+  recursions over the parities of the twist counts;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
   linking number; it also returns the trace, one `TraceStep` per join.
@@ -58,24 +59,6 @@ class SequenceKind(Enum):
     def mixed(self) -> bool:
         """True when the joins add copies of the composite knot, not the peeled one."""
         return self.value.endswith("mixed-tau")
-
-    @property
-    def retained_disk(self) -> str:
-        """Which disk every later join keeps in play."""
-        if self.mixed:
-            return "τ"
-        return "ρ" if self.initial_split.splits_rho else "λ"
-
-    @property
-    def added_direction(self) -> str:
-        """Vertical direction of each joined copy.
-
-        Pure chains keep extending the way the initial move peeled; mixed
-        chains extend the opposite way.
-        """
-        if self.mixed:
-            return "up" if self.initial_split.drops else "down"
-        return "down" if self.initial_split.drops else "up"
 
 
 _INITIAL_SPLIT = {
@@ -165,13 +148,9 @@ class SignTables:
     mults: tuple[int, ...]
 
 
-def sign_tables(twists) -> SignTables:
-    """Run the sign recursions over a twist sequence."""
-    return _cached_tables(as_twists(twists).entries)
-
-
 @lru_cache(maxsize=8192)
 def _cached_tables(entries: tuple[int, ...]) -> SignTables:
+    """Run the sign recursions over a tuple of twist counts."""
     steps = tuple(step_sign(n) for n in entries)
     signs = [1]
     mults = [1]
@@ -195,40 +174,39 @@ def position_coords(k: int, initial: SplitKind) -> str:
     return f"(γ^{k - 2})"
 
 
-def _doubled_linking(kind: SequenceKind, frame: FareyFrame, mult: int, sgn: int) -> int:
-    """Integer part of the k-th slope: twice the join's linking number."""
-    p, q, r, s = frame.p, frame.q, frame.r, frame.s
-    if kind is SequenceKind.DROP_RHO_PURE:
-        return 2 * p * (mult * q + sgn * s)
-    if kind is SequenceKind.DROP_RHO_MIXED_TAU:
-        return 2 * (q + s) * (mult * p + (mult - sgn) * r)
-    if kind is SequenceKind.DROP_LAMBDA_PURE:
-        return 2 * r * (mult * s + sgn * q)
-    if kind is SequenceKind.DROP_LAMBDA_MIXED_TAU:
-        return 2 * (q + s) * (mult * r + (mult - sgn) * p)
-    if kind is SequenceKind.LIFT_RHO_PURE:
-        return 2 * q * (mult * p + sgn * r)
-    if kind is SequenceKind.LIFT_RHO_MIXED_TAU:
-        return 2 * (p + r) * (mult * q + (mult - sgn) * s)
-    if kind is SequenceKind.LIFT_LAMBDA_PURE:
-        return 2 * s * (mult * r + sgn * p)
-    return 2 * (p + r) * (mult * s + (mult - sgn) * q)
-
-
 def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Slope]:
-    """Slope sequence of a chain, one closed formula per kind.
+    """Slope sequence of a chain: one orientation step, then one of two formulas.
 
-    Entry k combines the frame with the k-th sign-table values and adds the
-    twist term 1/n_k; `chain_slope` builds the sum from its integer lowest
-    terms.  Both tables start at 1, so entry 0 always agrees with the
-    single-splitting slope of the chain's initial move.
+    Take (a, b) from the peeled constituent, (p, q) for a rho move and
+    (r, s) for a lambda move, and (c, d) from the kept one.  After a drop
+    each pair reads (ell, m); after a lift it reads (m, ell).  With mult and
+    sgn the k-th sign-table values, the integer part of entry k (twice the
+    join's linking number) is
+
+        pure:  2*a*(mult*b + sgn*d)
+        mixed: 2*(b + d)*(mult*a + (mult - sgn)*c)
+
+    and entry k adds the twist term 1/n_k; `chain_slope` builds the sum from
+    its integer lowest terms.  Both tables start at 1, so entry 0 always
+    agrees with the single-splitting slope of the chain's initial move.
     """
     t = as_twists(twists)
     tables = _cached_tables(t.entries)
     initial = kind.initial_split
+    peeled, kept = (frame.p, frame.q), (frame.r, frame.s)
+    if not initial.splits_rho:
+        peeled, kept = kept, peeled
+    if not initial.drops:
+        peeled, kept = peeled[::-1], kept[::-1]
+    (a, b), (c, d) = peeled, kept
+    mixed = kind.mixed
     out = []
     for k, n in enumerate(t.entries):
-        coeff = _doubled_linking(kind, frame, tables.mults[k], tables.signs[k])
+        mult, sgn = tables.mults[k], tables.signs[k]
+        if mixed:
+            coeff = 2 * (b + d) * (mult * a + (mult - sgn) * c)
+        else:
+            coeff = 2 * a * (mult * b + sgn * d)
         out.append(chain_slope(coeff, n, position_coords(k, initial)))
     return out
 
@@ -260,8 +238,10 @@ def oracle_slopes(
     chain starts from B and accretes T.  Each join multiplies the old class
     by the step sign before adding the accreted one, and the slope read at
     the join is twice the linking number of the upper circle with the lower
-    one, plus 1/n.  Which circle is upper follows the chain geometry: the
-    fresh copy sits on the side given by `kind.added_direction`.
+    one, plus 1/n.  Which circle is upper follows the chain geometry: a pure
+    chain places each fresh copy the way the initial move peeled (below
+    after a drop, above after a lift), and a mixed chain places it the other
+    way.
     """
     t = as_twists(twists)
     constituent = frame.rho_class if kind.initial_split.splits_rho else frame.lambda_class

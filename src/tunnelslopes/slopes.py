@@ -28,11 +28,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the "num/den" form produced by `format_rational`; bare "num" is accepted."""
-    return Fraction(text.strip())
-
-
 def _as_exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass Fraction or int")

@@ -19,18 +19,23 @@ from tunnelslopes import (
     cf_to_twists,
     closed_form_slopes,
     invariants_equal,
-    oracle_slopes,
     semisimple_slopes,
     simple_class,
     splitting_tunnel_slope,
     twists_to_cf,
     validate_cf,
     validate_frame,
-    verify_correspondence,
 )
 from tunnelslopes.catalog import load_entries, recompute_invariants
 from tunnelslopes.cli import main as cli_main
-from tunnelslopes.verify import cf_pairs, frames_in_box, nonzero_range, twist_tuples
+from tunnelslopes.verify import (
+    cf_pairs,
+    check_oracle_case,
+    frames_in_box,
+    nonzero_range,
+    run_correspondence_grid,
+    twist_tuples,
+)
 
 IDENTITY = validate_frame(1, 0, 0, 1)
 TREFOIL_FRAME = validate_frame(2, 3, 1, 2)
@@ -58,45 +63,34 @@ def test_criterion_1_singleton_chains_reduce_to_single_moves():
 
 
 def test_criterion_2_slope_engines_agree():
-    failures = []
-    cases = 0
+    def case(frame, kind, tw):
+        return ((frame.p, frame.q, frame.r, frame.s), kind.value, tw)
 
-    def check(frame, kind, tw):
-        closed = closed_form_slopes(frame, kind, tw)
-        replayed, _ = oracle_slopes(frame, kind, tw)
-        if closed != replayed:
-            failures.append((frame.text(), kind.value, tw))
-
-    for frame in (IDENTITY, TREFOIL_FRAME):
-        for kind in SequenceKind:
-            for tw in twist_tuples(4, 3):
-                cases += 1
-                check(frame, kind, tw)
+    cases = [
+        case(frame, kind, tw)
+        for frame in (IDENTITY, TREFOIL_FRAME)
+        for kind in SequenceKind
+        for tw in twist_tuples(4, 3)
+    ]
     # the full grid is ~7.7M points; top up with seeded draws from it
     rng = random.Random(0x7A57E)
     box = frames_in_box(5)
     kinds = list(SequenceKind)
     entries = nonzero_range(3)
-    while cases < 99_864:
+    while len(cases) < 99_864:
         frame = box[rng.randrange(len(box))]
         kind = kinds[rng.randrange(len(kinds))]
         tw = tuple(entries[rng.randrange(len(entries))] for _ in range(rng.randrange(1, 5)))
-        cases += 1
-        check(frame, kind, tw)
-    assert cases <= 100_000
-    _report(2, "dual slope engines agree", failures, cases)
+        cases.append(case(frame, kind, tw))
+    failures = [f for f in map(check_oracle_case, cases) if f is not None]
+    assert len(cases) <= 100_000
+    _report(2, "dual slope engines agree", failures, len(cases))
 
 
 def test_criterion_3_two_bridge_correspondence_exhaustive():
-    failures = []
-    cases = 0
-    for signs, turns in cf_pairs(4, 3):
-        cases += 1
-        report = verify_correspondence(validate_cf(signs, turns))
-        if not report.match:
-            failures.append((signs, turns))
-    assert cases == 271_452
-    _report(3, "two-bridge correspondence", failures, cases)
+    result = run_correspondence_grid(4, 3)
+    assert result.cases == 271_452
+    _report(3, "two-bridge correspondence", list(result.failures), result.cases)
 
 
 def test_criterion_4_twist_fraction_round_trip():

@@ -209,6 +209,11 @@ def test_empty_grid_exits_3(capsys, argv):
         ("[1,2]", "must be a JSON object"),
         ('{"descriptor":{},"flags":[],"schema_version":1}', '"invariants"'),
         ('{"descriptor":{"frame":"2,3', "not a JSON line"),  # cut short, yet followed by a newline
+        # True == 1 == 1.0, yet neither is the integer schema version
+        ('{"descriptor":{},"invariants":{},"flags":[],"schema_version":true}', "schema_version True"),
+        ('{"descriptor":{},"invariants":{},"flags":[],"schema_version":1.0}', "schema_version 1.0"),
+        ('{"descriptor":{},"invariants":{},"flags":"unverified-bypass","schema_version":1}', '"flags"'),
+        ('{"descriptor":{},"invariants":{},"flags":[1],"schema_version":1}', '"flags"'),
     ],
 )
 def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):

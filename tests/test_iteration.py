@@ -18,7 +18,6 @@ from tunnelslopes import (
     invariants_equal,
     oracle_slopes,
     position_coords,
-    sign_tables,
     splitting_tunnel_slope,
     step_sign,
     validate_frame,
@@ -45,14 +44,14 @@ def test_step_sign():
 
 
 def test_sign_tables_examples():
-    t = sign_tables([2, 3])
+    t = iteration._cached_tables((2, 3))
     assert t.step_signs == (-1, 1)
     assert t.signs == (1, -1, -1)
     assert t.mults == (1, 0, 1)
-    t = sign_tables([2])
+    t = iteration._cached_tables((2,))
     assert t.signs == (1, -1)
     assert t.mults == (1, 0)
-    t = sign_tables([5])
+    t = iteration._cached_tables((5,))
     assert t.signs == (1, 1)
     assert t.mults == (1, 2)
 
@@ -60,7 +59,7 @@ def test_sign_tables_examples():
 @given(twist_lists)
 def test_sign_tables_against_products(entries):
     """Independent re-derivation: signs as raw products, mults as sums of tail products."""
-    t = sign_tables(entries)
+    t = iteration._cached_tables(tuple(entries))
     eps = [step_sign(n) for n in entries]
     for k in range(len(entries) + 1):
         prod = 1
@@ -78,7 +77,7 @@ def test_sign_tables_against_products(entries):
 
 @given(twist_lists)
 def test_sign_table_identities(entries):
-    t = sign_tables(entries)
+    t = iteration._cached_tables(tuple(entries))
     for k in range(len(entries) + 1):
         assert abs(t.signs[k]) == 1
     for k in range(len(entries)):
@@ -118,18 +117,8 @@ def test_kind_metadata():
     k = SequenceKind.DROP_RHO_PURE
     assert k.initial_split is SplitKind.DROP_RHO
     assert not k.mixed
-    assert k.retained_disk == "ρ"
-    assert k.added_direction == "down"
-    k = SequenceKind.DROP_RHO_MIXED_TAU
-    assert k.mixed
-    assert k.retained_disk == "τ"
-    assert k.added_direction == "up"
-    k = SequenceKind.LIFT_LAMBDA_PURE
-    assert k.initial_split is SplitKind.LIFT_LAMBDA
-    assert k.retained_disk == "λ"
-    assert k.added_direction == "up"
-    k = SequenceKind.LIFT_RHO_MIXED_TAU
-    assert k.added_direction == "down"
+    assert SequenceKind.DROP_RHO_MIXED_TAU.mixed
+    assert SequenceKind.LIFT_LAMBDA_PURE.initial_split is SplitKind.LIFT_LAMBDA
 
 
 def test_closed_form_examples():
@@ -252,12 +241,13 @@ def test_assemble_from_trivial_needs_identity_frame():
 
 def test_assemble_verify_cross_checks(monkeypatch):
     assemble_invariants(TREFOIL_FRAME, SequenceKind.LIFT_RHO_MIXED_TAU, [2, -3, 4], 0, False, verify=True)
-    real = iteration._doubled_linking
+    real = iteration.chain_slope
 
-    def corrupted(kind, frame, mult, sgn):
-        return real(kind, frame, mult, sgn) + 2
+    def corrupted(c, n, coords):
+        return real(c + 2, n, coords)
 
-    monkeypatch.setattr(iteration, "_doubled_linking", corrupted)
+    # the oracle builds its slopes without chain_slope, so only the closed form goes wrong
+    monkeypatch.setattr(iteration, "chain_slope", corrupted)
     with pytest.raises(EngineMismatchError):
         assemble_invariants(
             TREFOIL_FRAME, SequenceKind.LIFT_RHO_MIXED_TAU, [2, -3, 4], 0, False, verify=True

@@ -10,7 +10,6 @@ from tunnelslopes import (
     TunnelInvariants,
     format_rational,
     invariants_equal,
-    parse_rational,
     simple_class,
     slope_to_simple,
 )
@@ -23,11 +22,6 @@ def test_format_keeps_unit_denominator():
     assert format_rational(Fraction(0)) == "0/1"
     assert format_rational(Fraction(-5, 3)) == "-5/3"
     assert format_rational(Fraction(11)) == "11/1"
-
-
-@given(rationals)
-def test_format_parse_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
 
 
 def test_simple_class_examples():
