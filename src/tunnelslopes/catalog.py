@@ -129,6 +129,9 @@ def load_entries(path) -> list[dict]:
             raise ValueError(f"{path}:{lineno}: schema_version {version!r}, expected {SCHEMA_VERSION}")
         if not isinstance(entry.get("invariants"), dict):
             raise ValueError(f"{path}:{lineno}: entry has no \"invariants\" object")
+        # a shape check only: a full parse_descriptor here would slow every catalog reload
+        if not isinstance(entry.get("descriptor"), dict):
+            raise ValueError(f"{path}:{lineno}: entry has no \"descriptor\" object")
         flags = entry.get("flags", [])
         # a string would pass `recompute_invariants`'s membership test as a substring search
         if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):

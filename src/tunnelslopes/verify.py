@@ -2,14 +2,14 @@
 
 Grid points are plain tuples so they can cross process boundaries; the
 mapping helper preserves input order, which keeps every grid's output
-deterministic regardless of the worker count.
+deterministic regardless of the worker count.  The process pool is imported
+on first parallel use, so a one-worker grid runs without it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -36,6 +36,9 @@ def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
     if workers <= 1:
         yield from map(fn, items)
     else:
+        # imported here so one-shot commands and 1-worker grids never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, items, chunksize=chunksize)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -214,6 +215,7 @@ def test_empty_grid_exits_3(capsys, argv):
         ('{"descriptor":{},"invariants":{},"flags":[],"schema_version":1.0}', "schema_version 1.0"),
         ('{"descriptor":{},"invariants":{},"flags":"unverified-bypass","schema_version":1}', '"flags"'),
         ('{"descriptor":{},"invariants":{},"flags":[1],"schema_version":1}', '"flags"'),
+        ('{"invariants":{"first":"1/1"},"flags":[],"schema_version":1}', '"descriptor"'),
     ],
 )
 def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):
@@ -326,3 +328,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["slope"] == "37/2"
+
+
+def test_one_shot_command_never_loads_the_process_pool():
+    # modules already loaded at the start of `-c` are the bare interpreter's,
+    # which a host's site .pth files may extend
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import json\n"
+        "from tunnelslopes import cli\n"
+        "code = cli.main(['split', '--frame', '2,3,1,2', '--kind', 'lift-rho', '--n', '2'])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - bare)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    split_line, modules_line = proc.stdout.splitlines()
+    assert json.loads(split_line)["slope"] == "37/2"
+    code, loaded = json.loads(modules_line)
+    assert code == 0 and "tunnelslopes.verify" in loaded
+    assert [name for name in loaded if name.startswith(("concurrent.futures", "multiprocessing"))] == []
+
+
+def test_verify_output_does_not_depend_on_worker_count(capsys, monkeypatch):
+    grids = [
+        ("verify-oracle", "--frame-bound", "1", "--depth", "2", "--n-range", "1"),
+        ("verify-correspondence", "--max-d", "1", "--b-range", "1"),
+    ]
+    monkeypatch.delenv("TUNNELSLOPES_WORKERS", raising=False)
+    serial = [run_cli(capsys, *argv)[:2] for argv in grids]
+    monkeypatch.setenv("TUNNELSLOPES_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parallel = [run_cli(capsys, *argv)[:2] for argv in grids]
+    assert parallel == serial
+    assert [code for code, _ in serial] == [0, 0]
