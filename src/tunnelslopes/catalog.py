@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from pathlib import Path
 
 from .frames import FareyFrame
 from .iteration import SequenceKind, TwistSequence, assemble_invariants
@@ -105,10 +104,10 @@ def load_entries(path) -> list[dict]:
     interrupted append: it is skipped with a warning on stderr, and the next
     `append_lines` cuts it off.  A bad line anywhere else is an error.
     """
-    path = Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         return []
-    head, newline, tail = path.read_bytes().rpartition(b"\n")
+    with open(path, "rb") as handle:
+        head, newline, tail = handle.read().rpartition(b"\n")
     lines = head.decode("utf-8").split("\n") if newline else []
     torn = tail.strip() and _torn(tail)
     if not torn:

@@ -222,21 +222,15 @@ def _add_bypass(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tunnelslopes",
-        description="Exact slope and binary invariants of tunnels built from twisted splittings of torus knots.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    split = sub.add_parser("split", help="slope of a single splitting move")
+def _args_split(split: argparse.ArgumentParser) -> None:
     split.add_argument("--frame", required=True, help="p,q,r,s")
     split.add_argument("--kind", required=True, choices=[k.value for k in SplitKind])
     split.add_argument("--n", required=True, type=int, help="half-twist count, nonzero")
     _add_bypass(split)
     split.set_defaults(func=_cmd_split)
 
-    iterate = sub.add_parser("iterate", help="complete invariant of a splitting chain")
+
+def _args_iterate(iterate: argparse.ArgumentParser) -> None:
     iterate.add_argument("--frame", required=True, help="p,q,r,s")
     iterate.add_argument("--kind", required=True, choices=[k.value for k in SequenceKind])
     iterate.add_argument("--twists", required=True, help="comma-separated nonzero counts")
@@ -247,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bypass(iterate)
     iterate.set_defaults(func=_cmd_iterate)
 
-    two_bridge = sub.add_parser("two-bridge", help="2-bridge continued fraction tools")
+
+def _args_two_bridge(two_bridge: argparse.ArgumentParser) -> None:
     tb_sub = two_bridge.add_subparsers(dest="tb_command", required=True)
     for name, func, needs_cf in (
         ("slopes", _cmd_two_bridge_slopes, True),
@@ -262,18 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
             tb.add_argument("--twists", required=True, help="comma-separated nonzero counts")
         tb.set_defaults(func=func)
 
-    corr = sub.add_parser("verify-correspondence", help="both invariant routes over a fraction grid")
+
+def _args_verify_correspondence(corr: argparse.ArgumentParser) -> None:
     corr.add_argument("--max-d", type=int, default=2, help="maximum depth")
     corr.add_argument("--b-range", type=int, default=2, help="turns range over [-B,B] without 0")
     corr.set_defaults(func=_cmd_verify_correspondence)
 
-    oracle = sub.add_parser("verify-oracle", help="both slope engines over a frame/twist grid")
+
+def _args_verify_oracle(oracle: argparse.ArgumentParser) -> None:
     oracle.add_argument("--frame-bound", type=int, default=2, help="frame entries range")
     oracle.add_argument("--depth", type=int, default=2, help="maximum twist sequence length")
     oracle.add_argument("--n-range", type=int, default=2, help="twist counts over [-N,N] without 0")
     oracle.set_defaults(func=_cmd_verify_oracle)
 
-    enum = sub.add_parser("enumerate", help="invariants of a chain family, deduplicated into a catalog")
+
+def _args_enumerate(enum: argparse.ArgumentParser) -> None:
     enum.add_argument("--catalog", required=True, help="JSON-lines catalog path, appended to")
     enum.add_argument("--frame", required=True, help="p,q,r,s")
     enum.add_argument("--kind", action="append", choices=[k.value for k in SequenceKind],
@@ -285,17 +283,49 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bypass(enum)
     enum.set_defaults(func=_cmd_enumerate)
 
-    compare = sub.add_parser("compare", help="decide whether two chain descriptors give equal invariants")
+
+def _args_compare(compare: argparse.ArgumentParser) -> None:
     compare.add_argument("--left", required=True, help="descriptor JSON object")
     compare.add_argument("--right", required=True, help="descriptor JSON object")
     _add_bypass(compare)
     compare.set_defaults(func=_cmd_compare)
 
+
+# name -> (help line, function adding the command's arguments), in `-h` order
+_COMMANDS = {
+    "split": ("slope of a single splitting move", _args_split),
+    "iterate": ("complete invariant of a splitting chain", _args_iterate),
+    "two-bridge": ("2-bridge continued fraction tools", _args_two_bridge),
+    "verify-correspondence": ("both invariant routes over a fraction grid", _args_verify_correspondence),
+    "verify-oracle": ("both slope engines over a frame/twist grid", _args_verify_oracle),
+    "enumerate": ("invariants of a chain family, deduplicated into a catalog", _args_enumerate),
+    "compare": ("decide whether two chain descriptors give equal invariants", _args_compare),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with every command name, and the arguments of `command` alone.
+
+    A call parses one command, so the other commands' arguments are never
+    built; `-h` and an unknown command still see every name and help line.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tunnelslopes",
+        description="Exact slope and binary invariants of tunnels built from twisted splittings of torus knots.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(command_parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first positional token is the command: the top-level parser has no option taking a value
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except EngineMismatchError as exc:

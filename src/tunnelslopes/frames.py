@@ -14,12 +14,11 @@ twice such a linking number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .slopes import Slope
+from .slopes import Frozen, Slope, _set
 
 RHO_COORDS = "(ρ,ρ⁰)"
 LAMBDA_COORDS = "(λ,λ⁰)"
@@ -51,12 +50,14 @@ class SplitKind(Enum):
         return self in (SplitKind.DROP_RHO, SplitKind.LIFT_RHO)
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Frozen):
     """A first-homology class of the thickened torus, ordered (longitude, meridian)."""
 
-    ell: int
-    m: int
+    __slots__ = _fields = ("ell", "m")
+
+    def __init__(self, ell: int, m: int) -> None:
+        _set(self, "ell", ell)
+        _set(self, "m", m)
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         return HomologyClass(self.ell + other.ell, self.m + other.m)
@@ -71,8 +72,7 @@ class HomologyClass:
         return (self.ell, self.m)
 
 
-@dataclass(frozen=True)
-class FareyFrame:
+class FareyFrame(Frozen):
     """Parameters (p, q) and (r, s) of the two splitting constituents.
 
     Validation demands both pairs coprime and cross determinant p*s - q*r
@@ -82,11 +82,17 @@ class FareyFrame:
     as unverified.
     """
 
-    p: int
-    q: int
-    r: int
-    s: int
-    checked: bool = field(default=True, compare=False)
+    __slots__ = _fields = ("p", "q", "r", "s", "checked")
+
+    def __init__(self, p: int, q: int, r: int, s: int, checked: bool = True) -> None:
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "checked", checked)
+
+    def _key(self) -> tuple:
+        return (self.p, self.q, self.r, self.s)  # `checked` is bookkeeping, like a slope's coords
 
     @property
     def rho_class(self) -> HomologyClass:

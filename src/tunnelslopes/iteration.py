@@ -18,7 +18,7 @@ which would mean a bug in one of them, never a property of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -28,10 +28,9 @@ from .frames import (
     RHO_COORDS,
     TAU_COORDS,
     FareyFrame,
-    HomologyClass,
     SplitKind,
 )
-from .slopes import Slope, TunnelInvariants, chain_slope, slope_to_simple
+from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, slope_to_simple
 
 
 class SequenceKind(Enum):
@@ -73,20 +72,20 @@ _INITIAL_SPLIT = {
 }
 
 
-@dataclass(frozen=True)
-class TwistSequence:
+class TwistSequence(Frozen):
     """Half-twist counts of the joins, initial splitting first; every count is nonzero."""
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
+        if not entries:
             raise ValueError("a twist sequence has at least one entry")
-        for n in self.entries:
+        for n in entries:
             # bool is an int subclass, but True would print as "True" and never parse back
             if not isinstance(n, int) or isinstance(n, bool) or n == 0:
                 raise ValueError(f"twist counts must be nonzero integers, got {n!r}")
+        _set(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -127,8 +126,7 @@ def step_sign(n: int) -> int:
     return 1 if n % 2 else -1
 
 
-@dataclass(frozen=True)
-class SignTables:
+class SignTables(namedtuple("SignTables", "step_signs signs mults")):
     """Orientation bookkeeping shared by all the closed slope formulas.
 
     With one step sign per join (+1 odd, -1 even), the running tables obey
@@ -143,9 +141,7 @@ class SignTables:
     carries (mults[k]-signs[k]) copies of the composite knot instead.
     """
 
-    step_signs: tuple[int, ...]
-    signs: tuple[int, ...]
-    mults: tuple[int, ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=8192)
@@ -211,8 +207,7 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     return out
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "k c_prev upper lower linking slope")):
     """One join of the step-by-step engine.
 
     `linking` is the linking number of `upper` with `lower`; the slope of the
@@ -220,12 +215,7 @@ class TraceStep:
     is the oriented class of the knot assembled before this join.
     """
 
-    k: int
-    c_prev: HomologyClass
-    upper: HomologyClass
-    lower: HomologyClass
-    linking: int
-    slope: Slope
+    __slots__ = ()
 
 
 def oracle_slopes(

@@ -15,12 +15,52 @@ and n divides 1; `chain_slope` builds the slope from that pair with one
 `Fraction` and no rational addition, the sign of n moving to the numerator.
 Mod-1 classes are likewise taken on integer pairs (`pair_class`): num mod
 den over den, again one `Fraction` per class.
+
+`Frozen` is the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+_set = object.__setattr__  # the one way a `Frozen` field gets its value, in `__init__`
+
+
+class Frozen:
+    """Immutable value with its fields in `__slots__`, each set once in `__init__`.
+
+    `_fields` names the constructor arguments: `repr` shows them and pickling
+    and copying pass them back to the constructor.  Equality and hashing
+    compare `_key()`, all of `_fields` unless a class narrows it; objects of
+    different classes never compare equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({shown})"
 
 
 def format_rational(x: Fraction) -> str:
@@ -34,8 +74,7 @@ def _as_exact(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Frozen):
     """A slope value tagged with the disk pair it is measured against.
 
     The tag is bookkeeping only.  Two slopes are equal exactly when their
@@ -43,14 +82,22 @@ class Slope:
     slope in its sequence, so it carries no information of its own.
     """
 
-    value: Fraction
-    coords: str = field(compare=False)
+    __slots__ = _fields = ("value", "coords")
 
-    def __post_init__(self) -> None:
-        if not self.coords:
+    def __init__(self, value: Fraction, coords: str) -> None:
+        if not coords:
             raise ValueError("slope coordinate tag must be nonempty")
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", _as_exact(self.value))
+        _set(self, "value", value if type(value) is Fraction else _as_exact(value))
+        _set(self, "coords", coords)
+
+    # the value alone, written out rather than built as a `_key` tuple: the engines compare slope lists here
+    def __eq__(self, other):
+        if other.__class__ is not Slope:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def text(self) -> str:
         return format_rational(self.value)
@@ -61,17 +108,24 @@ def chain_slope(c: int, n: int, coords: str) -> Slope:
     return Slope(Fraction(c * n + 1, n), coords)
 
 
-@dataclass(frozen=True)
-class SimpleSlope:
+class SimpleSlope(Frozen):
     """A slope taken mod 1, stored as its canonical representative in [0, 1)."""
 
-    representative: Fraction
+    __slots__ = _fields = ("representative",)
 
-    def __post_init__(self) -> None:
-        rep = _as_exact(self.representative)
+    def __init__(self, representative: Fraction) -> None:
+        rep = _as_exact(representative)
         if not 0 <= rep.numerator < rep.denominator:
             rep %= 1
-        object.__setattr__(self, "representative", rep)
+        _set(self, "representative", rep)
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleSlope:
+            return NotImplemented
+        return self.representative == other.representative
+
+    def __hash__(self) -> int:
+        return hash(self.representative)
 
     def text(self) -> str:
         return f"[{format_rational(self.representative)}]"
@@ -104,8 +158,7 @@ def pair_class(num: int, den: int) -> SimpleSlope:
     return SimpleSlope(Fraction(num % den, den))
 
 
-@dataclass(frozen=True)
-class TunnelInvariants:
+class TunnelInvariants(Frozen):
     """Slope sequence plus bit sequence; together they decide tunnel equality.
 
     `first` is a SimpleSlope when the chain was grown out of the trivial knot
@@ -115,17 +168,13 @@ class TunnelInvariants:
     two are, they are adjacent; construction enforces that shape.
     """
 
-    first: SimpleSlope | Slope
-    rest: tuple[Slope, ...]
-    binary: tuple[int, ...]
+    __slots__ = _fields = ("first", "rest", "binary")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.first, (SimpleSlope, Slope)):
-            raise TypeError(f"first invariant must be a Slope or SimpleSlope, got {type(self.first).__name__}")
-        rest = tuple(self.rest)
-        binary = tuple(self.binary)
-        object.__setattr__(self, "rest", rest)
-        object.__setattr__(self, "binary", binary)
+    def __init__(self, first: SimpleSlope | Slope, rest: tuple[Slope, ...], binary: tuple[int, ...]) -> None:
+        if not isinstance(first, (SimpleSlope, Slope)):
+            raise TypeError(f"first invariant must be a Slope or SimpleSlope, got {type(first).__name__}")
+        rest = tuple(rest)
+        binary = tuple(binary)
         for entry in rest:
             if not isinstance(entry, Slope):
                 raise TypeError(f"rest entries must be Slope, got {type(entry).__name__}")
@@ -139,6 +188,17 @@ class TunnelInvariants:
             )
         if ones > 2 or (ones == 2 and binary[binary.index(1) + 1] != 1):
             raise ValueError(f"at most two bits may be set, adjacent when two: {list(binary)}")
+        _set(self, "first", first)
+        _set(self, "rest", rest)
+        _set(self, "binary", binary)
+
+    def __eq__(self, other):
+        if other.__class__ is not TunnelInvariants:
+            return NotImplemented
+        return self.first == other.first and self.rest == other.rest and self.binary == other.binary
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.rest, self.binary))
 
     def to_dict(self) -> dict:
         """Canonical serialization; coordinate tags are excluded, like in equality."""

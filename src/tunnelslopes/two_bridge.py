@@ -11,8 +11,6 @@ determines, so the two computations must always agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .frames import SplitKind, validate_frame
 from .iteration import (
     SequenceKind,
@@ -21,7 +19,7 @@ from .iteration import (
     assemble_invariants,
     position_coords,
 )
-from .slopes import TunnelInvariants, chain_slope, invariants_equal, pair_class
+from .slopes import Frozen, TunnelInvariants, _set, chain_slope, invariants_equal, pair_class
 
 
 def _step_twist(prev_sign: int, sign: int, turn: int) -> int:
@@ -32,8 +30,7 @@ def _step_twist(prev_sign: int, sign: int, turn: int) -> int:
     return 2 * turn
 
 
-@dataclass(frozen=True)
-class TwoBridgeFraction:
+class TwoBridgeFraction(Frozen):
     """An alternating even continued fraction, innermost pair first.
 
     Construction enforces the structural rules: equal positive lengths, signs
@@ -44,30 +41,27 @@ class TwoBridgeFraction:
     has a preimage.
     """
 
-    signs: tuple[int, ...]
-    turns: tuple[int, ...]
-    _steps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("signs", "turns", "_steps")
+    _fields = ("signs", "turns")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", tuple(self.signs))
-        object.__setattr__(self, "turns", tuple(self.turns))
-        if len(self.signs) != len(self.turns):
-            raise ValueError(f"length mismatch: {len(self.signs)} signs vs {len(self.turns)} turns")
-        if not self.signs:
+    def __init__(self, signs: tuple[int, ...], turns: tuple[int, ...]) -> None:
+        signs, turns = tuple(signs), tuple(turns)
+        if len(signs) != len(turns):
+            raise ValueError(f"length mismatch: {len(signs)} signs vs {len(turns)} turns")
+        if not signs:
             raise ValueError("empty continued fraction")
-        for i, sign in enumerate(self.signs):
+        for i, sign in enumerate(signs):
             if sign not in (1, -1):
                 raise ValueError(f"sign entries must be +-1, got {sign!r} at position {i}")
-        steps = tuple(
-            _step_twist(self.signs[i - 1], self.signs[i], self.turns[i])
-            for i in range(1, len(self.signs))
-        )
+        steps = tuple(_step_twist(signs[i - 1], signs[i], turns[i]) for i in range(1, len(signs)))
         if 0 in steps:
             raise ValueError(
                 f"step twist vanishes at position {steps.index(0) + 1}: "
                 "opposite adjacent signs with turn 0"
             )
-        object.__setattr__(self, "_steps", steps)
+        _set(self, "signs", signs)
+        _set(self, "turns", turns)
+        _set(self, "_steps", steps)
 
     @property
     def depth(self) -> int:
@@ -169,8 +163,7 @@ def twists_to_cf(twists) -> TwoBridgeFraction:
     return TwoBridgeFraction(tuple(signs), tuple(turns))
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Frozen):
     """Both routes to one tunnel invariant and whether they agreed.
 
     `bridge_invariants` comes straight from the continued fraction,
@@ -180,10 +173,13 @@ class CorrespondenceReport:
     reportable, never dropped.
     """
 
-    cf: TwoBridgeFraction
-    twists: TwistSequence
-    bridge_invariants: TunnelInvariants
-    chain_invariants: TunnelInvariants
+    __slots__ = _fields = ("cf", "twists", "bridge_invariants", "chain_invariants")
+
+    def __init__(self, cf, twists, bridge_invariants, chain_invariants) -> None:
+        _set(self, "cf", cf)
+        _set(self, "twists", twists)
+        _set(self, "bridge_invariants", bridge_invariants)
+        _set(self, "chain_invariants", chain_invariants)
 
     @property
     def match(self) -> bool:

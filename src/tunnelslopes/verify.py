@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -117,10 +117,8 @@ def check_correspondence_case(case) -> dict | None:
     }
 
 
-@dataclass(frozen=True)
-class GridResult:
-    cases: int
-    failures: tuple[dict, ...]
+class GridResult(namedtuple("GridResult", "cases failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

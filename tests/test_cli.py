@@ -348,6 +348,8 @@ def test_one_shot_command_never_loads_the_process_pool():
     code, loaded = json.loads(modules_line)
     assert code == 0 and "tunnelslopes.verify" in loaded
     assert [name for name in loaded if name.startswith(("concurrent.futures", "multiprocessing"))] == []
+    # nor `dataclasses` and the `inspect` it pulls in: the value classes are written by hand
+    assert [name for name in loaded if name.split(".")[0] in ("dataclasses", "inspect")] == []
 
 
 def test_verify_output_does_not_depend_on_worker_count(capsys, monkeypatch):
@@ -362,3 +364,55 @@ def test_verify_output_does_not_depend_on_worker_count(capsys, monkeypatch):
     parallel = [run_cli(capsys, *argv)[:2] for argv in grids]
     assert parallel == serial
     assert [code for code, _ in serial] == [0, 0]
+
+
+# each command's options, as its `-h` lists them
+COMMAND_OPTIONS = {
+    ("split",): ["--frame", "--kind", "--n", "--bypass-validation"],
+    ("iterate",): ["--frame", "--kind", "--twists", "--splitting-bit", "--from-trivial", "--trace", "--verify",
+                   "--bypass-validation"],
+    ("two-bridge",): ["{slopes,to-twists,from-twists}"],
+    ("two-bridge", "slopes"): ["--a", "--b"],
+    ("two-bridge", "to-twists"): ["--a", "--b"],
+    ("two-bridge", "from-twists"): ["--twists"],
+    ("verify-correspondence",): ["--max-d", "--b-range"],
+    ("verify-oracle",): ["--frame-bound", "--depth", "--n-range"],
+    ("enumerate",): ["--catalog", "--frame", "--kind", "--depth", "--n-range", "--splitting-bit", "--from-trivial",
+                     "--bypass-validation"],
+    ("compare",): ["--left", "--right", "--bypass-validation"],
+}
+
+
+def run_help(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    code, out, _ = run_help(capsys, monkeypatch, "-h")
+    assert code == 0
+    commands = [argv[0] for argv in COMMAND_OPTIONS if len(argv) == 1]
+    assert "{" + ",".join(commands) + "}" in out
+    # one indented line per command, its help line beside or below it
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ") and line[4] != " "]
+    assert listed == commands
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_OPTIONS), ids=" ".join)
+def test_command_help_lists_its_options(capsys, monkeypatch, argv):
+    code, out, _ = run_help(capsys, monkeypatch, *argv, "-h")
+    assert code == 0
+    assert out.startswith(f"usage: tunnelslopes {' '.join(argv)} ")
+    assert all(option in out for option in COMMAND_OPTIONS[argv])
+
+
+def test_unknown_command_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = run_help(capsys, monkeypatch, "splt", "--frame", "2,3,1,2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "tunnelslopes: error: argument command: invalid choice: 'splt' (choose from 'split', 'iterate', "
+        "'two-bridge', 'verify-correspondence', 'verify-oracle', 'enumerate', 'compare')"
+    )

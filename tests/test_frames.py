@@ -54,6 +54,32 @@ def test_degenerate_flagging():
     assert "negative-composite" in neg.flags
 
 
+@pytest.mark.parametrize(
+    "frame, composite, degenerate",
+    [
+        # |p+r| at the bound and one past it, with |q+s| >= 3
+        ((1, 1, 1, 2), (2, 3), True),
+        ((-1, -1, -1, -2), (-2, -3), True),
+        ((1, 1, 2, 3), (3, 4), False),
+        # |q+s| at the bound and one past it, with |p+r| >= 3
+        ((1, 1, 2, 1), (3, 2), True),
+        ((-1, -1, -2, -1), (-3, -2), True),
+        ((1, 1, 3, 2), (4, 3), False),
+    ],
+)
+def test_degenerate_bound_is_inclusive(frame, composite, degenerate):
+    f = validate_frame(*frame)
+    assert (f.p + f.r, f.q + f.s) == composite
+    assert f.degenerate is degenerate
+    assert ("degenerate-frame" in f.flags) is degenerate
+
+
+@pytest.mark.parametrize("frame", [(1, -1, 3, -2), (-1, 1, -3, 2)])
+def test_negative_composite_on_either_side_alone(frame):
+    # composites (4, -3) and (-4, 3): one negative entry, neither degenerate
+    assert validate_frame(*frame).flags == ("negative-composite",)
+
+
 def test_frame_text_round_trip():
     f = validate_frame(2, 3, 1, 2)
     assert f.text() == "2,3,1,2"
