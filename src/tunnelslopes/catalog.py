@@ -20,6 +20,7 @@ from .slopes import TunnelInvariants
 SCHEMA_VERSION = 1
 
 _DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
+_INVARIANT_KEYS = ("first", "rest", "binary")  # in the order `TunnelInvariants.to_dict` writes
 
 
 def descriptor_dict(
@@ -102,7 +103,9 @@ def load_entries(path) -> list[dict]:
 
     A last line with no newline that does not parse was left by an
     interrupted append: it is skipped with a warning on stderr, and the next
-    `append_lines` cuts it off.  A bad line anywhere else is an error.
+    `append_lines` cuts it off.  A bad line anywhere else is an error.  An
+    invariants object comes back in `to_dict` key order, whatever its order on
+    disk, so the dedup key of a line rewritten with sorted keys does not change.
     """
     if not os.path.exists(path):
         return []
@@ -135,6 +138,11 @@ def load_entries(path) -> list[dict]:
         # a string would pass `recompute_invariants`'s membership test as a substring search
         if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
             raise ValueError(f"{path}:{lineno}: \"flags\" must be a list of strings, got {flags!r}")
+        invariants = entry["invariants"]
+        if tuple(invariants) != _INVARIANT_KEYS:
+            if invariants.keys() != set(_INVARIANT_KEYS):
+                raise ValueError(f"{path}:{lineno}: \"invariants\" keys must be exactly first, rest, binary")
+            entry["invariants"] = {key: invariants[key] for key in _INVARIANT_KEYS}
         entries.append(entry)
     if torn:
         print(

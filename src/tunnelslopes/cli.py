@@ -25,7 +25,6 @@ from .iteration import (
 )
 from .slopes import invariants_equal
 from .two_bridge import cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
-from .verify import run_correspondence_grid, run_oracle_grid, twist_tuples, worker_count
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -146,16 +145,23 @@ def _report_grid(result, cases_key: str, failures_key: str) -> int:
 
 
 def _cmd_verify_correspondence(args) -> int:
+    # imported in the grid and enumerate commands only, so one-shot commands never load verify
+    from .verify import run_correspondence_grid, worker_count
+
     result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
     return _report_grid(result, "checked", "failures")
 
 
 def _cmd_verify_oracle(args) -> int:
+    from .verify import run_oracle_grid, worker_count
+
     result = run_oracle_grid(args.frame_bound, args.depth, args.n_range, workers=worker_count())
     return _report_grid(result, "cases", "mismatches")
 
 
 def _cmd_enumerate(args) -> int:
+    from .verify import twist_tuples
+
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kinds = [SequenceKind(value) for value in args.kind] if args.kind else list(SequenceKind)
     known = catalog.load_keys(args.catalog)

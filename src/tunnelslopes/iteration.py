@@ -60,15 +60,10 @@ class SequenceKind(Enum):
         return self.value.endswith("mixed-tau")
 
 
+# A chain kind's value is its initial move's value plus "-pure" or "-mixed-tau".
 _INITIAL_SPLIT = {
-    SequenceKind.DROP_RHO_PURE: SplitKind.DROP_RHO,
-    SequenceKind.DROP_RHO_MIXED_TAU: SplitKind.DROP_RHO,
-    SequenceKind.DROP_LAMBDA_PURE: SplitKind.DROP_LAMBDA,
-    SequenceKind.DROP_LAMBDA_MIXED_TAU: SplitKind.DROP_LAMBDA,
-    SequenceKind.LIFT_RHO_PURE: SplitKind.LIFT_RHO,
-    SequenceKind.LIFT_RHO_MIXED_TAU: SplitKind.LIFT_RHO,
-    SequenceKind.LIFT_LAMBDA_PURE: SplitKind.LIFT_LAMBDA,
-    SequenceKind.LIFT_LAMBDA_MIXED_TAU: SplitKind.LIFT_LAMBDA,
+    kind: SplitKind(kind.value.removesuffix("-pure").removesuffix("-mixed-tau"))
+    for kind in SequenceKind
 }
 
 

@@ -7,6 +7,9 @@ innermost pair first; every sign is +-1.  Its upper tunnel has an invariant
 computable directly from the encoding, and the same tunnel arises from a
 chain of drop moves on the identity frame whose twist counts the encoding
 determines, so the two computations must always agree.
+
+The crosswalk is one rule both ways: twist count n[i] = 2*turns[i] +
+(signs[i-1] + signs[i]) // 2, the innermost pair reading a virtual -1 sign.
 """
 
 from __future__ import annotations
@@ -22,12 +25,9 @@ from .iteration import (
 from .slopes import Frozen, TunnelInvariants, _set, chain_slope, invariants_equal, pair_class
 
 
-def _step_twist(prev_sign: int, sign: int, turn: int) -> int:
-    if sign == 1 and prev_sign == 1:
-        return 2 * turn + 1
-    if sign == -1 and prev_sign == -1:
-        return 2 * turn - 1
-    return 2 * turn
+def _offset(prev_sign: int, sign: int) -> int:
+    """Twist count minus twice the turn: +1 or -1 for equal signs, 0 otherwise."""
+    return (prev_sign + sign) // 2
 
 
 class TwoBridgeFraction(Frozen):
@@ -53,7 +53,7 @@ class TwoBridgeFraction(Frozen):
         for i, sign in enumerate(signs):
             if sign not in (1, -1):
                 raise ValueError(f"sign entries must be +-1, got {sign!r} at position {i}")
-        steps = tuple(_step_twist(signs[i - 1], signs[i], turns[i]) for i in range(1, len(signs)))
+        steps = tuple([2 * turns[i] + _offset(signs[i - 1], signs[i]) for i in range(1, len(signs))])
         if 0 in steps:
             raise ValueError(
                 f"step twist vanishes at position {steps.index(0) + 1}: "
@@ -125,10 +125,10 @@ def semisimple_slopes(cf: TwoBridgeFraction) -> TunnelInvariants:
 def cf_to_twists(cf: TwoBridgeFraction) -> TwistSequence:
     """Twist counts of the drop chain on the identity frame matching the fraction.
 
-    The leading count is 2*turns[0] for a positive leading sign and
-    2*turns[0] - 1 for a negative one; the rest are the step twists.
+    The leading count follows the crosswalk rule with the virtual -1 sign;
+    the rest are the step twists.
     """
-    lead = 2 * cf.turns[0] if cf.signs[0] == 1 else 2 * cf.turns[0] - 1
+    lead = 2 * cf.turns[0] + _offset(-1, cf.signs[0])
     return TwistSequence((lead, *cf.step_twists()))
 
 
@@ -136,30 +136,18 @@ def twists_to_cf(twists) -> TwoBridgeFraction:
     """Inverse of `cf_to_twists`, defined for every nonzero twist sequence.
 
     Parities force everything: an even count flips the sign relative to the
-    previous position, an odd one keeps it, and the turn is then the unique
-    integer giving that count back.  The leading count -1 lands on the
-    flagged turns[0] == 0 family, the one case outside the classical
-    hypothesis.
+    previous position (the virtual -1 for the leading count), an odd one
+    keeps it, and the turn is then the unique integer giving that count back.
+    The leading count -1 lands on the flagged turns[0] == 0 family, the one
+    case outside the classical hypothesis.
     """
-    t = as_twists(twists)
-    lead = t[0]
-    if lead % 2 == 0:
-        signs = [1]
-        turns = [lead // 2]
-    else:
-        signs = [-1]
-        turns = [(lead + 1) // 2]
-    for n in t.entries[1:]:
-        prev = signs[-1]
-        sign = -prev if n % 2 == 0 else prev
-        if sign == 1 and prev == 1:
-            turn = (n - 1) // 2
-        elif sign == -1 and prev == -1:
-            turn = (n + 1) // 2
-        else:
-            turn = n // 2
+    signs, turns = [], []
+    prev = -1
+    for n in as_twists(twists).entries:
+        sign = prev if n % 2 else -prev
         signs.append(sign)
-        turns.append(turn)
+        turns.append((n - _offset(prev, sign)) // 2)
+        prev = sign
     return TwoBridgeFraction(tuple(signs), tuple(turns))
 
 

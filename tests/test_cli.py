@@ -216,6 +216,7 @@ def test_empty_grid_exits_3(capsys, argv):
         ('{"descriptor":{},"invariants":{},"flags":"unverified-bypass","schema_version":1}', '"flags"'),
         ('{"descriptor":{},"invariants":{},"flags":[1],"schema_version":1}', '"flags"'),
         ('{"invariants":{"first":"1/1"},"flags":[],"schema_version":1}', '"descriptor"'),
+        ('{"descriptor":{},"invariants":{"first":"1/1","binary":[0]},"flags":[],"schema_version":1}', '"invariants"'),
     ],
 )
 def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):
@@ -277,6 +278,18 @@ def test_enumerate_survives_torn_last_line(tmp_path, capsys):
     assert path.read_bytes() == whole  # the torn line was cut off before the append
     code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
     assert code == 0 and err == "" and out.endswith('"appended":0,"existing":4}\n')
+
+
+def test_enumerate_dedup_ignores_catalog_key_order(tmp_path, capsys):
+    # the same catalog rewritten with sorted keys, as `jq -S` would, is still the same catalog
+    path = tmp_path / "catalog.jsonl"
+    run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines), encoding="utf-8")
+    rewritten = path.read_bytes()
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0 and err == "" and out.endswith('"appended":0,"existing":4}\n')
+    assert path.read_bytes() == rewritten
 
 
 def test_catalog_line_missing_only_its_newline_is_kept(tmp_path, capsys):
@@ -346,7 +359,8 @@ def test_one_shot_command_never_loads_the_process_pool():
     split_line, modules_line = proc.stdout.splitlines()
     assert json.loads(split_line)["slope"] == "37/2"
     code, loaded = json.loads(modules_line)
-    assert code == 0 and "tunnelslopes.verify" in loaded
+    assert code == 0 and "tunnelslopes.two_bridge" in loaded
+    assert "tunnelslopes.verify" not in loaded
     assert [name for name in loaded if name.startswith(("concurrent.futures", "multiprocessing"))] == []
     # nor `dataclasses` and the `inspect` it pulls in: the value classes are written by hand
     assert [name for name in loaded if name.split(".")[0] in ("dataclasses", "inspect")] == []

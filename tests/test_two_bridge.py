@@ -34,6 +34,8 @@ def test_validation():
     assert validate_cf([-1], [2]).flags == ()
     with pytest.raises(ValueError, match="step twist vanishes"):
         validate_cf([1, -1], [1, 0])
+    with pytest.raises(ValueError, match="step twist vanishes at position 2"):
+        TwoBridgeFraction((1, 1, -1), (1, 1, 0))
     with pytest.raises(ValueError, match="length mismatch"):
         TwoBridgeFraction((1,), (1, 2))
     with pytest.raises(ValueError, match=r"must be \+-1"):
@@ -51,6 +53,11 @@ def test_leading_zero_turn_is_constructible_but_flagged():
     assert cf.flags == ("b0-zero",)
     with pytest.raises(ValueError):
         validate_cf(cf.signs, cf.turns)
+    # a positive sign with turn 0 builds too, but its leading twist count would be 0
+    cf = TwoBridgeFraction((1,), (0,))
+    assert cf.flags == ("b0-zero",)
+    with pytest.raises(ValueError):
+        cf_to_twists(cf)
 
 
 def test_interior_zero_turn_flag():
