@@ -2,15 +2,17 @@
 
 One line per entry: a descriptor (enough to recompute everything), the
 invariants it produced, warning flags, and a schema version.  Deduplication
-keys on the canonical serialization of the invariants, so entries whose
-invariants differ are never merged.  `dump_line` writes that serialization
-and every other JSON line the package prints or stores.
+keys on the invariant values joined into one compact string, equal exactly
+when their canonical serializations are equal, so entries whose invariants
+differ are never merged.  `dump_line` writes that serialization and every
+other JSON line the package prints or stores.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 
 from .frames import FareyFrame
@@ -21,6 +23,9 @@ SCHEMA_VERSION = 1
 
 _DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
 _INVARIANT_KEYS = ("first", "rest", "binary")  # in the order `TunnelInvariants.to_dict` writes
+# Shapes of loaded slope texts, in ASCII digits: none holds the "," or "|" that `invariants_key` joins with
+_SLOPE_TEXT = r"-?[0-9]+/[0-9]+"
+_FIRST_TEXT = rf"{_SLOPE_TEXT}|\[[0-9]+/[0-9]+\]"
 
 
 def descriptor_dict(
@@ -71,8 +76,14 @@ def dump_line(obj) -> str:
 
 
 def invariants_key(invariants: dict) -> str:
-    """Dedup key of an invariants dict, fresh from `TunnelInvariants.to_dict` or read from a line."""
-    return dump_line(invariants)
+    """Dedup key of an invariants dict, fresh from `TunnelInvariants.to_dict` or read from a line.
+
+    Two keys are equal exactly when the `dump_line` serializations are: no
+    slope text holds "," or "|", and each bit is one digit (`load_entries`
+    checks both on every loaded line).
+    """
+    binary = "".join(map(str, invariants["binary"]))
+    return f"{invariants['first']}|{','.join(invariants['rest'])}|{binary}"
 
 
 def entry_dict(descriptor: dict, invariants: dict, flags) -> dict:
@@ -103,12 +114,18 @@ def load_entries(path) -> list[dict]:
 
     A last line with no newline that does not parse was left by an
     interrupted append: it is skipped with a warning on stderr, and the next
-    `append_lines` cuts it off.  A bad line anywhere else is an error.  An
-    invariants object comes back in `to_dict` key order, whatever its order on
-    disk, so the dedup key of a line rewritten with sorted keys does not change.
+    `append_lines` cuts it off.  A bad line anywhere else is an error, and so
+    is an invariant value of the wrong shape, which `invariants_key` could
+    not key apart.  An invariants object comes back in `to_dict` key order,
+    whatever its order on disk.
     """
     if not os.path.exists(path):
         return []
+    # built here, not at import: the one-shot commands never load a catalog
+    is_first = re.compile(_FIRST_TEXT).fullmatch
+    is_slope = re.compile(_SLOPE_TEXT).fullmatch
+    # the scanner `json.loads` ends in, without the layers it adds per call
+    scan = json.JSONDecoder().scan_once
     with open(path, "rb") as handle:
         head, newline, tail = handle.read().rpartition(b"\n")
     lines = head.decode("utf-8").split("\n") if newline else []
@@ -120,29 +137,43 @@ def load_entries(path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not a JSON line: {exc}") from None
+            entry, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):  # not one bare JSON value: `json.loads` parses it or words the error
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not a JSON line: {exc}") from None
         if not isinstance(entry, dict):
             raise ValueError(f"{path}:{lineno}: an entry must be a JSON object, got {type(entry).__name__}")
         version = entry.get("schema_version")
         # True == 1 == 1.0, so an equality test alone would let a bool or a float through
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(f"{path}:{lineno}: schema_version {version!r}, expected {SCHEMA_VERSION}")
-        if not isinstance(entry.get("invariants"), dict):
+        invariants = entry.get("invariants")
+        if not isinstance(invariants, dict):
             raise ValueError(f"{path}:{lineno}: entry has no \"invariants\" object")
         # a shape check only: a full parse_descriptor here would slow every catalog reload
         if not isinstance(entry.get("descriptor"), dict):
             raise ValueError(f"{path}:{lineno}: entry has no \"descriptor\" object")
         flags = entry.get("flags", [])
-        # a string would pass `recompute_invariants`'s membership test as a substring search
-        if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
+        # a string would pass `recompute_invariants`'s membership test as a substring search;
+        # list comprehensions, not generators, here and below: the lists are short
+        if not isinstance(flags, list) or not all([isinstance(flag, str) for flag in flags]):
             raise ValueError(f"{path}:{lineno}: \"flags\" must be a list of strings, got {flags!r}")
-        invariants = entry["invariants"]
         if tuple(invariants) != _INVARIANT_KEYS:
             if invariants.keys() != set(_INVARIANT_KEYS):
                 raise ValueError(f"{path}:{lineno}: \"invariants\" keys must be exactly first, rest, binary")
-            entry["invariants"] = {key: invariants[key] for key in _INVARIANT_KEYS}
+            entry["invariants"] = invariants = {key: invariants[key] for key in _INVARIANT_KEYS}
+        first, rest, binary = invariants.values()
+        if type(first) is not str or not is_first(first):
+            raise ValueError(f"{path}:{lineno}: \"invariants\" first must be a slope text, got {first!r}")
+        if type(rest) is not list or not all([type(text) is str and is_slope(text) for text in rest]):
+            raise ValueError(f"{path}:{lineno}: \"invariants\" rest must be a list of slope texts, got {rest!r}")
+        # type(...) is int also rejects True, False and floats, which equal 0 or 1
+        if type(binary) is not list or not all([type(bit) is int and 0 <= bit <= 1 for bit in binary]):
+            raise ValueError(f"{path}:{lineno}: \"invariants\" binary must be a list of 0 and 1, got {binary!r}")
         entries.append(entry)
     if torn:
         print(

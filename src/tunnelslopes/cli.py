@@ -24,7 +24,7 @@ from .iteration import (
     oracle_slopes,
 )
 from .slopes import invariants_equal
-from .two_bridge import cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
+from .two_bridge import TwoBridgeFraction, cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,12 +94,8 @@ def _cmd_iterate(args) -> int:
     return EXIT_OK
 
 
-def _parse_cf(args):
-    return validate_cf(_int_list(args.a), _int_list(args.b))
-
-
 def _cmd_two_bridge_slopes(args) -> int:
-    cf = _parse_cf(args)
+    cf = validate_cf(_int_list(args.a), _int_list(args.b))
     invariants = semisimple_slopes(cf)
     _emit(
         {
@@ -114,7 +110,8 @@ def _cmd_two_bridge_slopes(args) -> int:
 
 
 def _cmd_two_bridge_to_twists(args) -> int:
-    cf = _parse_cf(args)
+    # the structural rules only, so the flagged turns[0] == 0 fraction `from-twists` prints maps back
+    cf = TwoBridgeFraction(_int_list(args.a), _int_list(args.b))
     _emit({"a": list(cf.signs), "b": list(cf.turns), "twists": cf_to_twists(cf).text()})
     return EXIT_OK
 

@@ -1,8 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tunnelslopes import SequenceKind, TwistSequence, assemble_invariants, validate_frame
+from tunnelslopes import (
+    SequenceKind,
+    TwistSequence,
+    assemble_invariants,
+    semisimple_slopes,
+    validate_cf,
+    validate_frame,
+)
+from tunnelslopes import catalog
 from tunnelslopes.catalog import (
     SCHEMA_VERSION,
     append_lines,
@@ -14,6 +24,7 @@ from tunnelslopes.catalog import (
     parse_descriptor,
     recompute_invariants,
 )
+from tunnelslopes.verify import frames_in_box
 
 FRAME = validate_frame(2, 3, 1, 2)
 KIND = SequenceKind.DROP_RHO_PURE
@@ -69,6 +80,22 @@ def test_load_rejects_foreign_schema(tmp_path):
         load_entries(path2)
 
 
+def test_load_parses_and_words_errors_as_json_loads(tmp_path):
+    entry = entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False),
+                       assemble_invariants(FRAME, KIND, TWISTS, 0, False).to_dict(), [])
+    line = dump_line(entry)
+    path = tmp_path / "padded.jsonl"
+    path.write_text(f" {line}\n{line}\t\n", encoding="utf-8")
+    assert load_entries(path) == [entry, entry]
+    for bad in ["\ufeff" + line, line + "x", line + " {}", line[:-1], "nul"]:
+        with pytest.raises(ValueError) as expected:
+            json.loads(bad)
+        path.write_text(bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as got:
+            load_entries(path)
+        assert str(got.value) == f"{path}:1: not a JSON line: {expected.value}"
+
+
 def test_recompute_honors_bypass_flag():
     entry = {
         "descriptor": {"frame": "2,4,1,2", "kind": "drop-rho-pure", "twists": "2"},
@@ -99,3 +126,67 @@ def test_torn_only_line_is_skipped_then_cut_off(tmp_path, capsys):
     line = dump_line(entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False), invariants.to_dict(), []))
     append_lines(path, [line])
     assert path.read_text(encoding="utf-8") == line + "\n"
+
+
+# Small ranges, so that equal invariants are drawn often: along different
+# routes too, since a 2-bridge fraction and its drop chain out of the trivial
+# knot give the same invariant.
+small_twists = st.lists(st.integers(-2, 2).filter(lambda n: n != 0), min_size=1, max_size=3)
+chain_invariants = st.builds(
+    assemble_invariants,
+    st.sampled_from(frames_in_box(1)),
+    st.sampled_from(list(SequenceKind)),
+    small_twists,
+    st.integers(0, 1),
+)
+trivial_invariants = st.builds(
+    lambda twists, kind, bit: assemble_invariants(validate_frame(1, 0, 0, 1), kind, twists, bit, True),
+    small_twists,
+    st.sampled_from([SequenceKind.DROP_RHO_PURE, SequenceKind.LIFT_RHO_PURE]),
+    st.integers(0, 1),
+)
+bridge_invariants = st.integers(1, 3).flatmap(
+    lambda n: st.builds(
+        lambda signs, turns: semisimple_slopes(validate_cf(signs, turns)),
+        st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+        st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+    )
+)
+any_invariants = st.one_of(chain_invariants, trivial_invariants, bridge_invariants)
+
+
+@settings(max_examples=300)
+@given(any_invariants, any_invariants)
+def test_dedup_key_equal_exactly_when_serializations_are(a, b):
+    a_dict, b_dict = a.to_dict(), b.to_dict()
+    assert (invariants_key(a_dict) == invariants_key(b_dict)) == (dump_line(a_dict) == dump_line(b_dict))
+
+
+@settings(max_examples=50)
+@given(st.lists(any_invariants, min_size=1, max_size=5))
+def test_loaded_line_keys_like_its_fresh_invariants(tmp_path_factory, drawn):
+    path = tmp_path_factory.mktemp("catalog") / "catalog.jsonl"
+    lines = [dump_line(entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False), inv.to_dict(), [])) for inv in drawn]
+    # the last line with its keys sorted, as `jq -S` rewrites them
+    lines[-1] = json.dumps(json.loads(lines[-1]), sort_keys=True)
+    append_lines(path, lines)
+    loaded = [invariants_key(entry["invariants"]) for entry in load_entries(path)]
+    assert loaded == [invariants_key(inv.to_dict()) for inv in drawn]
+
+
+def test_load_keys_serializes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.jsonl"
+    lines = [
+        dump_line(entry_dict(descriptor_dict(FRAME, KIND, TwistSequence(tw), 0, False),
+                             assemble_invariants(FRAME, KIND, tw, 0, False).to_dict(), []))
+        for tw in [(1,), (2,), (2, 1)]
+    ]
+    append_lines(path, lines)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dedup key must not be built by JSON encoding")
+
+    monkeypatch.setattr(catalog, "dump_line", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    keys = catalog.load_keys(path)
+    assert len(keys) == 3

@@ -111,6 +111,27 @@ def test_two_bridge_from_twists(capsys):
     assert record["flags"] == ["b0-zero"]
 
 
+def test_twists_round_trip_through_both_commands(capsys):
+    counts = [n for n in range(-3, 4) if n]
+    sequences = [[a] for a in counts] + [[a, b] for a in counts for b in counts]
+    sequences += [[a, b, c] for a in counts for b in counts for c in counts]
+    for twists in sequences:
+        text = ",".join(map(str, twists))
+        code, out, _ = run_cli(capsys, "two-bridge", "from-twists", f"--twists={text}")
+        assert code == 0
+        record = json.loads(out)
+        a, b = (",".join(map(str, record[key])) for key in ("a", "b"))
+        code, out, err = run_cli(capsys, "two-bridge", "to-twists", f"--a={a}", f"--b={b}")
+        assert (code, err) == (0, "") and json.loads(out)["twists"] == text
+
+
+def test_to_twists_without_preimage_exits_3(capsys):
+    # signs[0] = 1 with turns[0] = 0 would need a leading twist count of 0
+    code, out, err = run_cli(capsys, "two-bridge", "to-twists", "--a", "1", "--b", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_two_bridge_rejects_zero_leading_turn(capsys):
     code, _, err = run_cli(capsys, "two-bridge", "slopes", "--a", "1", "--b", "0")
     assert code == 3
@@ -217,6 +238,15 @@ def test_empty_grid_exits_3(capsys, argv):
         ('{"descriptor":{},"invariants":{},"flags":[1],"schema_version":1}', '"flags"'),
         ('{"invariants":{"first":"1/1"},"flags":[],"schema_version":1}', '"descriptor"'),
         ('{"descriptor":{},"invariants":{"first":"1/1","binary":[0]},"flags":[],"schema_version":1}', '"invariants"'),
+        # invariant values of a shape the dedup key could not tell apart
+        ('{"descriptor":{},"invariants":{"first":1,"rest":[],"binary":[0]},"flags":[],"schema_version":1}', '"invariants" first'),
+        ('{"descriptor":{},"invariants":{"first":"0.5","rest":[],"binary":[0]},"flags":[],"schema_version":1}', '"invariants" first'),
+        ('{"descriptor":{},"invariants":{"first":"1/2|x","rest":[],"binary":[0]},"flags":[],"schema_version":1}', '"invariants" first'),
+        ('{"descriptor":{},"invariants":{"first":"1/2","rest":"","binary":[0]},"flags":[],"schema_version":1}', '"invariants" rest'),
+        ('{"descriptor":{},"invariants":{"first":"1/2","rest":["1/2",3],"binary":[0,0,0]},"flags":[],"schema_version":1}', '"invariants" rest'),
+        ('{"descriptor":{},"invariants":{"first":"1/2","rest":[],"binary":[true]},"flags":[],"schema_version":1}', '"invariants" binary'),
+        ('{"descriptor":{},"invariants":{"first":"1/2","rest":[],"binary":[1.0]},"flags":[],"schema_version":1}', '"invariants" binary'),
+        ('{"descriptor":{},"invariants":{"first":"1/2","rest":[],"binary":[2]},"flags":[],"schema_version":1}', '"invariants" binary'),
     ],
 )
 def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):
