@@ -22,7 +22,7 @@ from .slopes import TunnelInvariants
 SCHEMA_VERSION = 1
 
 _DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
-_INVARIANT_KEYS = ("first", "rest", "binary")  # in the order `TunnelInvariants.to_dict` writes
+_INVARIANT_KEYS = frozenset(("first", "rest", "binary"))
 # Shapes of loaded slope texts, in ASCII digits: none holds the "," or "|" that `invariants_key` joins with
 _SLOPE_TEXT = r"-?[0-9]+/[0-9]+"
 _FIRST_TEXT = rf"{_SLOPE_TEXT}|\[[0-9]+/[0-9]+\]"
@@ -116,8 +116,7 @@ def load_entries(path) -> list[dict]:
     interrupted append: it is skipped with a warning on stderr, and the next
     `append_lines` cuts it off.  A bad line anywhere else is an error, and so
     is an invariant value of the wrong shape, which `invariants_key` could
-    not key apart.  An invariants object comes back in `to_dict` key order,
-    whatever its order on disk.
+    not key apart.
     """
     if not os.path.exists(path):
         return []
@@ -162,11 +161,9 @@ def load_entries(path) -> list[dict]:
         # list comprehensions, not generators, here and below: the lists are short
         if not isinstance(flags, list) or not all([isinstance(flag, str) for flag in flags]):
             raise ValueError(f"{path}:{lineno}: \"flags\" must be a list of strings, got {flags!r}")
-        if tuple(invariants) != _INVARIANT_KEYS:
-            if invariants.keys() != set(_INVARIANT_KEYS):
-                raise ValueError(f"{path}:{lineno}: \"invariants\" keys must be exactly first, rest, binary")
-            entry["invariants"] = invariants = {key: invariants[key] for key in _INVARIANT_KEYS}
-        first, rest, binary = invariants.values()
+        if invariants.keys() != _INVARIANT_KEYS:
+            raise ValueError(f"{path}:{lineno}: \"invariants\" keys must be exactly first, rest, binary")
+        first, rest, binary = invariants["first"], invariants["rest"], invariants["binary"]
         if type(first) is not str or not is_first(first):
             raise ValueError(f"{path}:{lineno}: \"invariants\" first must be a slope text, got {first!r}")
         if type(rest) is not list or not all([type(text) is str and is_slope(text) for text in rest]):

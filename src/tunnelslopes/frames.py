@@ -139,8 +139,13 @@ def validate_frame(p: int, q: int, r: int, s: int, *, bypass: bool = False) -> F
 
     The three failure modes raise distinct messages: (p, q) not coprime,
     (r, s) not coprime, and cross determinant different from +-1.  With
-    `bypass` no check runs and the frame comes back marked unchecked.
+    `bypass` only the entry types are checked and the frame comes back
+    marked unchecked.
     """
+    for value in (p, q, r, s):
+        # type(...) is int also rejects True and False, whose text would not parse back
+        if type(value) is not int:
+            raise ValueError(f"frame entries must be integers, got {value!r}")
     if bypass:
         return FareyFrame(p, q, r, s, checked=False)
     if gcd(p, q) != 1:

@@ -77,8 +77,8 @@ class TwistSequence(Frozen):
         if not entries:
             raise ValueError("a twist sequence has at least one entry")
         for n in entries:
-            # bool is an int subclass, but True would print as "True" and never parse back
-            if not isinstance(n, int) or isinstance(n, bool) or n == 0:
+            # type(...) is int also rejects True, which would print as "True" and never parse back
+            if type(n) is not int or n == 0:
                 raise ValueError(f"twist counts must be nonzero integers, got {n!r}")
         _set(self, "entries", entries)
 
@@ -261,7 +261,8 @@ def binary_invariants(kind: SequenceKind, steps: int, splitting_bit: int) -> lis
     """
     if steps < 1:
         raise ValueError("a chain has at least its initial splitting")
-    if splitting_bit not in (0, 1):
+    # type(...) is int also rejects True and False, which are ints to isinstance
+    if type(splitting_bit) is not int or splitting_bit not in (0, 1):
         raise ValueError(f"splitting bit must be 0 or 1, got {splitting_bit!r}")
     bits = [0] * steps
     bits[0] = splitting_bit

@@ -34,11 +34,11 @@ class TwoBridgeFraction(Frozen):
     """An alternating even continued fraction, innermost pair first.
 
     Construction enforces the structural rules: equal positive lengths, signs
-    +-1, and every derived step twist nonzero; it keeps the step twists it
-    derived.  The classical hypothesis also demands turns[0] != 0;
-    `validate_cf` adds that check, while `twists_to_cf` may build the single
-    flagged turns[0] == 0 family so that every nonzero leading twist count
-    has a preimage.
+    +-1, integer turns, and every derived step twist nonzero; it keeps the
+    step twists it derived.  The classical hypothesis also demands
+    turns[0] != 0; `validate_cf` adds that check, while `twists_to_cf` may
+    build the single flagged turns[0] == 0 family so that every nonzero
+    leading twist count has a preimage.
     """
 
     __slots__ = ("signs", "turns", "_steps")
@@ -50,9 +50,12 @@ class TwoBridgeFraction(Frozen):
             raise ValueError(f"length mismatch: {len(signs)} signs vs {len(turns)} turns")
         if not signs:
             raise ValueError("empty continued fraction")
-        for i, sign in enumerate(signs):
-            if sign not in (1, -1):
+        for i, (sign, turn) in enumerate(zip(signs, turns)):
+            # type(...) is int also rejects True and False, which are ints to isinstance
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"sign entries must be +-1, got {sign!r} at position {i}")
+            if type(turn) is not int:
+                raise ValueError(f"turn entries must be integers, got {turn!r} at position {i}")
         steps = tuple([2 * turns[i] + _offset(signs[i - 1], signs[i]) for i in range(1, len(signs))])
         if 0 in steps:
             raise ValueError(

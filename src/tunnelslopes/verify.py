@@ -1,9 +1,10 @@
 """Exhaustive verification grids, shared by the CLI and the test suite.
 
-Grid points are plain tuples so they can cross process boundaries; the
-mapping helper preserves input order, which keeps every grid's output
-deterministic regardless of the worker count.  The process pool is imported
-on first parallel use, so a one-worker grid runs without it.
+Grid points are the package's own values, which pickle into the process
+pool as they are; the mapping helper preserves input order, which keeps
+every grid's output deterministic regardless of the worker count.  The
+process pool is imported on first parallel use, so a one-worker grid runs
+without it.
 """
 
 from __future__ import annotations
@@ -83,10 +84,8 @@ def cf_pairs(max_depth: int, turn_bound: int):
 
 
 def check_oracle_case(case) -> dict | None:
-    """Compare both slope engines on one (frame, kind, twists) point."""
-    (p, q, r, s), kind_value, twists = case
-    frame = FareyFrame(p, q, r, s)
-    kind = SequenceKind(kind_value)
+    """Compare both slope engines on one (FareyFrame, SequenceKind, TwistSequence) point."""
+    frame, kind, twists = case
     closed = closed_form_slopes(frame, kind, twists)
     replayed, _ = oracle_slopes(frame, kind, twists)
     if closed == replayed:
@@ -94,7 +93,7 @@ def check_oracle_case(case) -> dict | None:
     return {
         "frame": frame.text(),
         "kind": kind.value,
-        "twists": TwistSequence(twists).text(),
+        "twists": twists.text(),
         "closed": [slope.text() for slope in closed],
         "replayed": [slope.text() for slope in replayed],
     }
@@ -138,8 +137,8 @@ def _run_grid(checker, cases, workers: int) -> GridResult:
 def run_oracle_grid(frame_bound: int, max_len: int, n_bound: int, *, workers: int = 1) -> GridResult:
     """Both slope engines over frames x all eight kinds x all twist sequences."""
     cases = (
-        ((f.p, f.q, f.r, f.s), kind.value, tw)
-        for f in frames_in_box(frame_bound)
+        (frame, kind, TwistSequence(tw))
+        for frame in frames_in_box(frame_bound)
         for kind in SequenceKind
         for tw in twist_tuples(max_len, n_bound)
     )

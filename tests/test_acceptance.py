@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from tunnelslopes import (
     SequenceKind,
+    TwistSequence,
     assemble_invariants,
     cf_to_twists,
     closed_form_slopes,
@@ -63,11 +64,8 @@ def test_criterion_1_singleton_chains_reduce_to_single_moves():
 
 
 def test_criterion_2_slope_engines_agree():
-    def case(frame, kind, tw):
-        return ((frame.p, frame.q, frame.r, frame.s), kind.value, tw)
-
     cases = [
-        case(frame, kind, tw)
+        (frame, kind, TwistSequence(tw))
         for frame in (IDENTITY, TREFOIL_FRAME)
         for kind in SequenceKind
         for tw in twist_tuples(4, 3)
@@ -81,7 +79,7 @@ def test_criterion_2_slope_engines_agree():
         frame = box[rng.randrange(len(box))]
         kind = kinds[rng.randrange(len(kinds))]
         tw = tuple(entries[rng.randrange(len(entries))] for _ in range(rng.randrange(1, 5)))
-        cases.append(case(frame, kind, tw))
+        cases.append((frame, kind, TwistSequence(tw)))
     failures = [f for f in map(check_oracle_case, cases) if f is not None]
     assert len(cases) <= 100_000
     _report(2, "dual slope engines agree", failures, len(cases))

@@ -2,12 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from tunnelslopes import SequenceKind, oracle_slopes, validate_frame
+from tunnelslopes import (
+    SequenceKind,
+    Slope,
+    TunnelInvariants,
+    oracle_slopes,
+    simple_class,
+    validate_frame,
+)
 from tunnelslopes.catalog import load_entries, recompute_invariants
-from tunnelslopes import cli
+from tunnelslopes import cli, iteration, two_bridge, verify
 from tunnelslopes.cli import main
 
 
@@ -209,6 +217,65 @@ def test_validation_failures_exit_3(capsys):
     assert code == 3 and "nonzero" in err
     code, _, err = run_cli(capsys, "iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "2,0")
     assert code == 3
+    code, _, err = run_cli(capsys, "two-bridge", "slopes", "--a", "x", "--b", "1")
+    assert code == 3 and "expected comma-separated integers" in err
+
+
+def _oracle_shifted_on_twist_1(original):
+    """The oracle engine with its first slope moved by 1 whenever the first twist count is 1."""
+
+    def wrong(frame, kind, twists):
+        slopes, trace = original(frame, kind, twists)
+        if twists[0] == 1:
+            slopes[0] = Slope(slopes[0].value + 1, slopes[0].coords)
+        return slopes, trace
+
+    return wrong
+
+
+def test_iterate_verify_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(iteration, "oracle_slopes", _oracle_shifted_on_twist_1(iteration.oracle_slopes))
+    code, out, err = run_cli(
+        capsys, "iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "1,2", "--verify"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: engines disagree") and err.count("\n") == 1
+
+
+def test_verify_oracle_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.delenv("TUNNELSLOPES_WORKERS", raising=False)  # a patch does not reach pool workers
+    monkeypatch.setattr(verify, "oracle_slopes", _oracle_shifted_on_twist_1(verify.oracle_slopes))
+    code, out, _ = run_cli(capsys, "verify-oracle", "--frame-bound", "1", "--depth", "1", "--n-range", "1")
+    assert code == 1
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary == {"cases": 640, "mismatches": 320}
+    assert len(records) == 320
+    for record in records:
+        assert list(record) == ["frame", "kind", "twists", "closed", "replayed"]
+        assert record["twists"] == "1"
+        closed, replayed = Fraction(record["closed"][0]), Fraction(record["replayed"][0])
+        assert replayed - closed == 1
+
+
+def test_verify_correspondence_mismatch_exits_1(capsys, monkeypatch):
+    original = two_bridge.semisimple_slopes
+
+    def wrong(cf):
+        invariants = original(cf)
+        shifted = simple_class(invariants.first.representative + Fraction(1, 7))
+        return TunnelInvariants(shifted, invariants.rest, invariants.binary)
+
+    monkeypatch.delenv("TUNNELSLOPES_WORKERS", raising=False)
+    monkeypatch.setattr(two_bridge, "semisimple_slopes", wrong)
+    code, out, _ = run_cli(capsys, "verify-correspondence", "--max-d", "0", "--b-range", "1")
+    assert code == 1
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary == {"checked": 4, "failures": 4}
+    assert [(record["a"], record["b"]) for record in records] == [([-1], [-1]), ([-1], [1]), ([1], [-1]), ([1], [1])]
+    for record in records:
+        assert list(record) == ["a", "b", "cf", "twists", "bridge", "chain", "match"]
+        assert record["match"] is False
+        assert record["bridge"]["first"] != record["chain"]["first"]
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,15 @@ def test_validate_distinct_errors():
         validate_frame(1, 0, 1, 2)
 
 
+def test_validate_rejects_bool_entries_with_and_without_bypass():
+    # True == 1, but the frame's text "True,0,0,1" could not be parsed back
+    for bypass in (False, True):
+        with pytest.raises(ValueError, match="frame entries must be integers, got True"):
+            validate_frame(True, 0, 0, 1, bypass=bypass)
+        with pytest.raises(ValueError, match="frame entries must be integers, got False"):
+            validate_frame(1, 0, False, 1, bypass=bypass)
+
+
 def test_bypass_marks_unverified():
     f = validate_frame(2, 4, 1, 2, bypass=True)
     assert not f.checked

@@ -221,6 +221,15 @@ def test_binary_invariants_examples():
         binary_invariants(SequenceKind.DROP_RHO_PURE, 2, 2)
 
 
+def test_binary_invariants_reject_a_bool_bit():
+    # True == 1, but its bits would serialize as [true,0] and key apart from the int ones
+    for bit in (True, False):
+        with pytest.raises(ValueError, match="splitting bit"):
+            binary_invariants(SequenceKind.DROP_RHO_PURE, 2, bit)
+    with pytest.raises(ValueError, match="splitting bit"):
+        assemble_invariants(TREFOIL_FRAME, SequenceKind.DROP_RHO_PURE, (2, 1), True)
+
+
 def test_assemble_examples():
     inv = assemble_invariants(IDENTITY, SequenceKind.DROP_RHO_PURE, [2, 3], 0, True)
     assert inv.to_dict() == {"first": "[2/5]", "rest": ["-5/3"], "binary": [0, 0]}

@@ -46,6 +46,18 @@ def test_validation():
         TwoBridgeFraction((), ())
 
 
+def test_bool_signs_and_turns_are_rejected():
+    # True == 1, but a bool entry would serialize as `true` in the fraction's sign or turn list
+    with pytest.raises(ValueError, match=r"sign entries must be \+-1, got True at position 0"):
+        TwoBridgeFraction((True,), (1,))
+    with pytest.raises(ValueError, match=r"sign entries must be \+-1, got True at position 0"):
+        validate_cf((True, -1), (1, 2))
+    with pytest.raises(ValueError, match="turn entries must be integers, got True at position 1"):
+        validate_cf((1, -1), (1, True))
+    with pytest.raises(ValueError, match="turn entries must be integers, got 1.0 at position 0"):
+        TwoBridgeFraction((1,), (1.0,))
+
+
 def test_leading_zero_turn_is_constructible_but_flagged():
     # the image of lead twist -1 under the inverse map
     cf = twists_to_cf([-1])

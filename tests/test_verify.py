@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from tunnelslopes import FareyFrame, validate_cf
+from tunnelslopes import FareyFrame, SequenceKind, TwistSequence, validate_cf
 from tunnelslopes.verify import (
     GridResult,
     cf_pairs,
@@ -64,7 +64,8 @@ def test_cf_pairs_all_validate():
 
 
 def test_check_case_helpers_pass():
-    assert check_oracle_case(((2, 3, 1, 2), "drop-rho-pure", (2, 1))) is None
+    case = (FareyFrame(2, 3, 1, 2), SequenceKind.DROP_RHO_PURE, TwistSequence((2, 1)))
+    assert check_oracle_case(case) is None
     assert check_correspondence_case(((1, 1), (1, 1))) is None
 
 
@@ -72,6 +73,20 @@ def test_oracle_grid():
     result = run_oracle_grid(1, 2, 1)
     assert result.ok
     assert result.cases == len(frames_in_box(1)) * 8 * 6
+
+
+def test_oracle_grid_builds_each_twist_sequence_once(monkeypatch):
+    built = []
+    init = TwistSequence.__init__
+
+    def counting_init(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(TwistSequence, "__init__", counting_init)
+    result = run_oracle_grid(1, 2, 1)
+    assert result.ok
+    assert len(built) == result.cases
 
 
 def test_correspondence_grid():
