@@ -127,7 +127,11 @@ def load_entries(path) -> list[dict]:
     scan = json.JSONDecoder().scan_once
     with open(path, "rb") as handle:
         head, newline, tail = handle.read().rpartition(b"\n")
-    lines = head.decode("utf-8").split("\n") if newline else []
+    try:
+        lines = head.decode("utf-8").split("\n") if newline else []
+    except UnicodeDecodeError as exc:
+        lineno = head.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not a UTF-8 line: {exc.reason}") from None
     torn = tail.strip() and _torn(tail)
     if not torn:
         lines.append(tail.decode("utf-8"))

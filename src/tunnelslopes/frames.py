@@ -127,11 +127,19 @@ class FareyFrame(Frozen):
 
     @classmethod
     def parse(cls, text: str, *, bypass: bool = False) -> "FareyFrame":
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"frame text needs four comma-separated integers, got {text!r}")
-        p, q, r, s = (int(part) for part in parts)
-        return validate_frame(p, q, r, s, bypass=bypass)
+        message = "frame text needs four comma-separated integers"
+        entries = parse_ints(text, message)
+        if len(entries) != 4:
+            raise ValueError(f"{message}, got {text!r}")
+        return validate_frame(*entries, bypass=bypass)
+
+
+def parse_ints(text: str, message: str) -> tuple[int, ...]:
+    """The comma-separated integers of `text`, each read by `int()`; unreadable text raises `message`."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{message}, got {text!r}") from None
 
 
 def validate_frame(p: int, q: int, r: int, s: int, *, bypass: bool = False) -> FareyFrame:

@@ -29,6 +29,7 @@ from .frames import (
     TAU_COORDS,
     FareyFrame,
     SplitKind,
+    parse_ints,
 )
 from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, slope_to_simple
 
@@ -96,11 +97,7 @@ class TwistSequence(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "TwistSequence":
-        try:
-            entries = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"twist counts must be comma-separated nonzero integers, got {text!r}") from None
-        return cls(entries)
+        return cls(parse_ints(text, "twist counts must be comma-separated nonzero integers"))
 
 
 def as_twists(twists) -> TwistSequence:

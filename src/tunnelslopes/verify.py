@@ -12,10 +12,8 @@ from __future__ import annotations
 import itertools
 import os
 from collections import namedtuple
-from functools import lru_cache
-from math import gcd
 
-from .frames import FareyFrame
+from .frames import FareyFrame, validate_frame
 from .iteration import SequenceKind, TwistSequence, closed_form_slopes, oracle_slopes
 from .two_bridge import validate_cf, verify_correspondence
 
@@ -44,18 +42,14 @@ def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
             yield from pool.map(fn, items, chunksize=chunksize)
 
 
-@lru_cache(maxsize=None)
 def frames_in_box(bound: int) -> tuple[FareyFrame, ...]:
-    """Every valid frame with all four entries in [-bound, bound], lexicographic."""
+    """Every frame `validate_frame` accepts with all four entries in [-bound, bound], lexicographic."""
     out = []
-    rng = range(-bound, bound + 1)
-    for p, q in itertools.product(rng, repeat=2):
-        if gcd(p, q) != 1:
-            continue
-        for r, s in itertools.product(rng, repeat=2):
-            if abs(p * s - q * r) != 1 or gcd(r, s) != 1:
-                continue
-            out.append(FareyFrame(p, q, r, s))
+    for entries in itertools.product(range(-bound, bound + 1), repeat=4):
+        try:
+            out.append(validate_frame(*entries))
+        except ValueError:
+            pass
     return tuple(out)
 
 

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tunnelslopes import (
     SequenceKind,
@@ -219,6 +221,8 @@ def test_validation_failures_exit_3(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "two-bridge", "slopes", "--a", "x", "--b", "1")
     assert code == 3 and "expected comma-separated integers" in err
+    code, _, err = run_cli(capsys, "split", "--frame", "1,0,0,x", "--kind", "drop-rho", "--n", "1")
+    assert code == 3 and err == "error: frame text needs four comma-separated integers, got '1,0,0,x'\n"
 
 
 def _oracle_shifted_on_twist_1(original):
@@ -328,6 +332,31 @@ def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, messag
 
 
 @pytest.mark.parametrize(
+    "data, lineno",
+    [
+        (b"\xff\n", 1),
+        (b'{"a":1}\n\n{"b":"\xc3"}\n{"c":2}\n', 3),  # a cut two-byte character
+    ],
+)
+def test_enumerate_rejects_non_utf8_catalog_line(tmp_path, capsys, data, lineno):
+    path = tmp_path / "catalog.jsonl"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}:{lineno}: not a UTF-8 line") and err.count("\n") == 1
+
+
+def test_enumerate_skips_non_utf8_torn_last_line(tmp_path, capsys):
+    path = tmp_path / "catalog.jsonl"
+    run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"descriptor":"\xc3')
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0 and out.endswith('"appended":0,"existing":4}\n')
+    assert err == f"{path}:5: warning: skipping a last line cut short by an interrupted append\n"
+
+
+@pytest.mark.parametrize(
     "extra, message",
     [
         ({"from_trivial": "false"}, "from_trivial"),
@@ -430,6 +459,31 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n=--"),
+        ("iterate", "--frame=--", "--kind", "drop-rho-pure", "--twists", "2"),
+        ("iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists=--"),
+        ("two-bridge", "slopes", "--a=--", "--b", "1"),
+        ("two-bridge", "from-twists", "--twists=--"),
+        ("enumerate", "--catalog=--", "--frame", "2,3,1,2"),
+        ("enumerate", "--catalog", "unused.jsonl", "--frame", "2,3,1,2", "--depth=--"),
+        ("verify-oracle", "--depth=--"),
+        ("compare", "--left=--", "--right", "{}"),
+    ],
+    ids=" ".join,
+)
+def test_double_dash_value_is_a_usage_error(capsys, argv):
+    # argparse reads `--opt=--` as an empty list; `main` stops it before any command sees it
+    option = next(arg for arg in argv if arg.endswith("=--")).removesuffix("=--")
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert err.splitlines()[-1] == f"tunnelslopes: error: argument {option}: expected one argument"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tunnelslopes", "split", "--frame", "2,3,1,2", "--kind", "lift-rho", "--n", "2"],
@@ -527,3 +581,40 @@ def test_unknown_command_is_a_usage_error(capsys, monkeypatch):
         "tunnelslopes: error: argument command: invalid choice: 'splt' (choose from 'split', 'iterate', "
         "'two-bridge', 'verify-correspondence', 'verify-oracle', 'enumerate', 'compare')"
     )
+
+
+def _descriptor(frame="2,3,1,2", twists="2,1"):
+    return json.dumps({"frame": frame, "kind": "drop-rho-pure", "twists": twists})
+
+
+# each option that reads integer-list text, given the fuzzed text; every other argument is valid
+TEXT_OPTIONS = {
+    "split --frame": lambda text: ("split", f"--frame={text}", "--kind", "drop-rho", "--n", "1"),
+    "split --n": lambda text: ("split", "--frame", "2,3,1,2", "--kind", "drop-rho", f"--n={text}"),
+    "iterate --frame": lambda text: ("iterate", f"--frame={text}", "--kind", "drop-rho-pure", "--twists", "2,1"),
+    "iterate --twists": lambda text: ("iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", f"--twists={text}"),
+    "slopes --a": lambda text: ("two-bridge", "slopes", f"--a={text}", "--b", "2"),
+    "slopes --b": lambda text: ("two-bridge", "slopes", "--a", "1", f"--b={text}"),
+    "to-twists --a": lambda text: ("two-bridge", "to-twists", f"--a={text}", "--b", "2"),
+    "to-twists --b": lambda text: ("two-bridge", "to-twists", "--a", "1", f"--b={text}"),
+    "from-twists --twists": lambda text: ("two-bridge", "from-twists", f"--twists={text}"),
+    "compare frame": lambda text: ("compare", "--left", _descriptor(), "--right", _descriptor(frame=text)),
+    "compare twists": lambda text: ("compare", "--left", _descriptor(), "--right", _descriptor(twists=text)),
+}
+# digits, signs, separators, letters and non-ASCII digits, which int() reads too; and argparse's "--"
+option_texts = st.just("--") | st.text(alphabet="0123456789-,+ _axeT٣५５", max_size=12)
+
+
+@pytest.mark.parametrize("option", list(TEXT_OPTIONS))
+@settings(derandomize=True, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=option_texts)
+def test_text_options_fail_cleanly(capsys, option, text):
+    try:
+        code = main(list(TEXT_OPTIONS[option](text)))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert err.count("\n") == 1
+    assert "invalid literal" not in out + err

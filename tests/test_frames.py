@@ -13,6 +13,7 @@ from tunnelslopes import (
     splitting_tunnel_slope,
     validate_frame,
 )
+from tunnelslopes.frames import parse_ints
 from tunnelslopes.verify import frames_in_box
 
 box_frames = st.sampled_from(frames_in_box(3))
@@ -93,8 +94,17 @@ def test_frame_text_round_trip():
     f = validate_frame(2, 3, 1, 2)
     assert f.text() == "2,3,1,2"
     assert FareyFrame.parse("2,3,1,2") == f
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frame text needs four comma-separated integers, got '2,3,1'"):
         FareyFrame.parse("2,3,1")
+
+
+def test_parse_ints_lets_int_judge_each_part():
+    # what int() reads, the reader reads: spaces, underscores and non-ASCII digits included
+    assert parse_ints(" 1,1_0,-٣,+2", "m") == (1, 10, -3, 2)
+    for text in ("", "1,,2", "1.0", "x", "True"):
+        with pytest.raises(ValueError) as info:
+            parse_ints(text, "integers please")
+        assert str(info.value) == f"integers please, got {text!r}"
 
 
 def test_homology_arithmetic():

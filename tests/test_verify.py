@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from tunnelslopes import FareyFrame, SequenceKind, TwistSequence, validate_cf
+from tunnelslopes import FareyFrame, SequenceKind, TwistSequence, validate_cf, verify
 from tunnelslopes.verify import (
     GridResult,
     cf_pairs,
@@ -42,6 +42,21 @@ def test_frames_in_box_shape():
     tuples = {(f.p, f.q, f.r, f.s) for f in box}
     assert {(-p, -q, -r, -s) for (p, q, r, s) in tuples} == tuples
     assert len(frames_in_box(5)) == 616
+
+
+def test_frames_in_box_follows_validate_frame(monkeypatch):
+    # the box keeps no rule of its own: a stricter frame rule shrinks it, on every call
+    box = frames_in_box(1)
+    validate_frame = verify.validate_frame
+
+    def nonnegative_only(p, q, r, s):
+        if min(p, q, r, s) < 0:
+            raise ValueError("negative entry")
+        return validate_frame(p, q, r, s)
+
+    monkeypatch.setattr(verify, "validate_frame", nonnegative_only)
+    expected = tuple(f for f in box if min(f.p, f.q, f.r, f.s) >= 0)
+    assert frames_in_box(1) == expected and 0 < len(expected) < len(box)
 
 
 def test_nonzero_range():
