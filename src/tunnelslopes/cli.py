@@ -20,8 +20,9 @@ from .iteration import (
     EngineMismatchError,
     SequenceKind,
     TwistSequence,
+    _replay,
     assemble_invariants,
-    oracle_slopes,
+    closed_form_slopes,
 )
 from .slopes import invariants_equal
 from .two_bridge import TwoBridgeFraction, cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
@@ -60,11 +61,13 @@ def _cmd_iterate(args) -> int:
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kind = SequenceKind(args.kind)
     twists = TwistSequence.parse(args.twists)
-    invariants = assemble_invariants(
-        frame, kind, twists, args.splitting_bit, args.from_trivial, verify=args.verify
-    )
+    invariants = assemble_invariants(frame, kind, twists, args.splitting_bit, args.from_trivial)
+    trace = ()
+    if args.trace or args.verify:
+        # one replay gives both the engine check and the trace lines, before anything is printed
+        closed = closed_form_slopes(frame, kind, twists) if args.verify else None
+        trace = _replay(frame, kind, twists, closed)
     if args.trace:
-        _, trace = oracle_slopes(frame, kind, twists)
         for step in trace:
             _emit(
                 {
@@ -177,9 +180,11 @@ def _cmd_enumerate(args) -> int:
                     frame.flags,
                 )
             )
-            print(line)
             unique[key] = line
+    # written before any line is printed, so a catalog that cannot be written leaves stdout empty
     appended = catalog.append_new(args.catalog, known, unique)
+    for line in unique.values():
+        print(line)
     _emit(
         {
             "points": points,
@@ -253,7 +258,7 @@ def _args_two_bridge(two_bridge: argparse.ArgumentParser) -> None:
             tb.add_argument("--b", required=True, help="comma-separated turn integers, innermost first")
         else:
             tb.add_argument("--twists", required=True, help="comma-separated nonzero counts")
-        tb.set_defaults(func=func)
+        tb.set_defaults(func=func, parser=tb)
 
 
 def _args_verify_correspondence(corr: argparse.ArgumentParser) -> None:
@@ -315,6 +320,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     for name, (help_text, add_arguments) in _COMMANDS.items():
         command_parser = sub.add_parser(name, help=help_text)
         if name == command:
+            command_parser.set_defaults(parser=command_parser)  # a nested command's own overrides it
             add_arguments(command_parser)
     return parser
 
@@ -327,8 +333,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """
     # the first positional token is the command: the top-level parser has no option taking a value
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = build_parser(command)
-    args = parser.parse_args(argv)
+    args = build_parser(command).parse_args(argv)
+    parser = vars(args).pop("parser")  # the command's own, so that its usage line reports the error
     # argparse reads an option value of exactly "--" (as in `--n=--`) as [], or as [[]] for the appended --kind
     for name, value in vars(args).items():
         if value == [] or (type(value) is list and [] in value):

@@ -75,16 +75,29 @@ class HomologyClass(Frozen):
 class FareyFrame(Frozen):
     """Parameters (p, q) and (r, s) of the two splitting constituents.
 
-    Validation demands both pairs coprime and cross determinant p*s - q*r
-    equal to +-1, so the two pairs are Farey neighbors and the composite
-    (p+r, q+s) is their mediant.  `validate_frame(..., bypass=True)` skips
-    the checks for exploration and marks everything computed from the frame
-    as unverified.
+    The constructor demands integer entries, both pairs coprime and cross
+    determinant p*s - q*r equal to +-1, so the two pairs are Farey neighbors
+    and the composite (p+r, q+s) is their mediant; each failure raises its
+    own message.  `checked=False` (`validate_frame(..., bypass=True)`) skips
+    all but the integer check for exploration and marks everything computed
+    from the frame as unverified.
     """
 
     __slots__ = _fields = ("p", "q", "r", "s", "checked")
 
     def __init__(self, p: int, q: int, r: int, s: int, checked: bool = True) -> None:
+        for value in (p, q, r, s):
+            # type(...) is int also rejects True and False, whose text would not parse back
+            if type(value) is not int:
+                raise ValueError(f"frame entries must be integers, got {value!r}")
+        if checked:
+            if gcd(p, q) != 1:
+                raise ValueError(f"({p},{q}) is not a coprime pair")
+            if gcd(r, s) != 1:
+                raise ValueError(f"({r},{s}) is not a coprime pair")
+            det = p * s - q * r
+            if det not in (1, -1):
+                raise ValueError(f"frame determinant p*s - q*r must be +-1, got {det}")
         _set(self, "p", p)
         _set(self, "q", q)
         _set(self, "r", r)
@@ -143,27 +156,8 @@ def parse_ints(text: str, message: str) -> tuple[int, ...]:
 
 
 def validate_frame(p: int, q: int, r: int, s: int, *, bypass: bool = False) -> FareyFrame:
-    """Check the frame hypotheses and build the frame.
-
-    The three failure modes raise distinct messages: (p, q) not coprime,
-    (r, s) not coprime, and cross determinant different from +-1.  With
-    `bypass` only the entry types are checked and the frame comes back
-    marked unchecked.
-    """
-    for value in (p, q, r, s):
-        # type(...) is int also rejects True and False, whose text would not parse back
-        if type(value) is not int:
-            raise ValueError(f"frame entries must be integers, got {value!r}")
-    if bypass:
-        return FareyFrame(p, q, r, s, checked=False)
-    if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) is not a coprime pair")
-    if gcd(r, s) != 1:
-        raise ValueError(f"({r},{s}) is not a coprime pair")
-    det = p * s - q * r
-    if det not in (1, -1):
-        raise ValueError(f"frame determinant p*s - q*r must be +-1, got {det}")
-    return FareyFrame(p, q, r, s)
+    """The checked frame, or with `bypass` the unchecked one; the checks are `FareyFrame`'s."""
+    return FareyFrame(p, q, r, s, checked=not bypass)
 
 
 def splitting_disk_slope(frame: FareyFrame, kind: SplitKind) -> Slope:

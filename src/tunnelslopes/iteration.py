@@ -118,34 +118,27 @@ def step_sign(n: int) -> int:
     return 1 if n % 2 else -1
 
 
-class SignTables(namedtuple("SignTables", "step_signs signs mults")):
-    """Orientation bookkeeping shared by all the closed slope formulas.
-
-    With one step sign per join (+1 odd, -1 even), the running tables obey
-
-        signs[0] = mults[0] = 1
-        signs[k+1] = step_signs[k] * signs[k]
-        mults[k+1] = 1 + step_signs[k] * mults[k]
-
-    so signs[k] is the product of the first k step signs (always +-1).  In a
-    pure chain the class of the knot assembled after k joins is
-    mults[k]*(joined knot) + signs[k]*(other constituent); a mixed chain
-    carries (mults[k]-signs[k]) copies of the composite knot instead.
-    """
-
-    __slots__ = ()
-
-
 @lru_cache(maxsize=8192)
-def _cached_tables(entries: tuple[int, ...]) -> SignTables:
-    """Run the sign recursions over a tuple of twist counts."""
-    steps = tuple(step_sign(n) for n in entries)
-    signs = [1]
-    mults = [1]
-    for e in steps:
-        signs.append(e * signs[-1])
-        mults.append(1 + e * mults[-1])
-    return SignTables(steps, tuple(signs), tuple(mults))
+def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The (mult, sign) pair of each join: orientation bookkeeping for the closed formulas.
+
+    With e_k = step_sign(n_k) for the k-th twist count, the pairs obey
+
+        mult_0 = sign_0 = 1
+        sign_{k+1} = e_k * sign_k
+        mult_{k+1} = 1 + e_k * mult_k
+
+    so sign_k is the product of the first k step signs (always +-1).  In a
+    pure chain the class of the knot assembled after k joins is
+    mult_k*(joined knot) + sign_k*(other constituent); a mixed chain carries
+    (mult_k - sign_k) copies of the composite knot instead.
+    """
+    pairs = [(1, 1)]
+    for n in entries[:-1]:
+        mult, sign = pairs[-1]
+        e = step_sign(n)
+        pairs.append((1 + e * mult, e * sign))
+    return tuple(pairs)
 
 
 def position_coords(k: int, initial: SplitKind) -> str:
@@ -167,19 +160,18 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
 
     Take (a, b) from the peeled constituent, (p, q) for a rho move and
     (r, s) for a lambda move, and (c, d) from the kept one.  After a drop
-    each pair reads (ell, m); after a lift it reads (m, ell).  With mult and
-    sgn the k-th sign-table values, the integer part of entry k (twice the
-    join's linking number) is
+    each pair reads (ell, m); after a lift it reads (m, ell).  With (mult,
+    sgn) the k-th pair of `_cached_tables`, the integer part of entry k
+    (twice the join's linking number) is
 
         pure:  2*a*(mult*b + sgn*d)
         mixed: 2*(b + d)*(mult*a + (mult - sgn)*c)
 
     and entry k adds the twist term 1/n_k; `chain_slope` builds the sum from
-    its integer lowest terms.  Both tables start at 1, so entry 0 always
+    its integer lowest terms.  The first pair is (1, 1), so entry 0 always
     agrees with the single-splitting slope of the chain's initial move.
     """
     t = as_twists(twists)
-    tables = _cached_tables(t.entries)
     initial = kind.initial_split
     peeled, kept = (frame.p, frame.q), (frame.r, frame.s)
     if not initial.splits_rho:
@@ -189,8 +181,7 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     (a, b), (c, d) = peeled, kept
     mixed = kind.mixed
     out = []
-    for k, n in enumerate(t.entries):
-        mult, sgn = tables.mults[k], tables.signs[k]
+    for k, ((mult, sgn), n) in enumerate(zip(_cached_tables(t.entries), t.entries)):
         if mixed:
             coeff = 2 * (b + d) * (mult * a + (mult - sgn) * c)
         else:
@@ -272,6 +263,16 @@ class EngineMismatchError(RuntimeError):
     """The closed-form and step-by-step engines disagreed; this is an internal bug."""
 
 
+def _replay(frame: FareyFrame, kind: SequenceKind, t: TwistSequence, closed=None) -> tuple[TraceStep, ...]:
+    """The trace of one replay of the chain; given the closed-form slopes, check the engines agree."""
+    replayed, trace = oracle_slopes(frame, kind, t)
+    if closed is not None and replayed != closed:
+        raise EngineMismatchError(
+            f"engines disagree for frame {frame.text()}, kind {kind.value}, twists {t.text()}"
+        )
+    return trace
+
+
 TRIVIAL_FRAMES = ((1, 0, 0, 1), (-1, 0, 0, -1))
 
 
@@ -296,11 +297,7 @@ def assemble_invariants(
         raise ValueError("a chain out of the trivial knot needs the identity frame, up to sign")
     slopes = closed_form_slopes(frame, kind, t)
     if verify:
-        replayed, _ = oracle_slopes(frame, kind, t)
-        if replayed != slopes:
-            raise EngineMismatchError(
-                f"engines disagree for frame {frame.text()}, kind {kind.value}, twists {t.text()}"
-            )
+        _replay(frame, kind, t, slopes)
     bits = binary_invariants(kind, len(t), splitting_bit)
     first = slope_to_simple(slopes[0].value) if from_trivial else slopes[0]
     return TunnelInvariants(first, tuple(slopes[1:]), tuple(bits))

@@ -66,10 +66,6 @@ class TwoBridgeFraction(Frozen):
         _set(self, "turns", turns)
         _set(self, "_steps", steps)
 
-    @property
-    def depth(self) -> int:
-        return len(self.signs) - 1
-
     def step_twists(self) -> tuple[int, ...]:
         """Twist counts of the chained joins, one per position past the innermost."""
         return self._steps

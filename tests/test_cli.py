@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -186,6 +187,20 @@ def test_enumerate_catalog_cycle(tmp_path, capsys):
     assert load_entries(path) == entries
 
 
+def test_enumerate_fails_before_printing_when_the_catalog_cannot_be_written(tmp_path, capsys):
+    # the catalog is written before any entry line is printed
+    argv = ("--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1")
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "missing" / "x.jsonl"), *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+    path = tmp_path / "x.jsonl"
+    code, out, _ = run_cli(capsys, "enumerate", "--catalog", str(path), *argv)
+    assert code == 0 and out.splitlines()[:-1] == path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(out.splitlines()[-1]) == {"points": 2, "unique": 2, "appended": 2, "existing": 0}
+    # the null device keeps nothing, so it reads as the same fresh catalog every time
+    assert run_cli(capsys, "enumerate", "--catalog", os.devnull, *argv) == (0, out, "")
+
+
 def test_enumerate_kind_repeatable(tmp_path, capsys):
     path = tmp_path / "catalog.jsonl"
     code, out, _ = run_cli(
@@ -237,13 +252,39 @@ def _oracle_shifted_on_twist_1(original):
     return wrong
 
 
-def test_iterate_verify_mismatch_exits_1(capsys, monkeypatch):
+@pytest.mark.parametrize("flags", [("--verify",), ("--trace", "--verify")], ids=["verify", "trace-verify"])
+def test_iterate_verify_mismatch_exits_1(capsys, monkeypatch, flags):
+    # nothing is printed, not even a trace line, before the mismatch is found
     monkeypatch.setattr(iteration, "oracle_slopes", _oracle_shifted_on_twist_1(iteration.oracle_slopes))
     code, out, err = run_cli(
-        capsys, "iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "1,2", "--verify"
+        capsys, "iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "1,2", *flags
     )
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: engines disagree") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, replays",
+    [(("--trace", "--verify"), 1), (("--trace",), 1), (("--verify",), 1), ((), 0)],
+    ids=["trace-verify", "trace", "verify", "neither"],
+)
+def test_iterate_replays_the_chain_at_most_once(capsys, flags, replays):
+    # counted by code object, so that a call through any name bound to the function counts
+    replay = iteration.oracle_slopes.__code__
+    calls = []
+
+    def count(frame, event, _):
+        if event == "call" and frame.f_code is replay:
+            calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        code = main(["iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "2,1", *flags])
+    finally:
+        sys.setprofile(None)
+    out = capsys.readouterr().out
+    assert code == 0 and len(out.splitlines()) == (3 if "--trace" in flags else 1)
+    assert len(calls) == replays
 
 
 def test_verify_oracle_mismatch_exits_1(capsys, monkeypatch):
@@ -475,13 +516,16 @@ def test_usage_errors_exit_2(capsys):
     ids=" ".join,
 )
 def test_double_dash_value_is_a_usage_error(capsys, argv):
-    # argparse reads `--opt=--` as an empty list; `main` stops it before any command sees it
+    # argparse reads `--opt=--` as an empty list; `main` stops it before any command sees it,
+    # and reports it, like every other usage error, with the command's own usage line
     option = next(arg for arg in argv if arg.endswith("=--")).removesuffix("=--")
+    prog = " ".join(["tunnelslopes", *takewhile(lambda arg: not arg.startswith("-"), argv)])
     with pytest.raises(SystemExit) as info:
         main(list(argv))
-    _, err = capsys.readouterr()
-    assert info.value.code == 2
-    assert err.splitlines()[-1] == f"tunnelslopes: error: argument {option}: expected one argument"
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert err.splitlines()[-1] == f"{prog}: error: argument {option}: expected one argument"
 
 
 def test_module_entry_point():

@@ -48,6 +48,19 @@ def test_validate_rejects_bool_entries_with_and_without_bypass():
             validate_frame(1, 0, False, 1, bypass=bypass)
 
 
+def test_constructor_runs_the_checks_unless_told_not_to():
+    # a frame marked checked has passed every check that validate_frame runs
+    with pytest.raises(ValueError, match=r"\(2,4\) is not a coprime pair"):
+        FareyFrame(2, 4, 1, 2)
+    with pytest.raises(ValueError, match="determinant"):
+        FareyFrame(1, 0, 1, 2)
+    with pytest.raises(ValueError, match="frame entries must be integers, got True"):
+        FareyFrame(True, 0, 0, 1, checked=False)
+    f = FareyFrame(2, 4, 1, 2, checked=False)
+    assert f == validate_frame(2, 4, 1, 2, bypass=True) and f.flags == ("unverified-bypass",)
+    assert FareyFrame(2, 3, 1, 2) == validate_frame(2, 3, 1, 2)
+
+
 def test_bypass_marks_unverified():
     f = validate_frame(2, 4, 1, 2, bypass=True)
     assert not f.checked

@@ -44,44 +44,42 @@ def test_step_sign():
 
 
 def test_sign_tables_examples():
-    t = iteration._cached_tables((2, 3))
-    assert t.step_signs == (-1, 1)
-    assert t.signs == (1, -1, -1)
-    assert t.mults == (1, 0, 1)
-    t = iteration._cached_tables((2,))
-    assert t.signs == (1, -1)
-    assert t.mults == (1, 0)
-    t = iteration._cached_tables((5,))
-    assert t.signs == (1, 1)
-    assert t.mults == (1, 2)
+    # one (mult, sign) pair per join; the last twist count only shapes pairs past the end
+    assert iteration._cached_tables((5,)) == ((1, 1),)
+    assert iteration._cached_tables((5, 2)) == ((1, 1), (2, 1))
+    assert iteration._cached_tables((2, 3)) == ((1, 1), (0, -1))
+    assert iteration._cached_tables((2, 3, 5)) == ((1, 1), (0, -1), (1, -1))
+    assert iteration._cached_tables((2, 3, 5)) == iteration._cached_tables((-2, 7, 1))
 
 
 @given(twist_lists)
 def test_sign_tables_against_products(entries):
     """Independent re-derivation: signs as raw products, mults as sums of tail products."""
-    t = iteration._cached_tables(tuple(entries))
+    pairs = iteration._cached_tables(tuple(entries))
+    assert len(pairs) == len(entries)
     eps = [step_sign(n) for n in entries]
-    for k in range(len(entries) + 1):
+    for k, (mult, sign) in enumerate(pairs):
         prod = 1
         for e in eps[:k]:
             prod *= e
-        assert t.signs[k] == prod
+        assert sign == prod
         total = 1
         for r in range(k):
             tail = 1
             for e in eps[r:k]:
                 tail *= e
             total += tail
-        assert t.mults[k] == total
+        assert mult == total
 
 
 @given(twist_lists)
 def test_sign_table_identities(entries):
-    t = iteration._cached_tables(tuple(entries))
-    for k in range(len(entries) + 1):
-        assert abs(t.signs[k]) == 1
-    for k in range(len(entries)):
-        assert t.mults[k + 1] - t.step_signs[k] * t.mults[k] == 1
+    pairs = iteration._cached_tables(tuple(entries))
+    for mult, sign in pairs:
+        assert abs(sign) == 1
+    for n, (mult, sign), (next_mult, next_sign) in zip(entries, pairs, pairs[1:]):
+        assert next_mult - step_sign(n) * mult == 1
+        assert next_sign == step_sign(n) * sign
 
 
 def test_twist_sequence_validation():

@@ -30,7 +30,6 @@ def fractions_2b(draw):
 def test_validation():
     cf = validate_cf([1, 1], [1, 1])
     assert cf.step_twists() == (3,)
-    assert cf.depth == 1
     assert validate_cf([-1], [2]).flags == ()
     with pytest.raises(ValueError, match="step twist vanishes"):
         validate_cf([1, -1], [1, 0])

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from tunnelslopes.frames import FareyFrame, HomologyClass
-from tunnelslopes.iteration import SignTables, TraceStep, TwistSequence
+from tunnelslopes.iteration import TraceStep, TwistSequence
 from tunnelslopes.slopes import SimpleSlope, Slope, TunnelInvariants
 from tunnelslopes.two_bridge import TwoBridgeFraction, verify_correspondence
 from tunnelslopes.verify import GridResult
@@ -40,11 +40,6 @@ CASES = {
     "HomologyClass": (lambda: _h(2, -3), "m", "HomologyClass(ell=2, m=-3)"),
     "FareyFrame": (lambda: FareyFrame(2, 3, 1, 2), "p", "FareyFrame(p=2, q=3, r=1, s=2, checked=True)"),
     "TwistSequence": (lambda: TwistSequence((2, -3)), "entries", "TwistSequence(entries=(2, -3))"),
-    "SignTables": (
-        lambda: SignTables((-1, 1), (1, -1, -1), (1, 0, 1)),
-        "mults",
-        "SignTables(step_signs=(-1, 1), signs=(1, -1, -1), mults=(1, 0, 1))",
-    ),
     "TraceStep": (
         lambda: TraceStep(0, _h(1, 0), _h(0, 1), _h(1, 1), 1, _slope()),
         "linking",
