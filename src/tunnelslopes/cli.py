@@ -159,6 +159,9 @@ def _cmd_enumerate(args) -> int:
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kinds = [SequenceKind(value) for value in args.kind] if args.kind else list(SequenceKind)
+    # checked before the catalog is loaded or written, as the verify grids check theirs
+    if args.depth < 1 or args.n_range < 1:
+        raise ValueError("the enumeration grid is empty; widen its bounds")
     known = catalog.load_keys(args.catalog)
     unique: dict[str, str] = {}  # dedup key -> entry line, first occurrence in this run
     points = 0

@@ -31,7 +31,7 @@ from .frames import (
     SplitKind,
     parse_ints,
 )
-from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, slope_to_simple
+from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, pair_class
 
 
 class SequenceKind(Enum):
@@ -141,12 +141,14 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=1024)
 def position_coords(k: int, initial: SplitKind) -> str:
     """Coordinate tag for the k-th slope of a chain.
 
     The first slope is measured against the unpeeled constituent's disk pair,
     the second against the composite knot's, and each later one against the
-    disk replaced two joins earlier.
+    disk replaced two joins earlier.  Tags are cached, so a chain reuses its
+    tag strings rather than formatting them at every join.
     """
     if k == 0:
         return LAMBDA_COORDS if initial.splits_rho else RHO_COORDS
@@ -289,8 +291,9 @@ def assemble_invariants(
 
     With `from_trivial` the chain grows out of the trivial knot, which needs
     the identity frame up to an overall sign; the leading slope is then
-    reduced to its mod-1 class.  With `verify` the slopes are recomputed by
-    the step-by-step engine and any disagreement raises EngineMismatchError.
+    reduced to the mod-1 class of its reciprocal.  With `verify` the slopes
+    are recomputed by the step-by-step engine and any disagreement raises
+    EngineMismatchError.
     """
     t = as_twists(twists)
     if from_trivial and (frame.p, frame.q, frame.r, frame.s) not in TRIVIAL_FRAMES:
@@ -299,5 +302,6 @@ def assemble_invariants(
     if verify:
         _replay(frame, kind, t, slopes)
     bits = binary_invariants(kind, len(t), splitting_bit)
-    first = slope_to_simple(slopes[0].value) if from_trivial else slopes[0]
+    # the reciprocal's mod-1 class, read off the lead slope's integer pair
+    first = pair_class(slopes[0].den, slopes[0].num) if from_trivial else slopes[0]
     return TunnelInvariants(first, tuple(slopes[1:]), tuple(bits))

@@ -1,20 +1,22 @@
 """Exact slope values, their mod-1 classes, and the complete tunnel invariant.
 
-Every slope in this package is a `fractions.Fraction`.  Fractions are stored
-fully reduced with a positive denominator, so structural equality is equality
-of rational numbers and all arithmetic is exact; no floats appear anywhere.
-This module adds the thin layer the rest of the package builds on: text
-serialization, the mod-1 reduction applied to the leading slope of a chain
-grown out of the trivial knot, and the record pairing a slope sequence with
-its bit sequence.
+A slope is an exact rational, held by `Slope` as the integer pair (num, den)
+in lowest terms with den > 0.  Equality and hashing compare that pair, so
+structural equality is equality of rational numbers; no floats appear
+anywhere.  `Slope.value` builds the matching `fractions.Fraction` each time
+it is read, and `text()` formats from it.  A mod-1 class (`SimpleSlope`)
+keeps its `Fraction` representative, built once per class.  This module
+adds the thin layer the rest of the package builds on: text serialization,
+the mod-1 reduction applied to the leading slope of a chain grown out of the
+trivial knot, and the record pairing a slope sequence with its bit sequence.
 
 Every chain slope has the form c + 1/n, an integer c (twice a linking
 number) plus the twist term of a join with n != 0 half-twists.  Its lowest
 terms are the integer pair (c*n + 1, n), since any common divisor of c*n + 1
-and n divides 1; `chain_slope` builds the slope from that pair with one
-`Fraction` and no rational addition, the sign of n moving to the numerator.
+and n divides 1; `chain_slope` stores that pair as it is, the sign of n
+moving to the numerator, with no `Fraction` and no rational addition.
 Mod-1 classes are likewise taken on integer pairs (`pair_class`): num mod
-den over den, again one `Fraction` per class.
+den over den.
 
 `Frozen` is the base of the package's immutable value classes.
 """
@@ -69,43 +71,63 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass Fraction or int")
+    # bool is an int subclass, so Fraction(True) would quietly read it as 1
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{type(value).__name__}s are not exact; pass Fraction or int")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Slope(Frozen):
     """A slope value tagged with the disk pair it is measured against.
 
-    The tag is bookkeeping only.  Two slopes are equal exactly when their
-    values are equal: the measuring pair is determined by the position of the
-    slope in its sequence, so it carries no information of its own.
+    The value is stored as `num`/`den` in lowest terms with `den > 0`, and
+    `value` is the matching `Fraction`, built when read.  The tag is
+    bookkeeping only.  Two slopes are equal exactly when their values are
+    equal: the measuring pair is determined by the position of the slope in
+    its sequence, so it carries no information of its own.
     """
 
-    __slots__ = _fields = ("value", "coords")
+    __slots__ = ("num", "den", "coords")
+    _fields = ("value", "coords")
 
     def __init__(self, value: Fraction, coords: str) -> None:
         if not coords:
             raise ValueError("slope coordinate tag must be nonempty")
-        _set(self, "value", value if type(value) is Fraction else _as_exact(value))
+        if type(value) is not Fraction:
+            value = _as_exact(value)
+        _set(self, "num", value.numerator)
+        _set(self, "den", value.denominator)
         _set(self, "coords", coords)
 
-    # the value alone, written out rather than built as a `_key` tuple: the engines compare slope lists here
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    # the pair alone, written out rather than built as a `_key` tuple: the engines compare slope lists here
     def __eq__(self, other):
         if other.__class__ is not Slope:
             return NotImplemented
-        return self.value == other.value
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.value)
+        return hash((self.num, self.den))
 
     def text(self) -> str:
         return format_rational(self.value)
 
 
 def chain_slope(c: int, n: int, coords: str) -> Slope:
-    """The slope c + 1/n of a join with n half-twists, built from its lowest terms (c*n + 1)/n."""
-    return Slope(Fraction(c * n + 1, n), coords)
+    """The slope c + 1/n of a join with n half-twists, stored as its lowest terms (c*n + 1)/n."""
+    if not coords:
+        raise ValueError("slope coordinate tag must be nonempty")
+    num = c * n + 1
+    if n < 0:
+        num, n = -num, -n
+    slope = Slope.__new__(Slope)
+    _set(slope, "num", num)
+    _set(slope, "den", n)
+    _set(slope, "coords", coords)
+    return slope
 
 
 class SimpleSlope(Frozen):

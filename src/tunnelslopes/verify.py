@@ -21,13 +21,17 @@ WORKERS_ENV = "TUNNELSLOPES_WORKERS"
 
 
 def worker_count() -> int:
-    """Worker count from the environment, at most one per CPU; unset or 1 means in-process."""
+    """Worker count from the environment, at most one per CPU this process may use; unset or 1 means in-process."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, min(n, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n, cpus))
 
 
 def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):

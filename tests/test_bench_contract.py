@@ -1,18 +1,29 @@
-"""Names the benchmark in `perfbench/` resolves in the package.
+"""Names and behaviours the benchmark in `perfbench/` relies on.
 
 `perfbench/spans.py` rebinds functions by module and attribute name, and
 `perfbench/bench.py` and its tests read a few internals.  Deleting or
 renaming one of them breaks only the benchmark run, which is not part of
 this suite; these checks make the suite fail instead.
+
+The benchmark's own tests also assert three behaviours of the package: the
+sign-table cache takes hits, the correspondence check reaches
+`semisimple_slopes` through the module global, and every workload builds
+at least one `Fraction`.  The checks for them here follow ROADMAP item 1
+PR B, which replaces those probes with metrics that name no internals;
+they change or go when it lands.
 """
 
+import cProfile
 import importlib
 import importlib.util
+import os
+import pstats
 from pathlib import Path
 
 import pytest
 
-from tunnelslopes import iteration, verify
+from tunnelslopes import cli, iteration, two_bridge, verify
+from tunnelslopes.frames import validate_frame
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,3 +53,35 @@ def test_oracle_engine_is_a_verify_global():
     # check_oracle_case must look the oracle up at call time, so a patched one is seen
     assert verify.oracle_slopes is iteration.oracle_slopes
     assert "oracle_slopes" in verify.check_oracle_case.__code__.co_names
+
+
+def test_repeated_closed_form_call_hits_the_sign_table_cache():
+    frame, kind, twists = validate_frame(2, 3, 1, 2), iteration.SequenceKind.DROP_RHO_PURE, (3, -2, 5)
+    iteration.closed_form_slopes(frame, kind, twists)
+    before = iteration._cached_tables.cache_info().hits
+    iteration.closed_form_slopes(frame, kind, twists)
+    assert iteration._cached_tables.cache_info().hits > before
+
+
+def test_bridge_invariant_is_a_two_bridge_global():
+    # the benchmark reads self time of semisimple_slopes under the correspondence check
+    assert "semisimple_slopes" in two_bridge.verify_correspondence.__code__.co_names
+
+
+def _fraction_new_calls(fn, *args) -> int:
+    """`Fraction.__new__` calls during fn(*args), counted with cProfile as the benchmark counts them."""
+    profiler = cProfile.Profile()
+    profiler.runcall(fn, *args)
+    return sum(
+        stat[1]
+        for (filename, _, function), stat in pstats.Stats(profiler).stats.items()
+        if function == "__new__" and os.path.basename(filename) == "fractions.py"
+    )
+
+
+def test_correspondence_case_and_enumerate_build_a_fraction(tmp_path, capsys):
+    assert _fraction_new_calls(verify.check_correspondence_case, ((1, -1), (2, 3))) >= 1
+    argv = ["enumerate", "--catalog", str(tmp_path / "c.jsonl"), "--frame", "2,3,1,2",
+            "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1"]
+    assert _fraction_new_calls(cli.main, argv) >= 1
+    capsys.readouterr()

@@ -329,12 +329,18 @@ def test_verify_correspondence_mismatch_exits_1(capsys, monkeypatch):
         ("verify-oracle", "--frame-bound=-1"),
         ("verify-oracle", "--n-range", "0"),
         ("verify-correspondence", "--max-d=-1"),
+        ("enumerate", "--frame", "2,3,1,2", "--depth", "0"),
+        ("enumerate", "--frame", "2,3,1,2", "--n-range", "0"),
     ],
 )
-def test_empty_grid_exits_3(capsys, argv):
+def test_empty_grid_exits_3(tmp_path, capsys, argv):
+    path = tmp_path / "catalog.jsonl"
+    if argv[0] == "enumerate":
+        argv += ("--catalog", str(path))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "empty" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -61,11 +63,30 @@ def test_no_floats_anywhere():
         Slope(0.5, "(x)")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Slope(True, "(x)"),
+        lambda: Slope(False, "(x)"),
+        lambda: simple_class(True),
+        lambda: SimpleSlope(False),
+        lambda: slope_to_simple(True),
+    ],
+    ids=["Slope-True", "Slope-False", "simple_class", "SimpleSlope", "slope_to_simple"],
+)
+def test_bools_are_not_exact_values(build):
+    # bool is an int subclass; read as 1 or 0 it would pass for a slope
+    with pytest.raises(TypeError, match="bools are not exact"):
+        build()
+
+
 def test_slope_equality_ignores_coords():
     assert Slope(Fraction(5, 2), "(a)") == Slope(Fraction(5, 2), "(b)")
     assert Slope(Fraction(5, 2), "(a)") != Slope(Fraction(7, 2), "(a)")
     with pytest.raises(ValueError):
         Slope(Fraction(1), "")
+    with pytest.raises(ValueError):
+        chain_slope(1, 2, "")
 
 
 def test_simple_slope_never_equals_full_slope():
@@ -130,6 +151,18 @@ def test_chain_slope_is_c_plus_one_over_n(c, n):
     assert slope.value == c + Fraction(1, n)
     assert slope.value.denominator == abs(n) and slope.value.numerator == (c * n + 1) * (1 if n > 0 else -1)
     assert slope.coords == "(t)"
+
+
+@given(st.integers(-10**6, 10**6), st.one_of(nonzero_ints, small_nonzero))
+def test_chain_slope_matches_the_public_constructor(c, n):
+    slope = chain_slope(c, n, "(t)")
+    for reference in (Slope(Fraction(c * n + 1, n), "(t)"), Slope(c + Fraction(1, n), "(t)")):
+        assert slope == reference and hash(slope) == hash(reference)
+        assert repr(slope) == repr(reference) and slope.text() == reference.text()
+        assert slope.value == reference.value
+    clone = pickle.loads(pickle.dumps(slope))
+    assert clone == slope and repr(clone) == repr(slope)
+    assert slope.den > 0 and math.gcd(slope.num, slope.den) == 1
 
 
 def test_chain_slope_two_encodings_of_unit_twists():

@@ -118,6 +118,13 @@ def test_grid_result_failure_flag():
 def test_worker_count(monkeypatch):
     monkeypatch.delenv("TUNNELSLOPES_WORKERS", raising=False)
     assert worker_count() == 1
+    # a process pinned to one CPU of eight gets one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("TUNNELSLOPES_WORKERS", "4")
+    assert worker_count() == 1
+    # with no affinity call, the cap falls back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TUNNELSLOPES_WORKERS", "4")
     assert worker_count() == 4
