@@ -4,8 +4,9 @@ One line per entry: a descriptor (enough to recompute everything), the
 invariants it produced, warning flags, and a schema version.  Deduplication
 keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
-differ are never merged.  `dump_line` writes that serialization and every
-other JSON line the package prints or stores.
+differ are never merged; `add_chains` dedups a run of chain points.
+`dump_line` writes that serialization and every other JSON line the package
+prints or stores.
 """
 
 from __future__ import annotations
@@ -208,11 +209,25 @@ def append_lines(path, lines) -> None:
         handle.write(data)
 
 
-def append_new(path, known: set[str], keyed_lines: dict[str, str]) -> int:
-    """Append, in order, each line whose key is not in `known`; return how many."""
-    fresh = [line for key, line in keyed_lines.items() if key not in known]
+def add_chains(path, points, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
+    """Catalog the chains at `points`, (FareyFrame, SequenceKind, TwistSequence) triples.
+
+    The file is read before the first point is computed; the first point of
+    each key gives its line, and the lines the file lacks go in one append.
+    Returns the run's unique lines in order, the point count and the count appended.
+    """
+    known = load_keys(path)
+    unique: dict[str, str] = {}  # dedup key -> entry line
+    count = 0
+    for count, (frame, kind, twists) in enumerate(points, start=1):
+        invariants = assemble_invariants(frame, kind, twists, splitting_bit, from_trivial).to_dict()
+        key = invariants_key(invariants)
+        if key not in unique:
+            descriptor = descriptor_dict(frame, kind, twists, splitting_bit, from_trivial)
+            unique[key] = dump_line(entry_dict(descriptor, invariants, frame.flags))
+    fresh = [line for key, line in unique.items() if key not in known]
     append_lines(path, fresh)
-    return len(fresh)
+    return list(unique.values()), count, len(fresh)
 
 
 def recompute_invariants(entry: dict) -> TunnelInvariants:

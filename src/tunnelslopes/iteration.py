@@ -141,14 +141,12 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=1024)
 def position_coords(k: int, initial: SplitKind) -> str:
     """Coordinate tag for the k-th slope of a chain.
 
     The first slope is measured against the unpeeled constituent's disk pair,
     the second against the composite knot's, and each later one against the
-    disk replaced two joins earlier.  Tags are cached, so a chain reuses its
-    tag strings rather than formatting them at every join.
+    disk replaced two joins earlier.
     """
     if k == 0:
         return LAMBDA_COORDS if initial.splits_rho else RHO_COORDS

@@ -201,7 +201,8 @@ class TunnelInvariants(Frozen):
             if not isinstance(entry, Slope):
                 raise TypeError(f"rest entries must be Slope, got {type(entry).__name__}")
         ones = binary.count(1)
-        if ones + binary.count(0) != len(binary):
+        # the type test refuses True and 1.0, which count as 1 but serialize as true and 1.0
+        if [*map(type, binary)].count(int) != len(binary) or ones + binary.count(0) != len(binary):
             raise ValueError("binary invariants must be 0/1 bits")
         if len(binary) != 1 + len(rest):
             raise ValueError(

@@ -69,6 +69,14 @@ def twist_tuples(max_len: int, bound: int):
         yield from itertools.product(opts, repeat=length)
 
 
+def chain_points(frames, kinds, max_len: int, n_bound: int):
+    """Every (FareyFrame, SequenceKind, TwistSequence) point of a chain grid, frames outermost."""
+    for frame in frames:
+        for kind in kinds:
+            for tw in twist_tuples(max_len, n_bound):
+                yield frame, kind, TwistSequence(tw)
+
+
 def cf_pairs(max_depth: int, turn_bound: int):
     """All (signs, turns) pairs of depth 0..max_depth over the nonzero turn box.
 
@@ -134,12 +142,7 @@ def _run_grid(checker, cases, workers: int) -> GridResult:
 
 def run_oracle_grid(frame_bound: int, max_len: int, n_bound: int, *, workers: int = 1) -> GridResult:
     """Both slope engines over frames x all eight kinds x all twist sequences."""
-    cases = (
-        (frame, kind, TwistSequence(tw))
-        for frame in frames_in_box(frame_bound)
-        for kind in SequenceKind
-        for tw in twist_tuples(max_len, n_bound)
-    )
+    cases = chain_points(frames_in_box(frame_bound), SequenceKind, max_len, n_bound)
     return _run_grid(check_oracle_case, cases, workers)
 
 

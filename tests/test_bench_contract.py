@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from tunnelslopes import cli, iteration, two_bridge, verify
+from tunnelslopes import catalog, cli, iteration, two_bridge, verify
 from tunnelslopes.frames import validate_frame
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -66,6 +66,13 @@ def test_repeated_closed_form_call_hits_the_sign_table_cache():
 def test_bridge_invariant_is_a_two_bridge_global():
     # the benchmark reads self time of semisimple_slopes under the correspondence check
     assert "semisimple_slopes" in two_bridge.verify_correspondence.__code__.co_names
+
+
+def test_catalog_layers_are_catalog_globals():
+    # the benchmark spans these calls inside `enumerate`, and reads its unique ratio from two of them
+    names = catalog.add_chains.__code__.co_names
+    for name in ("assemble_invariants", "invariants_key", "entry_dict", "dump_line", "append_lines"):
+        assert name in names, name
 
 
 def _fraction_new_calls(fn, *args) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +191,58 @@ def test_load_keys_serializes_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "dumps", refuse)
     keys = catalog.load_keys(path)
     assert len(keys) == 3
+
+
+# two descriptors whose chains have equal invariants
+TWIN_POINTS = [
+    (validate_frame(1, 0, 0, 1), KIND, TwistSequence((2,))),
+    (validate_frame(-1, 0, 0, -1), KIND, TwistSequence((2,))),
+]
+
+
+def test_add_chains_keeps_the_first_point_of_each_key(tmp_path):
+    for n, points in enumerate([TWIN_POINTS, TWIN_POINTS[::-1]]):
+        path = tmp_path / f"catalog{n}.jsonl"
+        lines, count, appended = catalog.add_chains(path, iter(points), 0, False)
+        assert (count, appended) == (2, 1)
+        assert [json.loads(line)["descriptor"]["frame"] for line in lines] == [points[0][0].text()]
+        assert path.read_text(encoding="utf-8") == lines[0] + "\n"
+
+
+def test_add_chains_appends_only_keys_the_file_lacks(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    old, new = (FRAME, KIND, TwistSequence((1,))), (FRAME, KIND, TwistSequence((2, 1)))
+    (stored,), _, _ = catalog.add_chains(path, [old], 1, False)
+    lines, count, appended = catalog.add_chains(path, [new, old], 1, False)
+    assert (count, appended) == (2, 1)
+    assert lines[1] == stored
+    assert path.read_text(encoding="utf-8").splitlines() == [stored, lines[0]]
+    assert catalog.add_chains(path, [old, new], 1, False) == ([stored, lines[0]], 2, 0)
+
+
+def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path, monkeypatch):
+    built = []
+    original = catalog.entry_dict
+
+    def counting_entry_dict(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(catalog, "entry_dict", counting_entry_dict)
+    points = TWIN_POINTS + [(FRAME, KIND, TwistSequence((1,)))] + TWIN_POINTS
+    lines, count, _ = catalog.add_chains(tmp_path / "catalog.jsonl", points, 0, False)
+    assert (count, len(lines), len(built)) == (5, 2, 2)
+
+
+def test_add_chains_reads_the_catalog_before_the_first_point(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    path.write_text('{"schema_version":1}\nnot json\n', encoding="utf-8")
+    advanced = []
+
+    def points():
+        advanced.append(True)
+        yield from TWIN_POINTS
+
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+        catalog.add_chains(path, points(), 0, False)
+    assert advanced == []

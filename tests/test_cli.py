@@ -211,6 +211,14 @@ def test_enumerate_kind_repeatable(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.splitlines()[-1])["points"] == 4
 
+    # a repeated kind is enumerated once: the same output as naming it once
+    once = run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "once.jsonl"), "--frame", "2,3,1,2",
+                   "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1")
+    twice = run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "twice.jsonl"), "--frame", "2,3,1,2",
+                    "--kind", "drop-rho-pure", "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1")
+    assert twice == once
+    assert json.loads(once[1].splitlines()[-1])["points"] == 2
+
 
 def test_compare_equal_and_distinct(capsys):
     left = json.dumps({"frame": "1,0,0,1", "kind": "drop-rho-pure", "twists": "2"})
@@ -518,12 +526,14 @@ def test_usage_errors_exit_2(capsys):
         ("enumerate", "--catalog", "unused.jsonl", "--frame", "2,3,1,2", "--depth=--"),
         ("verify-oracle", "--depth=--"),
         ("compare", "--left=--", "--right", "{}"),
+        ("enumerate", "--catalog", "unused.jsonl", "--frame", "2,3,1,2", "--kind=--"),
     ],
     ids=" ".join,
 )
 def test_double_dash_value_is_a_usage_error(capsys, argv):
-    # argparse reads `--opt=--` as an empty list; `main` stops it before any command sees it,
-    # and reports it, like every other usage error, with the command's own usage line
+    # Python versions read `--opt=--` differently (3.13 passes "--" on as the value); `main`
+    # hands argparse the option with no value, so argparse itself reports it on every version,
+    # with the command's own usage line, before any command sees it
     option = next(arg for arg in argv if arg.endswith("=--")).removesuffix("=--")
     prog = " ".join(["tunnelslopes", *takewhile(lambda arg: not arg.startswith("-"), argv)])
     with pytest.raises(SystemExit) as info:
@@ -532,6 +542,25 @@ def test_double_dash_value_is_a_usage_error(capsys, argv):
     assert info.value.code == 2 and out == ""
     assert err.startswith(f"usage: {prog} [-h] ")
     assert err.splitlines()[-1] == f"{prog}: error: argument {option}: expected one argument"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "2", "--verify=--"),
+         "argument --verify: ignored explicit argument '--'"),
+        (("split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n=--", "3"),
+         "argument --n: expected one argument"),
+    ],
+    ids=["flag", "value-follows"],
+)
+def test_double_dash_value_never_turns_valid(capsys, argv, message):
+    # a flag given `=--`, or `=--` followed by a bare value, stays a usage error
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == f"tunnelslopes {argv[0]}: error: {message}"
 
 
 def test_module_entry_point():

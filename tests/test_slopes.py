@@ -119,6 +119,16 @@ def test_invariants_shape_enforced():
     assert _inv(s, [s], [1, 1]).binary == (1, 1)
 
 
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0], ids=repr)
+def test_invariants_refuse_bits_that_are_not_ints(bit):
+    # True == 1 and 1.0 == 1, yet they serialize as true and 1.0, which no catalog line may hold
+    s = Slope(Fraction(5, 2), "x")
+    with pytest.raises(ValueError, match="binary invariants must be 0/1 bits"):
+        _inv(s, [], [bit])
+    with pytest.raises(ValueError, match="binary invariants must be 0/1 bits"):
+        _inv(s, [s], [0, bit])
+
+
 def test_invariants_equal_examples():
     a = _inv(simple_class(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(t)")], [0, 0])
     b = _inv(simple_class(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(u)")], [0, 0])

@@ -7,6 +7,7 @@ from tunnelslopes import FareyFrame, SequenceKind, TwistSequence, validate_cf, v
 from tunnelslopes.verify import (
     GridResult,
     cf_pairs,
+    chain_points,
     check_correspondence_case,
     check_oracle_case,
     frames_in_box,
@@ -82,6 +83,17 @@ def test_check_case_helpers_pass():
     case = (FareyFrame(2, 3, 1, 2), SequenceKind.DROP_RHO_PURE, TwistSequence((2, 1)))
     assert check_oracle_case(case) is None
     assert check_correspondence_case(((1, 1), (1, 1))) is None
+
+
+def test_chain_points_match_the_nested_loop():
+    frames = frames_in_box(1)
+    expected = [
+        (frame, kind, TwistSequence(tw))
+        for frame in frames
+        for kind in SequenceKind
+        for tw in twist_tuples(2, 1)
+    ]
+    assert list(chain_points(frames, SequenceKind, 2, 1)) == expected
 
 
 def test_oracle_grid():
