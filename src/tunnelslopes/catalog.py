@@ -105,7 +105,7 @@ def _torn(tail: bytes) -> bool:
     """
     try:
         json.loads(tail.decode("utf-8"))
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+    except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError and too deep a nesting alike
         return True
     return False
 
@@ -142,12 +142,13 @@ def load_entries(path) -> list[dict]:
             continue
         try:
             entry, end = scan(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):  # not one bare JSON value: `json.loads` parses it or words the error
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # ValueError alone for an integer of too many digits, RecursionError for too deep a nesting
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a JSON line: {exc}") from None
         if not isinstance(entry, dict):
             raise ValueError(f"{path}:{lineno}: an entry must be a JSON object, got {type(entry).__name__}")

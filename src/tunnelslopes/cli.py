@@ -2,30 +2,24 @@
 
 Single computations, verification grids, enumeration into a catalog, and
 invariant comparison.  This module only parses arguments and prints: the
-grids come from `verify` and the catalog dedup from `catalog`.  All output
-is JSON lines with a fixed key order per record type, rationals as
-"num/den", so identical invocations are byte-identical.  Exit codes: 0 ok,
-1 a verification found a mismatch, 2 usage error (argparse), 3 an input
-failed validation, 4 an internal error (any other exception, reported in
-one line).
+engine check comes from `iteration`, the grids from `verify` and the catalog
+dedup from `catalog`.  All output is JSON lines with a fixed key order per
+record type, rationals as "num/den", so identical invocations are
+byte-identical.  Exit codes: 0 ok, 1 a verification found a mismatch, 2
+usage error (argparse), 3 an input failed validation, 4 an internal error
+(any other exception, reported in one line).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import catalog
 from .frames import FareyFrame, SplitKind, parse_ints, splitting_tunnel_slope
-from .iteration import (
-    EngineMismatchError,
-    SequenceKind,
-    TwistSequence,
-    _replay,
-    assemble_invariants,
-    closed_form_slopes,
-)
+from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain, assemble_invariants
 from .slopes import invariants_equal
 from .two_bridge import TwoBridgeFraction, cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
 
@@ -63,12 +57,8 @@ def _cmd_iterate(args) -> int:
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kind = SequenceKind(args.kind)
     twists = TwistSequence.parse(args.twists)
-    invariants = assemble_invariants(frame, kind, twists, args.splitting_bit, args.from_trivial)
-    trace = ()
-    if args.trace or args.verify:
-        # one replay gives both the engine check and the trace lines, before anything is printed
-        closed = closed_form_slopes(frame, kind, twists) if args.verify else None
-        trace = _replay(frame, kind, twists, closed)
+    # the engine check runs here, before anything is printed
+    invariants, trace = _chain(frame, kind, twists, args.splitting_bit, args.from_trivial, args.verify, args.trace)
     if args.trace:
         for step in trace:
             _emit(
@@ -184,7 +174,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_compare(args) -> int:
     sides = []
     for raw in (args.left, args.right):
-        descriptor = json.loads(raw)
+        try:
+            descriptor = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # RecursionError for too deep a nesting
+            raise ValueError(f"descriptor is not JSON: {exc}") from None
         frame, kind, twists, bit, from_trivial = catalog.parse_descriptor(
             descriptor, bypass=args.bypass_validation
         )
@@ -291,11 +284,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser with every command name, and the arguments of `command` alone.
 
     A call parses one command, so the other commands' arguments are never
     built; `-h` and an unknown command still see every name and help line.
+    Each parser is built once and kept for the next call.
     """
     parser = argparse.ArgumentParser(
         prog="tunnelslopes",
@@ -310,10 +305,12 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed arguments of one call; the parser is freed before the command runs.
+    """The parsed arguments of one call, from the kept parser of its command.
 
-    A parser kept alive through a large `enumerate` left the process about
-    4 MB more resident memory afterwards.
+    Keeping parsers costs little.  A parser with every command's arguments
+    allocates about 220 KiB (tracemalloc, Python 3.11).  A 12,432-point
+    in-process `enumerate` peaked at 27.3-27.6 MB and ended at 18.7-18.8 MB
+    resident, whether its parser was freed, kept, or kept with that whole one.
     """
     # 3.10-3.12 read `--n=--` as no value, 3.13 as the text "--".  Given `--n --n=--`, every version
     # reports an option taking a value as missing it, and refuses a flag its explicit value.
@@ -324,7 +321,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         words.append(arg)
     # the first positional token is the command: the top-level parser has no option taking a value
     command = next((arg for arg in words if not arg.startswith("-")), None)
-    return build_parser(command).parse_args(words)
+    # any other word builds the parser of no command, so at most eight parsers are kept
+    return build_parser(command if command in _COMMANDS else None).parse_args(words)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -263,17 +263,26 @@ class EngineMismatchError(RuntimeError):
     """The closed-form and step-by-step engines disagreed; this is an internal bug."""
 
 
-def _replay(frame: FareyFrame, kind: SequenceKind, t: TwistSequence, closed=None) -> tuple[TraceStep, ...]:
-    """The trace of one replay of the chain; given the closed-form slopes, check the engines agree."""
-    replayed, trace = oracle_slopes(frame, kind, t)
-    if closed is not None and replayed != closed:
-        raise EngineMismatchError(
-            f"engines disagree for frame {frame.text()}, kind {kind.value}, twists {t.text()}"
-        )
-    return trace
-
-
 TRIVIAL_FRAMES = ((1, 0, 0, 1), (-1, 0, 0, -1))
+
+
+def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False):
+    """Invariants and, if asked, the oracle's trace; `trace` alone skips the check, so a mismatch can be read."""
+    t = as_twists(twists)
+    if from_trivial and (frame.p, frame.q, frame.r, frame.s) not in TRIVIAL_FRAMES:
+        raise ValueError("a chain out of the trivial knot needs the identity frame, up to sign")
+    slopes = closed_form_slopes(frame, kind, t)
+    steps = ()
+    if verify or trace:
+        replayed, steps = oracle_slopes(frame, kind, t)
+        if verify and replayed != slopes:
+            raise EngineMismatchError(
+                f"engines disagree for frame {frame.text()}, kind {kind.value}, twists {t.text()}"
+            )
+    bits = binary_invariants(kind, len(t), splitting_bit)
+    # the reciprocal's mod-1 class, read off the lead slope's integer pair
+    first = pair_class(slopes[0].den, slopes[0].num) if from_trivial else slopes[0]
+    return TunnelInvariants(first, tuple(slopes[1:]), tuple(bits)), steps
 
 
 def assemble_invariants(
@@ -293,13 +302,4 @@ def assemble_invariants(
     are recomputed by the step-by-step engine and any disagreement raises
     EngineMismatchError.
     """
-    t = as_twists(twists)
-    if from_trivial and (frame.p, frame.q, frame.r, frame.s) not in TRIVIAL_FRAMES:
-        raise ValueError("a chain out of the trivial knot needs the identity frame, up to sign")
-    slopes = closed_form_slopes(frame, kind, t)
-    if verify:
-        _replay(frame, kind, t, slopes)
-    bits = binary_invariants(kind, len(t), splitting_bit)
-    # the reciprocal's mod-1 class, read off the lead slope's integer pair
-    first = pair_class(slopes[0].den, slopes[0].num) if from_trivial else slopes[0]
-    return TunnelInvariants(first, tuple(slopes[1:]), tuple(bits))
+    return _chain(frame, kind, twists, splitting_bit, from_trivial, verify)[0]

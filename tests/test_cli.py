@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -220,6 +221,14 @@ def test_enumerate_kind_repeatable(tmp_path, capsys):
     assert json.loads(once[1].splitlines()[-1])["points"] == 2
 
 
+def test_enumerate_without_kind_after_one_with_kind_covers_every_kind(tmp_path, capsys):
+    # the kept parser gives each call fresh defaults: an earlier --kind does not carry over
+    grid = ("--frame", "2,3,1,2", "--depth", "1", "--n-range", "1")
+    run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "one.jsonl"), "--kind", "drop-rho-pure", *grid)
+    code, out, _ = run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "all.jsonl"), *grid)
+    assert code == 0 and json.loads(out.splitlines()[-1])["points"] == 16
+
+
 def test_compare_equal_and_distinct(capsys):
     left = json.dumps({"frame": "1,0,0,1", "kind": "drop-rho-pure", "twists": "2"})
     twin = json.dumps({"frame": "-1,0,0,-1", "kind": "drop-rho-pure", "twists": "2"})
@@ -277,13 +286,14 @@ def test_iterate_verify_mismatch_exits_1(capsys, monkeypatch, flags):
     ids=["trace-verify", "trace", "verify", "neither"],
 )
 def test_iterate_replays_the_chain_at_most_once(capsys, flags, replays):
-    # counted by code object, so that a call through any name bound to the function counts
-    replay = iteration.oracle_slopes.__code__
-    calls = []
+    # counted by code object, so that a call through any name bound to the function counts;
+    # the closed form runs exactly once whatever the flags
+    replay, closed = iteration.oracle_slopes.__code__, iteration.closed_form_slopes.__code__
+    calls = {replay: 0, closed: 0}
 
     def count(frame, event, _):
-        if event == "call" and frame.f_code is replay:
-            calls.append(1)
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
 
     sys.setprofile(count)
     try:
@@ -292,7 +302,19 @@ def test_iterate_replays_the_chain_at_most_once(capsys, flags, replays):
         sys.setprofile(None)
     out = capsys.readouterr().out
     assert code == 0 and len(out.splitlines()) == (3 if "--trace" in flags else 1)
-    assert len(calls) == replays
+    assert (calls[replay], calls[closed]) == (replays, 1)
+
+
+def test_iterate_trace_alone_prints_engines_that_disagree(capsys, monkeypatch):
+    # without --verify the trace is printed unchecked, so a disagreement can be read from it
+    monkeypatch.setattr(iteration, "oracle_slopes", _oracle_shifted_on_twist_1(iteration.oracle_slopes))
+    code, out, err = run_cli(
+        capsys, "iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "1,2", "--trace"
+    )
+    assert (code, err) == (0, "")
+    *steps, record = [json.loads(line) for line in out.splitlines()]
+    assert [step["k"] for step in steps] == [0, 1]
+    assert record["descriptor"]["twists"] == "1,2" and "verified" not in record
 
 
 def test_verify_oracle_mismatch_exits_1(capsys, monkeypatch):
@@ -351,6 +373,10 @@ def test_empty_grid_exits_3(tmp_path, capsys, argv):
     assert not path.exists()
 
 
+# nested too deeply for the `json` module on every supported Python (3.12 and 3.13 still read 1,200 levels)
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -373,6 +399,10 @@ def test_empty_grid_exits_3(tmp_path, capsys, argv):
         ('{"descriptor":{},"invariants":{"first":"1/2","rest":[],"binary":[true]},"flags":[],"schema_version":1}', '"invariants" binary'),
         ('{"descriptor":{},"invariants":{"first":"1/2","rest":[],"binary":[1.0]},"flags":[],"schema_version":1}', '"invariants" binary'),
         ('{"descriptor":{},"invariants":{"first":"1/2","rest":[],"binary":[2]},"flags":[],"schema_version":1}', '"invariants" binary'),
+        # JSON the `json` module refuses with a RecursionError, and with a plain ValueError
+        pytest.param(DEEP_JSON, "not a JSON line", id="deep-nesting"),
+        pytest.param('{"descriptor":{},"invariants":{},"flags":[],"schema_version":' + "1" * 5000 + "}",
+                     "not a JSON line", id="5000-digit-version"),
     ],
 )
 def test_enumerate_rejects_malformed_catalog_line(tmp_path, capsys, line, message):
@@ -401,11 +431,14 @@ def test_enumerate_rejects_non_utf8_catalog_line(tmp_path, capsys, data, lineno)
     assert err.startswith(f"error: {path}:{lineno}: not a UTF-8 line") and err.count("\n") == 1
 
 
-def test_enumerate_skips_non_utf8_torn_last_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "tail", [b'{"descriptor":"\xc3', b"[" * 100_000], ids=["non-utf8", "deep-nesting"]
+)
+def test_enumerate_skips_non_utf8_torn_last_line(tmp_path, capsys, tail):
     path = tmp_path / "catalog.jsonl"
     run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
     whole = path.read_bytes()
-    path.write_bytes(whole + b'{"descriptor":"\xc3')
+    path.write_bytes(whole + tail)
     code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
     assert code == 0 and out.endswith('"appended":0,"existing":4}\n')
     assert err == f"{path}:5: warning: skipping a last line cut short by an interrupted append\n"
@@ -433,6 +466,13 @@ def test_compare_rejects_descriptor_types(capsys, extra, message):
     code, out, err = run_cli(capsys, "compare", "--left", json.dumps(good), "--right", bad)
     assert (code, out) == (3, "")
     assert err.startswith("error: descriptor ") and err.count("\n") == 1 and message in err
+
+
+def test_compare_rejects_too_deep_a_descriptor(capsys):
+    good = json.dumps({"frame": "2,3,1,2", "kind": "drop-rho-pure", "twists": "2,1"})
+    code, out, err = run_cli(capsys, "compare", "--left", DEEP_JSON, "--right", good)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: descriptor is not JSON: ") and err.count("\n") == 1
 
 
 def test_compare_rejects_bool_twist_counts(capsys):
@@ -486,10 +526,11 @@ def test_catalog_line_missing_only_its_newline_is_kept(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
-    def broken(args):
+    def broken(*args):
         raise KeyError("lost")
 
-    monkeypatch.setattr(cli, "_cmd_split", broken)
+    # a name `_cmd_split` looks up when it runs: the kept parser holds `_cmd_split` itself
+    monkeypatch.setattr(cli, "splitting_tunnel_slope", broken)
     code, out, err = run_cli(capsys, "split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n", "1")
     assert (code, out) == (cli.EXIT_INTERNAL, "") and cli.EXIT_INTERNAL == 4
     assert err == "internal error: KeyError: 'lost'\n"
@@ -596,6 +637,26 @@ def test_one_shot_command_never_loads_the_process_pool():
     assert [name for name in loaded if name.split(".")[0] in ("dataclasses", "inspect")] == []
 
 
+def test_one_worker_grid_never_loads_the_process_pool():
+    # with TUNNELSLOPES_WORKERS unset a grid runs on one worker, in process
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import io, json, contextlib\n"
+        "from tunnelslopes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify-oracle', '--frame-bound', '1', '--depth', '1', '--n-range', '1']),\n"
+        "             cli.main(['verify-correspondence', '--max-d', '0', '--b-range', '1'])]\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - bare)]))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "TUNNELSLOPES_WORKERS"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0] and "tunnelslopes.verify" in loaded
+    assert [name for name in loaded if name.startswith(("concurrent.futures", "multiprocessing"))] == []
+
+
 def test_verify_output_does_not_depend_on_worker_count(capsys, monkeypatch):
     grids = [
         ("verify-oracle", "--frame-bound", "1", "--depth", "2", "--n-range", "1"),
@@ -651,6 +712,21 @@ def test_command_help_lists_its_options(capsys, monkeypatch, argv):
     assert code == 0
     assert out.startswith(f"usage: tunnelslopes {' '.join(argv)} ")
     assert all(option in out for option in COMMAND_OPTIONS[argv])
+
+
+def test_repeated_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n", "1"]
+    first = run_cli(capsys, *argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, *argv) == first
+    assert built == []
 
 
 def test_unknown_command_is_a_usage_error(capsys, monkeypatch):
