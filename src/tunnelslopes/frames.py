@@ -32,7 +32,8 @@ class SplitKind(Enum):
 
     The name says which constituent is peeled off (the (r, s) one for the
     lambda moves, the (p, q) one for the rho moves) and whether the peeled
-    copy drops below or lifts above.
+    copy drops below or lifts above.  Each member carries both facts as
+    plain attributes: `drops`, and `splits_rho` for the (p, q) constituent.
     """
 
     DROP_LAMBDA = "drop-lambda"
@@ -40,14 +41,10 @@ class SplitKind(Enum):
     DROP_RHO = "drop-rho"
     LIFT_RHO = "lift-rho"
 
-    @property
-    def drops(self) -> bool:
-        return self in (SplitKind.DROP_LAMBDA, SplitKind.DROP_RHO)
-
-    @property
-    def splits_rho(self) -> bool:
-        """True when the peeled copy is the (p, q) constituent."""
-        return self in (SplitKind.DROP_RHO, SplitKind.LIFT_RHO)
+    def __init__(self, value: str) -> None:
+        # read off the value: the sibling members do not exist yet while this runs
+        self.drops = value.startswith("drop-")
+        self.splits_rho = value.endswith("-rho")
 
 
 class HomologyClass(Frozen):

@@ -39,7 +39,8 @@ class SequenceKind(Enum):
 
     A pure chain keeps joining copies of the peeled constituent and keeps that
     constituent's disk at every later join; a mixed chain keeps joining copies
-    of the composite knot and keeps the composite's disk instead.
+    of the composite knot and keeps the composite's disk instead.  Each member
+    carries both facts as plain attributes: `initial_split`, and `mixed`.
     """
 
     DROP_RHO_PURE = "drop-rho-pure"
@@ -51,21 +52,12 @@ class SequenceKind(Enum):
     LIFT_LAMBDA_PURE = "lift-lambda-pure"
     LIFT_LAMBDA_MIXED_TAU = "lift-lambda-mixed-tau"
 
-    @property
-    def initial_split(self) -> SplitKind:
-        return _INITIAL_SPLIT[self]
-
-    @property
-    def mixed(self) -> bool:
-        """True when the joins add copies of the composite knot, not the peeled one."""
-        return self.value.endswith("mixed-tau")
-
-
-# A chain kind's value is its initial move's value plus "-pure" or "-mixed-tau".
-_INITIAL_SPLIT = {
-    kind: SplitKind(kind.value.removesuffix("-pure").removesuffix("-mixed-tau"))
-    for kind in SequenceKind
-}
+    def __init__(self, value: str) -> None:
+        # Stored once: a member hashes and reads `value` in Python, so a dict keyed by members,
+        # or a property reading `value`, would cost calls into `enum` on every engine case.
+        # A chain kind's value is its initial move's value plus "-pure" or "-mixed-tau".
+        self.mixed = value.endswith("-mixed-tau")
+        self.initial_split = SplitKind(value.removesuffix("-pure").removesuffix("-mixed-tau"))
 
 
 class TwistSequence(Frozen):
@@ -217,11 +209,11 @@ def oracle_slopes(
     way.
     """
     t = as_twists(twists)
-    constituent = frame.rho_class if kind.initial_split.splits_rho else frame.lambda_class
+    initial = kind.initial_split
+    constituent = frame.rho_class if initial.splits_rho else frame.lambda_class
     composite = frame.tau_class
     mixed = kind.mixed
-    drops = kind.initial_split.drops
-    initial = kind.initial_split
+    drops = initial.drops
     accreted = composite if mixed else constituent
     prev = constituent if mixed else composite
     slopes: list[Slope] = []

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 
@@ -25,6 +27,7 @@ from tunnelslopes.catalog import (
     parse_descriptor,
     recompute_invariants,
 )
+from tunnelslopes.cli import main
 from tunnelslopes.verify import frames_in_box
 
 FRAME = validate_frame(2, 3, 1, 2)
@@ -246,3 +249,152 @@ def test_add_chains_reads_the_catalog_before_the_first_point(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
         catalog.add_chains(path, points(), 0, False)
     assert advanced == []
+
+
+# Fuzz: one mutation of a line `enumerate` wrote, or of its descriptor
+# object.  Structural mutations work on the parsed line with each object
+# kept as its (key, value) pairs, so a key can repeat and keep its place.
+
+
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs."""
+
+
+def _encode(value) -> str:
+    """`dump_line`'s compact text, with repeated keys written as they stand."""
+    if isinstance(value, _Pairs):
+        return "{" + ",".join(f"{dump_line(key)}:{_encode(item)}" for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_encode, value)) + "]"
+    return dump_line(value)
+
+
+def _slots(value):
+    """(container, index, item) for every item inside `value`, outermost first."""
+    items = [pair[1] for pair in value] if isinstance(value, _Pairs) else value if isinstance(value, list) else []
+    for index, item in enumerate(items):
+        yield value, index, item
+        yield from _slots(item)
+
+
+def _not_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
+
+
+OTHER_VALUES = [None, True, False, 0, 1, -7, 1.5, "", "x", "1/2", [], [0], {}, {"a": 1}]
+# mutations whose line means exactly what the original means
+NO_OPS = ("reorder", "duplicate")
+
+
+@st.composite
+def mutants(draw, text: str):
+    """(mutation name, mutated bytes) for one mutation of the JSON text."""
+    data = text.encode("utf-8")
+    how = draw(st.sampled_from(["cut", "flip", "non-utf8", "retype", "drop", "duplicate", "reorder"]))
+    if how == "cut":
+        return how, data[: draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: b != data[at]))
+        return how, data[:at] + bytes([byte]) + data[at + 1:]
+    if how == "non-utf8":
+        at = draw(st.integers(0, len(data)))
+        return how, data[:at] + draw(st.binary(min_size=1, max_size=4).filter(_not_utf8)) + data[at:]
+    tree = json.loads(text, object_pairs_hook=_Pairs)
+    assert _encode(tree) == text
+    if how == "retype":
+        container, index, old = draw(st.sampled_from(list(_slots(tree))))
+        old_type = dict if isinstance(old, _Pairs) else type(old)
+        value = draw(st.sampled_from(OTHER_VALUES).filter(lambda value: type(value) is not old_type))
+        new = json.loads(json.dumps(value), object_pairs_hook=_Pairs)
+        container[index] = (container[index][0], new) if isinstance(container, _Pairs) else new
+    else:
+        objects = [tree] + [item for _, _, item in _slots(tree) if isinstance(item, _Pairs) and item]
+        obj = draw(st.sampled_from(objects))
+        if how == "drop":
+            del obj[draw(st.integers(0, len(obj) - 1))]
+        elif how == "duplicate":
+            obj.insert(draw(st.integers(0, len(obj))), obj[draw(st.integers(0, len(obj) - 1))])
+        else:
+            obj[:] = draw(st.permutations(list(obj)))
+    return how, _encode(tree).encode("utf-8")
+
+
+ENUMERATE_GRID = ["--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1"]
+
+
+def _main(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process call; a usage error's exit too.
+
+    Captured in memory rather than by `capsys`, whose streams hypothesis
+    would share across the examples of one test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The two lines `enumerate` writes for ENUMERATE_GRID, and a catalog path to fuzz at."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    code, _, _ = _main("enumerate", "--catalog", str(directory / "written.jsonl"), *ENUMERATE_GRID)
+    lines = (directory / "written.jsonl").read_text(encoding="utf-8").splitlines()
+    assert code == 0 and len(lines) == 2
+    return lines, directory / "catalog.jsonl"
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(data=st.data())
+def test_enumerate_on_a_mutated_line_exits_cleanly(written, data):
+    lines, path = written
+    source = data.draw(st.integers(0, 1))
+    how, mutant = data.draw(mutants(lines[source]))
+    mutant_first, final_newline = data.draw(st.booleans()), data.draw(st.booleans())
+    # the other line, unmutated, so that every key of the grid is in the file
+    good = lines[1 - source].encode("utf-8")
+    rows = [mutant, good] if mutant_first else [good, mutant]
+    path.write_bytes(b"\n".join(rows) + (b"\n" if final_newline else b""))
+    first = 1 if mutant_first else 2
+    mutant_linenos = range(first, first + mutant.count(b"\n") + 1)
+
+    code, out, err = _main("enumerate", "--catalog", str(path), *ENUMERATE_GRID)
+    assert code in (0, 3), err
+    if code == 3:
+        match = re.match(rf"error: {re.escape(str(path))}:([0-9]+): ", err)
+        assert match and err.count("\n") == 1 and err.endswith("\n"), err
+        assert int(match.group(1)) in mutant_linenos, err
+    else:
+        assert all(re.match(rf"{re.escape(str(path))}:[0-9]+: warning: ", line) for line in err.splitlines()), err
+        assert json.loads(out.splitlines()[-1])["points"] == 2
+    if how in NO_OPS:
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[-1])["appended"] == 0
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(data=st.data())
+def test_compare_on_a_mutated_descriptor_exits_cleanly(written, data):
+    lines, _ = written
+    descriptor = dump_line(json.loads(data.draw(st.sampled_from(lines)))["descriptor"])
+    how, mutant = data.draw(mutants(descriptor))
+    # as a POSIX argv carries bytes that are not UTF-8
+    left = mutant.decode("utf-8", "surrogateescape")
+    code, out, err = _main("compare", f"--left={left}", "--right", descriptor)
+    assert code in (0, 3), err
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert out == ""
+    else:
+        assert err == "" and out.count("\n") == 1
+        record = json.loads(out)
+        if how in NO_OPS:
+            assert record["equal"] is True

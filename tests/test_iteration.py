@@ -1,4 +1,8 @@
+import cProfile
 import json
+import os
+import pickle
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -23,7 +27,7 @@ from tunnelslopes import (
     validate_frame,
 )
 from tunnelslopes.cli import main
-from tunnelslopes.verify import frames_in_box
+from tunnelslopes.verify import check_correspondence_case, check_oracle_case, frames_in_box
 
 IDENTITY = validate_frame(1, 0, 0, 1)
 TREFOIL_FRAME = validate_frame(2, 3, 1, 2)
@@ -111,12 +115,59 @@ def test_position_coords():
     assert position_coords(3, SplitKind.LIFT_RHO) == "(γ^1)"
 
 
+# every kind's facts, written out: (initial_split, mixed) and (drops, splits_rho)
+SEQUENCE_FACTS = {
+    SequenceKind.DROP_RHO_PURE: (SplitKind.DROP_RHO, False),
+    SequenceKind.DROP_RHO_MIXED_TAU: (SplitKind.DROP_RHO, True),
+    SequenceKind.DROP_LAMBDA_PURE: (SplitKind.DROP_LAMBDA, False),
+    SequenceKind.DROP_LAMBDA_MIXED_TAU: (SplitKind.DROP_LAMBDA, True),
+    SequenceKind.LIFT_RHO_PURE: (SplitKind.LIFT_RHO, False),
+    SequenceKind.LIFT_RHO_MIXED_TAU: (SplitKind.LIFT_RHO, True),
+    SequenceKind.LIFT_LAMBDA_PURE: (SplitKind.LIFT_LAMBDA, False),
+    SequenceKind.LIFT_LAMBDA_MIXED_TAU: (SplitKind.LIFT_LAMBDA, True),
+}
+SPLIT_FACTS = {
+    SplitKind.DROP_LAMBDA: (True, False),
+    SplitKind.LIFT_LAMBDA: (False, False),
+    SplitKind.DROP_RHO: (True, True),
+    SplitKind.LIFT_RHO: (False, True),
+}
+
+
 def test_kind_metadata():
-    k = SequenceKind.DROP_RHO_PURE
-    assert k.initial_split is SplitKind.DROP_RHO
-    assert not k.mixed
-    assert SequenceKind.DROP_RHO_MIXED_TAU.mixed
-    assert SequenceKind.LIFT_LAMBDA_PURE.initial_split is SplitKind.LIFT_LAMBDA
+    assert list(SEQUENCE_FACTS) == list(SequenceKind)
+    assert list(SPLIT_FACTS) == list(SplitKind)
+    for kind, (initial, mixed) in SEQUENCE_FACTS.items():
+        assert kind.initial_split is initial, kind
+        assert kind.mixed is mixed, kind
+    for kind, (drops, splits_rho) in SPLIT_FACTS.items():
+        assert kind.drops is drops, kind
+        assert kind.splits_rho is splits_rho, kind
+
+
+@pytest.mark.parametrize("member", list(SequenceKind) + list(SplitKind))
+def test_kind_pickles_to_itself(member):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(member, protocol)) is member
+    assert type(member)(member.value) is member
+
+
+def _enum_functions(fn, *args) -> set[str]:
+    """Functions of `enum.py` that fn(*args) calls, as cProfile sees them."""
+    profiler = cProfile.Profile()
+    profiler.runcall(fn, *args)
+    return {
+        function
+        for (filename, _, function) in pstats.Stats(profiler).stats
+        if os.path.basename(filename) == "enum.py"
+    }
+
+
+def test_engine_cases_never_call_into_enum():
+    # a kind's facts are plain attributes; a property or a dict keyed by members would show up here
+    oracle_case = (validate_frame(2, 3, 1, 2), SequenceKind("lift-lambda-mixed-tau"), TwistSequence((3, -2, 5)))
+    assert _enum_functions(check_oracle_case, oracle_case) == set()
+    assert _enum_functions(check_correspondence_case, ((1, -1, 1), (2, 3, -1))) == set()
 
 
 def test_closed_form_examples():
