@@ -38,7 +38,8 @@ def descriptor_dict(
 ) -> dict:
     return {
         "frame": frame.text(),
-        "kind": kind.value,
+        # `_value_` is the member's plain attribute; `value` is an `enum.property`, run in Python on every read
+        "kind": kind._value_,
         "twists": twists.text(),
         "splitting_bit": splitting_bit,
         "from_trivial": from_trivial,

@@ -9,7 +9,8 @@ independent engines compute the slope sequence:
   recursions over the parities of the twist counts;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
-  linking number; it also returns the trace, one `TraceStep` per join.
+  linking number; on request it also returns the trace, one `TraceStep`
+  per join.  Only `iterate --trace` reads a trace, so no grid builds one.
 
 The engines must agree everywhere.  `assemble_invariants(..., verify=True)`
 checks that on the fly and raises `EngineMismatchError` on any disagreement,
@@ -194,9 +195,9 @@ class TraceStep(namedtuple("TraceStep", "k c_prev upper lower linking slope")):
 
 
 def oracle_slopes(
-    frame: FareyFrame, kind: SequenceKind, twists
+    frame: FareyFrame, kind: SequenceKind, twists, trace: bool = False
 ) -> tuple[list[Slope], tuple[TraceStep, ...]]:
-    """Slope sequence computed with no closed formulas, plus one TraceStep per join.
+    """Slope sequence computed with no closed formulas, plus the trace if asked for.
 
     Write B for the peeled constituent's class and T for the composite
     knot's.  A pure chain starts from T and accretes B at every join; a mixed
@@ -207,6 +208,13 @@ def oracle_slopes(
     chain places each fresh copy the way the initial move peeled (below
     after a drop, above after a lift), and a mixed chain places it the other
     way.
+
+    Each slope is the one `Fraction(2*link*n + 1, n)`: the same value as
+    2*link + 1/n with no rational addition, and reduced by `Fraction`'s own
+    gcd, so the comparison with the closed form also checks its claim that
+    that pair is already in lowest terms.  With `trace` the second item
+    holds one `TraceStep` per join; without it, it is empty and no step is
+    built.
     """
     t = as_twists(twists)
     initial = kind.initial_split
@@ -224,8 +232,9 @@ def oracle_slopes(
         else:
             upper, lower = (prev, constituent) if drops else (constituent, prev)
         link = upper.m * lower.ell
-        slope = Slope(2 * link + Fraction(1, n), position_coords(k, initial))
-        steps.append(TraceStep(k, prev, upper, lower, link, slope))
+        slope = Slope(Fraction(2 * link * n + 1, n), position_coords(k, initial))
+        if trace:
+            steps.append(TraceStep(k, prev, upper, lower, link, slope))
         slopes.append(slope)
         prev = accreted + step_sign(n) * prev
     return slopes, tuple(steps)
@@ -266,7 +275,7 @@ def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False
     slopes = closed_form_slopes(frame, kind, t)
     steps = ()
     if verify or trace:
-        replayed, steps = oracle_slopes(frame, kind, t)
+        replayed, steps = oracle_slopes(frame, kind, t, trace=trace)
         if verify and replayed != slopes:
             raise EngineMismatchError(
                 f"engines disagree for frame {frame.text()}, kind {kind.value}, twists {t.text()}"

@@ -98,7 +98,7 @@ def check_oracle_case(case) -> dict | None:
         return None
     return {
         "frame": frame.text(),
-        "kind": kind.value,
+        "kind": kind._value_,  # not `value`, an `enum.property` (see `catalog.descriptor_dict`)
         "twists": twists.text(),
         "closed": [slope.text() for slope in closed],
         "replayed": [slope.text() for slope in replayed],

@@ -68,7 +68,7 @@ def test_iterate_trace_lines(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3
-    _, trace = oracle_slopes(validate_frame(2, 3, 1, 2), SequenceKind.DROP_RHO_PURE, (2, 1))
+    _, trace = oracle_slopes(validate_frame(2, 3, 1, 2), SequenceKind.DROP_RHO_PURE, (2, 1), trace=True)
     assert [json.loads(line) for line in lines[:2]] == [
         {
             "k": step.k,
@@ -260,11 +260,11 @@ def test_validation_failures_exit_3(capsys):
 def _oracle_shifted_on_twist_1(original):
     """The oracle engine with its first slope moved by 1 whenever the first twist count is 1."""
 
-    def wrong(frame, kind, twists):
-        slopes, trace = original(frame, kind, twists)
+    def wrong(frame, kind, twists, trace=False):
+        slopes, steps = original(frame, kind, twists, trace=trace)
         if twists[0] == 1:
             slopes[0] = Slope(slopes[0].value + 1, slopes[0].coords)
-        return slopes, trace
+        return slopes, steps
 
     return wrong
 

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tunnelslopes.iteration as iteration
+import tunnelslopes.verify as verify
 from tunnelslopes import (
     EngineMismatchError,
     FareyFrame,
     SequenceKind,
+    Slope,
     SplitKind,
     TwistSequence,
     assemble_invariants,
@@ -27,7 +29,7 @@ from tunnelslopes import (
     validate_frame,
 )
 from tunnelslopes.cli import main
-from tunnelslopes.verify import check_correspondence_case, check_oracle_case, frames_in_box
+from tunnelslopes.verify import check_correspondence_case, check_oracle_case, frames_in_box, run_oracle_grid
 
 IDENTITY = validate_frame(1, 0, 0, 1)
 TREFOIL_FRAME = validate_frame(2, 3, 1, 2)
@@ -152,22 +154,45 @@ def test_kind_pickles_to_itself(member):
     assert type(member)(member.value) is member
 
 
-def _enum_functions(fn, *args) -> set[str]:
-    """Functions of `enum.py` that fn(*args) calls, as cProfile sees them."""
+def _enum_calls(fn, *args) -> dict[str, int]:
+    """Call count of each function of `enum.py` that fn(*args) calls, as cProfile sees them."""
     profiler = cProfile.Profile()
     profiler.runcall(fn, *args)
     return {
-        function
-        for (filename, _, function) in pstats.Stats(profiler).stats
+        function: stats[1]
+        for (filename, _, function), stats in pstats.Stats(profiler).stats.items()
         if os.path.basename(filename) == "enum.py"
     }
 
 
-def test_engine_cases_never_call_into_enum():
-    # a kind's facts are plain attributes; a property or a dict keyed by members would show up here
+def _oracle_plus_one(frame, kind, twists):
+    """The oracle engine with every slope moved by 1."""
+    slopes, steps = oracle_slopes(frame, kind, twists)
+    return [Slope(slope.value + 1, slope.coords) for slope in slopes], steps
+
+
+def test_engine_cases_never_call_into_enum(tmp_path, monkeypatch, capsys):
+    # a kind's facts and its value text are plain attributes; a property or a dict keyed by members would show up here
     oracle_case = (validate_frame(2, 3, 1, 2), SequenceKind("lift-lambda-mixed-tau"), TwistSequence((3, -2, 5)))
-    assert _enum_functions(check_oracle_case, oracle_case) == set()
-    assert _enum_functions(check_correspondence_case, ((1, -1, 1), (2, 3, -1))) == set()
+    assert _enum_calls(check_oracle_case, oracle_case) == {}
+    assert _enum_calls(check_correspondence_case, ((1, -1, 1), (2, 3, -1))) == {}
+    # a mismatch's record names the kind as well
+    monkeypatch.setattr(verify, "oracle_slopes", _oracle_plus_one)
+    assert check_oracle_case(oracle_case)["kind"] == "lift-lambda-mixed-tau"
+    assert _enum_calls(check_oracle_case, oracle_case) == {}
+
+    # enumerate parses its arguments and walks the kinds once a run; nothing it does per catalog line calls enum
+    def enumerate_calls(depth):
+        catalog = tmp_path / f"depth-{depth}.jsonl"
+        argv = ["enumerate", "--catalog", str(catalog), "--frame", "2,3,1,2", "--depth", str(depth), "--n-range", "1"]
+        calls = _enum_calls(main, argv)
+        return calls, len(catalog.read_text(encoding="utf-8").splitlines())
+
+    main(["enumerate", "--catalog", str(tmp_path / "warm.jsonl"), "--frame", "2,3,1,2", "--depth", "1"])
+    (short, short_lines), (long, long_lines) = enumerate_calls(1), enumerate_calls(2)
+    capsys.readouterr()
+    assert short_lines < long_lines
+    assert short == long
 
 
 def test_closed_form_examples():
@@ -196,7 +221,7 @@ def test_singleton_chain_is_single_splitting(f, kind, n):
 
 
 def test_oracle_trace_frozen_example():
-    slopes, trace = oracle_slopes(TREFOIL_FRAME, SequenceKind.DROP_RHO_PURE, [2, 1])
+    slopes, trace = oracle_slopes(TREFOIL_FRAME, SequenceKind.DROP_RHO_PURE, [2, 1], trace=True)
     assert [s.value for s in slopes] == [Fraction(41, 2), Fraction(-7)]
     first, second = trace
     assert first.c_prev.pair() == (3, 5)
@@ -208,7 +233,7 @@ def test_oracle_trace_frozen_example():
 
 
 def test_oracle_trace_mixed_example():
-    slopes, trace = oracle_slopes(IDENTITY, SequenceKind.DROP_RHO_MIXED_TAU, [2, 3])
+    slopes, trace = oracle_slopes(IDENTITY, SequenceKind.DROP_RHO_MIXED_TAU, [2, 3], trace=True)
     assert [s.value for s in slopes] == [Fraction(5, 2), Fraction(1, 3)]
     step = trace[1]
     assert step.c_prev.pair() == (0, 1)
@@ -226,9 +251,37 @@ def test_trace_json_lines_shape(capsys):
     assert record["slope"] == "5/2"
 
 
+def test_trace_steps_are_built_only_when_asked_for(monkeypatch):
+    built = []
+    original = iteration.TraceStep
+
+    def counted(*fields):
+        built.append(fields[0])
+        return original(*fields)
+
+    monkeypatch.setattr(iteration, "TraceStep", counted)
+    kind, twists = SequenceKind.LIFT_RHO_MIXED_TAU, (3, -2, 5)
+    assert run_oracle_grid(1, 1, 1).cases == 640
+    assemble_invariants(TREFOIL_FRAME, kind, twists, verify=True)
+    assert built == []
+    _, trace = iteration._chain(TREFOIL_FRAME, kind, twists, 0, False, False, trace=True)
+    assert built == [0, 1, 2] and [step.k for step in trace] == [0, 1, 2]
+
+
+@given(box_frames, all_kinds, twist_lists)
+def test_oracle_slopes_do_not_depend_on_the_trace(f, kind, entries):
+    plain, no_trace = oracle_slopes(f, kind, entries)
+    traced, trace = oracle_slopes(f, kind, entries, trace=True)
+    assert no_trace == ()
+    assert plain == traced
+    assert [s.coords for s in plain] == [s.coords for s in traced]
+    assert [step.slope for step in trace] == traced
+
+
 @given(box_frames, all_kinds, twist_lists)
 def test_trace_slope_is_doubled_linking_plus_twist(f, kind, entries):
-    _, trace = oracle_slopes(f, kind, entries)
+    _, trace = oracle_slopes(f, kind, entries, trace=True)
+    assert len(trace) == len(entries)
     for step, n in zip(trace, entries):
         assert step.slope.value == 2 * step.linking + Fraction(1, n)
         assert step.upper.m * step.lower.ell == step.linking
