@@ -25,9 +25,6 @@ from .slopes import (
     Slope,
     TunnelInvariants,
     format_rational,
-    invariants_equal,
-    simple_class,
-    slope_to_simple,
 )
 from .two_bridge import (
     CorrespondenceReport,
@@ -58,12 +55,9 @@ __all__ = [
     "cf_to_twists",
     "closed_form_slopes",
     "format_rational",
-    "invariants_equal",
     "oracle_slopes",
     "position_coords",
     "semisimple_slopes",
-    "simple_class",
-    "slope_to_simple",
     "splitting_disk_slope",
     "splitting_tunnel_slope",
     "step_sign",

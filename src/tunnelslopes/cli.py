@@ -20,7 +20,6 @@ import sys
 from . import catalog
 from .frames import FareyFrame, SplitKind, parse_ints, splitting_tunnel_slope
 from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain, assemble_invariants
-from .slopes import invariants_equal
 from .two_bridge import TwoBridgeFraction, cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
 
 EXIT_OK = 0
@@ -186,7 +185,7 @@ def _cmd_compare(args) -> int:
     flags = sorted(set(left_frame.flags) | set(right_frame.flags))
     _emit(
         {
-            "equal": invariants_equal(left, right),
+            "equal": left == right,
             "left": left.to_dict(),
             "right": right.to_dict(),
             "flags": flags,

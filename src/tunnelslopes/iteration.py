@@ -111,7 +111,7 @@ def step_sign(n: int) -> int:
     return 1 if n % 2 else -1
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 1 PR B
 def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The (mult, sign) pair of each join: orientation bookkeeping for the closed formulas.
 

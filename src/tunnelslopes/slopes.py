@@ -153,14 +153,10 @@ class SimpleSlope(Frozen):
         return f"[{format_rational(self.representative)}]"
 
 
-def simple_class(x) -> SimpleSlope:
-    """Reduce a slope mod 1.
-
-    Two inputs land in the same class exactly when they differ by an integer.
-    """
-    return SimpleSlope(_as_exact(x))
+simple_class = SimpleSlope  # perfbench pin (test_perfbench.py): delete after ROADMAP item 1 PR B
 
 
+# perfbench pin (spans.py): delete after ROADMAP item 1 PR B
 def slope_to_simple(x) -> SimpleSlope:
     """Mod-1 class of the reciprocal of a nonzero slope.
 
@@ -232,11 +228,6 @@ class TunnelInvariants(Frozen):
         }
 
 
+# perfbench pin (spans.py): delete after ROADMAP item 1 PR B
 def invariants_equal(a: TunnelInvariants, b: TunnelInvariants) -> bool:
-    """Equality of complete invariants.
-
-    Delegates to structural equality, which already has the right semantics:
-    coordinate tags are ignored, mod-1 classes compare by canonical
-    representative, and a mod-1 first never equals a full-slope first.
-    """
     return a == b

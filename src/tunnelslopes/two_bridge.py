@@ -22,7 +22,7 @@ from .iteration import (
     assemble_invariants,
     position_coords,
 )
-from .slopes import Frozen, TunnelInvariants, _set, chain_slope, invariants_equal, pair_class
+from .slopes import Frozen, TunnelInvariants, _set, chain_slope, pair_class
 
 
 def _offset(prev_sign: int, sign: int) -> int:
@@ -170,7 +170,7 @@ class CorrespondenceReport(Frozen):
 
     @property
     def match(self) -> bool:
-        return invariants_equal(self.bridge_invariants, self.chain_invariants)
+        return self.bridge_invariants == self.chain_invariants
 
 
 # The frame of every chain grown out of the trivial knot here.

@@ -15,13 +15,12 @@ from fractions import Fraction
 
 from tunnelslopes import (
     SequenceKind,
+    SimpleSlope,
     TwistSequence,
     assemble_invariants,
     cf_to_twists,
     closed_form_slopes,
-    invariants_equal,
     semisimple_slopes,
-    simple_class,
     splitting_tunnel_slope,
     twists_to_cf,
     validate_cf,
@@ -116,11 +115,11 @@ def test_criterion_5_leading_bracket_identities():
         cases += 1
         if n0 % 2 == 0:
             b = n0 // 2
-            bracket = simple_class(Fraction(2 * b, 4 * b + 1))
+            bracket = SimpleSlope(Fraction(2 * b, 4 * b + 1))
         else:
             b = (n0 + 1) // 2
-            bracket = simple_class(Fraction(2 * b - 1, 4 * b - 1))
-        direct = simple_class(Fraction(n0, 2 * n0 + 1))
+            bracket = SimpleSlope(Fraction(2 * b - 1, 4 * b - 1))
+        direct = SimpleSlope(Fraction(n0, 2 * n0 + 1))
         computed = semisimple_slopes(twists_to_cf((n0,))).first
         if not (bracket == direct == computed):
             failures.append(n0)
@@ -155,7 +154,7 @@ def test_criterion_7_eight_kinds_distinct():
     for i, a in enumerate(kinds):
         for b in kinds[i + 1:]:
             cases += 1
-            if invariants_equal(invs[a], invs[b]):
+            if invs[a] == invs[b]:
                 failures.append((a.value, b.value))
     assert cases == 28
     _report(7, "eight chain kinds distinct", failures, cases)

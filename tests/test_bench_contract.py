@@ -10,7 +10,9 @@ sign-table cache takes hits, the correspondence check reaches
 `semisimple_slopes` through the module global, and every workload builds
 at least one `Fraction`.  The checks for them here follow ROADMAP item 1
 PR B, which replaces those probes with metrics that name no internals;
-they change or go when it lands.
+they change or go when it lands.  So does the check that the three
+`slopes` aliases kept only for the benchmark still do what their
+replacements do.
 """
 
 import cProfile
@@ -21,9 +23,20 @@ import pstats
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tunnelslopes import catalog, cli, iteration, two_bridge, verify
 from tunnelslopes.frames import validate_frame
+from tunnelslopes.slopes import (
+    SimpleSlope,
+    Slope,
+    TunnelInvariants,
+    invariants_equal,
+    pair_class,
+    simple_class,
+    slope_to_simple,
+)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -92,3 +105,20 @@ def test_correspondence_case_and_enumerate_build_a_fraction(tmp_path, capsys):
             "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1"]
     assert _fraction_new_calls(cli.main, argv) >= 1
     capsys.readouterr()
+
+
+@given(st.fractions(max_denominator=1000).filter(lambda x: x != 0))
+def test_pinned_slope_aliases_match_their_replacements(x):
+    assert simple_class(x) == SimpleSlope(x)
+    assert slope_to_simple(x) == pair_class(x.denominator, x.numerator) == SimpleSlope(1 / x)
+    mod_one = TunnelInvariants(SimpleSlope(x), (), (0,))
+    shifted = TunnelInvariants(SimpleSlope(x + 1), (), (0,))
+    full = TunnelInvariants(Slope(x, "(t)"), (), (0,))  # a mod-1 first never equals a full first
+    for other, equal in ((shifted, True), (full, False)):
+        assert (mod_one == other) is equal
+        assert invariants_equal(mod_one, other) is equal
+    with pytest.raises(ZeroDivisionError):
+        slope_to_simple(0)
+    for alias in (simple_class, slope_to_simple):
+        with pytest.raises(TypeError, match="bools are not exact"):
+            alias(True)

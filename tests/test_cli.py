@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from tunnelslopes import (
     SequenceKind,
+    SimpleSlope,
     Slope,
     TunnelInvariants,
     oracle_slopes,
-    simple_class,
     validate_frame,
 )
 from tunnelslopes.catalog import load_entries, recompute_invariants
@@ -337,7 +337,7 @@ def test_verify_correspondence_mismatch_exits_1(capsys, monkeypatch):
 
     def wrong(cf):
         invariants = original(cf)
-        shifted = simple_class(invariants.first.representative + Fraction(1, 7))
+        shifted = SimpleSlope(invariants.first.representative + Fraction(1, 7))
         return TunnelInvariants(shifted, invariants.rest, invariants.binary)
 
     monkeypatch.delenv("TUNNELSLOPES_WORKERS", raising=False)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPLAY = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
 
@@ -17,7 +19,8 @@ def _replay(*args: str) -> subprocess.CompletedProcess:
 
 
 def _summary(cases: int, steps: int, verdict: str) -> list[str]:
-    return [f"replay: Python {platform.python_version()}: {cases} cases, {steps} steps, {verdict}"]
+    # the 12 `--opt=--` argvs of tests/test_cli.py's two double-dash tests
+    return [f"replay: Python {platform.python_version()}: {cases} cases, {steps} steps, 12 usage errors, {verdict}"]
 
 
 def test_replay_passes_on_this_interpreter():
@@ -43,6 +46,20 @@ def test_replay_fails_on_a_wrong_code_stdout_or_catalog(tmp_path):
     first, second = result.stderr.splitlines()
     assert first.startswith("split: split --frame 2,3,1,2") and first.endswith(": wrong code, stdout")
     assert second.endswith(": wrong catalog")
+
+
+@pytest.mark.parametrize(
+    "code, returncode, verdict, stderr",
+    [(2, 0, "ok", ""), (0, 1, "1 failed", "split: {argv}: wrong code\n")],
+    ids=["expects-2", "expects-0"],
+)
+def test_replay_reads_a_usage_error_as_exit_code_2(tmp_path, code, returncode, verdict, stderr):
+    argv = ["split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n=--"]
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps([{"name": "split", "steps": [{"argv": argv, "code": code, "stdout": ""}]}]))
+    result = _replay(str(golden))
+    assert (result.returncode, result.stderr) == (returncode, stderr.format(argv=" ".join(argv)))
+    assert result.stdout.splitlines() == _summary(1, 1, verdict)
 
 
 def test_replay_of_nothing_fails(tmp_path):

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tunnelslopes import (
-    SimpleSlope,
-    Slope,
-    TunnelInvariants,
-    format_rational,
-    invariants_equal,
-    simple_class,
-    slope_to_simple,
-)
+from tunnelslopes import SimpleSlope, Slope, TunnelInvariants, format_rational
 from tunnelslopes.slopes import chain_slope, pair_class
 
 rationals = st.fractions(max_denominator=1000)
@@ -27,38 +19,39 @@ def test_format_keeps_unit_denominator():
 
 
 def test_simple_class_examples():
-    assert simple_class(Fraction(2, 5)).representative == Fraction(2, 5)
-    assert simple_class(Fraction(7, 5)).representative == Fraction(2, 5)
-    assert simple_class(Fraction(-3, 5)).representative == Fraction(2, 5)
+    assert SimpleSlope(Fraction(2, 5)).representative == Fraction(2, 5)
+    assert SimpleSlope(Fraction(7, 5)).representative == Fraction(2, 5)
+    assert SimpleSlope(Fraction(-3, 5)).representative == Fraction(2, 5)
 
 
 @given(rationals, rationals)
 def test_simple_class_separates_mod_one(x, y):
-    same = simple_class(x) == simple_class(y)
+    same = SimpleSlope(x) == SimpleSlope(y)
     assert same == ((x - y).denominator == 1)
 
 
 @given(rationals)
 def test_simple_class_representative_canonical(x):
-    rep = simple_class(x).representative
+    rep = SimpleSlope(x).representative
     assert 0 <= rep < 1
     assert (x - rep).denominator == 1
 
 
-def test_slope_to_simple_examples():
-    assert slope_to_simple(Fraction(5, 2)) == simple_class(Fraction(2, 5))
-    assert slope_to_simple(Fraction(7, 3)) == simple_class(Fraction(3, 7))
-    assert slope_to_simple(Fraction(-1, 2)) == simple_class(0)
+def test_pair_class_of_a_reciprocal_examples():
+    # the class of 1/x for x = 5/2, 7/3 and -1/2
+    assert pair_class(2, 5) == SimpleSlope(Fraction(2, 5))
+    assert pair_class(3, 7) == SimpleSlope(Fraction(3, 7))
+    assert pair_class(2, -1) == SimpleSlope(0)
 
 
-def test_slope_to_simple_rejects_zero():
+def test_pair_class_rejects_a_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        slope_to_simple(Fraction(0))
+        pair_class(1, 0)
 
 
 def test_no_floats_anywhere():
     with pytest.raises(TypeError):
-        simple_class(0.5)
+        SimpleSlope(0.5)
     with pytest.raises(TypeError):
         Slope(0.5, "(x)")
 
@@ -68,11 +61,10 @@ def test_no_floats_anywhere():
     [
         lambda: Slope(True, "(x)"),
         lambda: Slope(False, "(x)"),
-        lambda: simple_class(True),
+        lambda: SimpleSlope(True),
         lambda: SimpleSlope(False),
-        lambda: slope_to_simple(True),
     ],
-    ids=["Slope-True", "Slope-False", "simple_class", "SimpleSlope", "slope_to_simple"],
+    ids=["Slope-True", "Slope-False", "SimpleSlope-True", "SimpleSlope-False"],
 )
 def test_bools_are_not_exact_values(build):
     # bool is an int subclass; read as 1 or 0 it would pass for a slope
@@ -130,16 +122,16 @@ def test_invariants_refuse_bits_that_are_not_ints(bit):
 
 
 def test_invariants_equal_examples():
-    a = _inv(simple_class(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(t)")], [0, 0])
-    b = _inv(simple_class(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(u)")], [0, 0])
-    assert invariants_equal(a, b)
-    c = _inv(simple_class(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(t)")], [0, 1])
-    assert not invariants_equal(a, c)
-    d = _inv(simple_class(Fraction(7, 5)), [], [0])
-    e = _inv(simple_class(Fraction(2, 5)), [], [0])
-    assert invariants_equal(d, e)
+    a = _inv(SimpleSlope(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(t)")], [0, 0])
+    b = _inv(SimpleSlope(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(u)")], [0, 0])
+    assert a == b
+    c = _inv(SimpleSlope(Fraction(2, 5)), [Slope(Fraction(-5, 3), "(t)")], [0, 1])
+    assert a != c
+    d = _inv(SimpleSlope(Fraction(7, 5)), [], [0])
+    e = _inv(SimpleSlope(Fraction(2, 5)), [], [0])
+    assert d == e
     f = _inv(Slope(Fraction(2, 5), "(t)"), [], [0])
-    assert not invariants_equal(e, f)  # mod-1 first vs full first
+    assert e != f  # mod-1 first vs full first
 
 
 @given(rationals, rationals)
@@ -181,14 +173,9 @@ def test_chain_slope_two_encodings_of_unit_twists():
     assert chain_slope(0, -1, "(a)").value == Fraction(-1)
 
 
-@given(rationals.filter(lambda x: x != 0))
-def test_slope_to_simple_matches_reciprocal_reference(x):
-    assert slope_to_simple(x) == simple_class(1 / x)
-
-
 @given(st.integers(-10**6, 10**6), nonzero_ints)
 def test_pair_class_matches_fraction_reference(num, den):
     cls = pair_class(num, den)
-    assert cls == simple_class(Fraction(num, den))
+    assert cls == SimpleSlope(Fraction(num, den))
     assert 0 <= cls.representative < 1
 

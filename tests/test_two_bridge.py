@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from tunnelslopes import (
     CorrespondenceReport,
+    SimpleSlope,
     TwoBridgeFraction,
     cf_to_twists,
     semisimple_slopes,
-    simple_class,
     twists_to_cf,
     validate_cf,
     verify_correspondence,
@@ -135,7 +135,7 @@ def test_rest_slope_structure(cf):
 def test_leading_invariant_bracket_identity(n0):
     cf = twists_to_cf([n0])
     inv = semisimple_slopes(cf)
-    assert inv.first == simple_class(Fraction(n0, 2 * n0 + 1))
+    assert inv.first == SimpleSlope(Fraction(n0, 2 * n0 + 1))
 
 
 @settings(max_examples=200)
