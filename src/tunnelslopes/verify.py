@@ -1,10 +1,13 @@
 """Exhaustive verification grids, shared by the CLI and the test suite.
 
-Grid points are the package's own values, which pickle into the process
-pool as they are; the mapping helper preserves input order, which keeps
-every grid's output deterministic regardless of the worker count.  The
-process pool is imported on first parallel use, so a one-worker grid runs
-without it.
+A grid is a short list of slice descriptors: one (frame, kind) pair of the
+oracle grid, or one sign tuple of the correspondence grid.  The process
+pool receives slices, not points: each worker builds the points of its
+slice and returns the slice's case count and failures, so the parent's
+memory does not grow with the grid.  Slices run in order at every worker
+count, through the mapping helper that preserves input order, which keeps
+every grid's output deterministic.  The process pool is imported on first
+parallel use, so a one-worker grid runs without it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ def worker_count() -> int:
 
 
 def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
-    """Map preserving input order, optionally across processes."""
+    """Map preserving input order, optionally across processes.
+
+    With `workers > 1` the pool consumes `items` up front, holding every
+    item pickled before the first result comes back; that is why grids pass
+    slices, not points.
+    """
     if workers <= 1:
         yield from map(fn, items)
     else:
@@ -77,16 +85,28 @@ def chain_points(frames, kinds, max_len: int, n_bound: int):
                 yield frame, kind, TwistSequence(tw)
 
 
+def _sign_slices(max_depth: int, turn_bound: int) -> list[tuple[tuple[int, ...], int]]:
+    """One (signs, turn_bound) slice per sign tuple of depth 0..max_depth."""
+    return [
+        (signs, turn_bound)
+        for length in range(1, max_depth + 2)
+        for signs in itertools.product((-1, 1), repeat=length)
+    ]
+
+
+def _slice_pairs(signs: tuple[int, ...], turn_bound: int):
+    """Every (signs, turns) pair with these signs, turns over the nonzero box."""
+    return ((signs, turns) for turns in itertools.product(nonzero_range(turn_bound), repeat=len(signs)))
+
+
 def cf_pairs(max_depth: int, turn_bound: int):
     """All (signs, turns) pairs of depth 0..max_depth over the nonzero turn box.
 
     With turns bounded away from 0 every derived step twist is automatically
     nonzero, so no pair gets filtered.
     """
-    opts = nonzero_range(turn_bound)
-    for length in range(1, max_depth + 2):
-        for signs in itertools.product((-1, 1), repeat=length):
-            yield from ((signs, turns) for turns in itertools.product(opts, repeat=length))
+    for signs, bound in _sign_slices(max_depth, turn_bound):
+        yield from _slice_pairs(signs, bound)
 
 
 def check_oracle_case(case) -> dict | None:
@@ -130,22 +150,42 @@ class GridResult(namedtuple("GridResult", "cases failures")):
         return not self.failures
 
 
-def _run_grid(checker, cases, workers: int) -> GridResult:
+def _check_slice(check, cases) -> tuple[int, list]:
+    results = [check(case) for case in cases]
+    return len(results), [result for result in results if result is not None]
+
+
+# The slice runners name their check as a module global, read at call time,
+# so a check or engine patched before the pool forks is the one every worker runs.
+def _oracle_slice(piece) -> tuple[int, list]:
+    """Check one (frame, kind, max_len, n_bound) slice, building its points here."""
+    frame, kind, max_len, n_bound = piece
+    return _check_slice(check_oracle_case, chain_points((frame,), (kind,), max_len, n_bound))
+
+
+def _correspondence_slice(piece) -> tuple[int, list]:
+    """Check one (signs, turn_bound) slice, expanding its turns here."""
+    return _check_slice(check_correspondence_case, _slice_pairs(*piece))
+
+
+def _run_grid(run_slice, slices: list, workers: int) -> GridResult:
+    """Sum the slices' case counts and join their failures in slice order."""
     count = 0
     failures = []
-    for result in ordered_map(checker, cases, workers=workers):
-        count += 1
-        if result is not None:
-            failures.append(result)
+    # a few chunks per worker: enough to balance the load, few enough to pickle little
+    chunksize = max(1, len(slices) // (4 * workers))
+    for cases, found in ordered_map(run_slice, slices, workers=workers, chunksize=chunksize):
+        count += cases
+        failures += found
     return GridResult(count, tuple(failures))
 
 
 def run_oracle_grid(frame_bound: int, max_len: int, n_bound: int, *, workers: int = 1) -> GridResult:
     """Both slope engines over frames x all eight kinds x all twist sequences."""
-    cases = chain_points(frames_in_box(frame_bound), SequenceKind, max_len, n_bound)
-    return _run_grid(check_oracle_case, cases, workers)
+    slices = [(frame, kind, max_len, n_bound) for frame in frames_in_box(frame_bound) for kind in SequenceKind]
+    return _run_grid(_oracle_slice, slices, workers)
 
 
 def run_correspondence_grid(max_depth: int, turn_bound: int, *, workers: int = 1) -> GridResult:
     """Both invariant routes over every continued fraction in the box."""
-    return _run_grid(check_correspondence_case, cf_pairs(max_depth, turn_bound), workers)
+    return _run_grid(_correspondence_slice, _sign_slices(max_depth, turn_bound), workers)

@@ -1,9 +1,21 @@
 import os
+import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from tunnelslopes import FareyFrame, SequenceKind, TwistSequence, validate_cf, verify
+from tunnelslopes import (
+    FareyFrame,
+    SequenceKind,
+    SimpleSlope,
+    Slope,
+    TunnelInvariants,
+    TwistSequence,
+    two_bridge,
+    validate_cf,
+    verify,
+)
 from tunnelslopes.verify import (
     GridResult,
     cf_pairs,
@@ -114,6 +126,81 @@ def test_oracle_grid_builds_each_twist_sequence_once(monkeypatch):
     result = run_oracle_grid(1, 2, 1)
     assert result.ok
     assert len(built) == result.cases
+
+
+def test_pooled_oracle_grid_builds_no_points_in_the_parent(monkeypatch):
+    # the pool receives (frame, kind) slices; forked workers count into their own copies of `built`
+    built = []
+    init = TwistSequence.__init__
+
+    def counting_init(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(TwistSequence, "__init__", counting_init)
+    result = run_oracle_grid(1, 2, 1, workers=2)
+    assert result.ok
+    assert result.cases == len(frames_in_box(1)) * 8 * 6
+    assert built == []
+
+
+def test_pooled_oracle_grid_parent_memory_does_not_grow_with_the_grid():
+    run_oracle_grid(1, 1, 1, workers=2)  # imports the pool machinery outside the traced runs
+
+    def parent_peak(max_len):
+        tracemalloc.start()
+        try:
+            cases = run_oracle_grid(1, max_len, 2, workers=2).cases
+            return cases, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small_cases, small_peak = parent_peak(2)
+    large_cases, large_peak = parent_peak(3)
+    assert (small_cases, large_cases) == (6400, 26880)
+    # both grids have the same 320 slices; holding the points would cost megabytes
+    assert abs(large_peak - small_peak) < 64 * 1024
+
+
+def test_oracle_grid_failures_do_not_depend_on_worker_count(monkeypatch):
+    box = frames_in_box(1)
+    targets = ((box[0], SequenceKind.DROP_RHO_PURE), (box[-1], SequenceKind.LIFT_LAMBDA_MIXED_TAU))
+    original = verify.oracle_slopes
+
+    def shifted(frame, kind, twists):
+        slopes, trace = original(frame, kind, twists)
+        if (frame, kind) in targets and twists[0] == 1:
+            slopes[0] = Slope(slopes[0].value + 1, slopes[0].coords)
+        return slopes, trace
+
+    # patched before the pool forks, so every worker runs it
+    monkeypatch.setattr(verify, "oracle_slopes", shifted)
+    serial = run_oracle_grid(1, 2, 1, workers=1)
+    assert run_oracle_grid(1, 2, 1, workers=2) == serial
+    assert serial.cases == len(box) * 8 * 6
+    # three twist sequences of each target slice start with 1, and the first slice fails first
+    expected = [(frame.text(), kind.value) for frame, kind in targets for _ in range(3)]
+    assert [(failure["frame"], failure["kind"]) for failure in serial.failures] == expected
+
+
+def test_correspondence_grid_failures_do_not_depend_on_worker_count(monkeypatch):
+    targets = ((-1, 1), (1, 1, -1))
+    original = two_bridge.semisimple_slopes
+
+    def wrong(cf):
+        invariants = original(cf)
+        if cf.signs not in targets:
+            return invariants
+        shifted = SimpleSlope(invariants.first.representative + Fraction(1, 7))
+        return TunnelInvariants(shifted, invariants.rest, invariants.binary)
+
+    monkeypatch.setattr(two_bridge, "semisimple_slopes", wrong)
+    serial = run_correspondence_grid(2, 1, workers=1)
+    assert run_correspondence_grid(2, 1, workers=2) == serial
+    assert serial.cases == 2 * 2 + 4 * 4 + 8 * 8
+    # every turn tuple of each target sign tuple fails, shorter tuple first
+    expected = [list(signs) for signs in targets for _ in range(2 ** len(signs))]
+    assert [failure["a"] for failure in serial.failures] == expected
 
 
 def test_correspondence_grid():
