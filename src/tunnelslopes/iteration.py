@@ -32,7 +32,7 @@ from .frames import (
     SplitKind,
     parse_ints,
 )
-from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, pair_class
+from .slopes import Frozen, Slope, TunnelInvariants, _new, _set, chain_slope, pair_class
 
 
 class SequenceKind(Enum):
@@ -75,6 +75,13 @@ class TwistSequence(Frozen):
             if type(n) is not int or n == 0:
                 raise ValueError(f"twist counts must be nonzero integers, got {n!r}")
         _set(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "TwistSequence":
+        """Private constructor for a nonempty tuple of nonzero ints."""
+        obj = _new(cls)
+        _set(obj, "entries", entries)
+        return obj
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -141,11 +148,27 @@ def position_coords(k: int, initial: SplitKind) -> str:
     the second against the composite knot's, and each later one against the
     disk replaced two joins earlier.
     """
+    if k < 0:
+        raise ValueError(f"slope positions start at 0, got {k}")
     if k == 0:
         return LAMBDA_COORDS if initial.splits_rho else RHO_COORDS
     if k == 1:
         return TAU_COORDS
     return f"(γ^{k - 2})"
+
+
+# The tags of the longest chain seen so far, one list per first tag, indexed by
+# `initial.splits_rho`.  A longer chain swaps in a longer list and none is edited
+# in place, so a list an engine is zipping with never changes under it.
+_tag_lists = [[], []]
+
+
+def _position_tags(length: int, initial: SplitKind) -> list[str]:
+    """`position_coords(k, initial)` for k = 0 .. length - 1 at least; zip it with the slopes, never edit it."""
+    tags = _tag_lists[initial.splits_rho]
+    if len(tags) < length:
+        tags = _tag_lists[initial.splits_rho] = [position_coords(k, initial) for k in range(length)]
+    return tags
 
 
 def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Slope]:
@@ -174,12 +197,13 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     (a, b), (c, d) = peeled, kept
     mixed = kind.mixed
     out = []
-    for k, ((mult, sgn), n) in enumerate(zip(_cached_tables(t.entries), t.entries)):
+    tags = _position_tags(len(t.entries), initial)
+    for (mult, sgn), n, coords in zip(_cached_tables(t.entries), t.entries, tags):
         if mixed:
             coeff = 2 * (b + d) * (mult * a + (mult - sgn) * c)
         else:
             coeff = 2 * a * (mult * b + sgn * d)
-        out.append(chain_slope(coeff, n, position_coords(k, initial)))
+        out.append(chain_slope(coeff, n, coords))
     return out
 
 
@@ -226,15 +250,16 @@ def oracle_slopes(
     prev = constituent if mixed else composite
     slopes: list[Slope] = []
     steps: list[TraceStep] = []
-    for k, n in enumerate(t.entries):
+    tags = _position_tags(len(t.entries), initial)
+    for n, coords in zip(t.entries, tags):
         if mixed:
             upper, lower = (composite, prev) if drops else (prev, composite)
         else:
             upper, lower = (prev, constituent) if drops else (constituent, prev)
         link = upper.m * lower.ell
-        slope = Slope(Fraction(2 * link * n + 1, n), position_coords(k, initial))
+        slope = Slope(Fraction(2 * link * n + 1, n), coords)
         if trace:
-            steps.append(TraceStep(k, prev, upper, lower, link, slope))
+            steps.append(TraceStep(len(steps), prev, upper, lower, link, slope))
         slopes.append(slope)
         prev = accreted + step_sign(n) * prev
     return slopes, tuple(steps)
@@ -283,7 +308,8 @@ def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False
     bits = binary_invariants(kind, len(t), splitting_bit)
     # the reciprocal's mod-1 class, read off the lead slope's integer pair
     first = pair_class(slopes[0].den, slopes[0].num) if from_trivial else slopes[0]
-    return TunnelInvariants(first, tuple(slopes[1:]), tuple(bits)), steps
+    # every part was built here from checked values: one bit per slope, shaped by `binary_invariants`
+    return TunnelInvariants._trusted(first, tuple(slopes[1:]), tuple(bits)), steps
 
 
 def assemble_invariants(

@@ -19,22 +19,34 @@ Mod-1 classes are likewise taken on integer pairs (`pair_class`): num mod
 den over den.
 
 `Frozen` is the base of the package's immutable value classes.
+
+Validation happens once, at the boundary.  Every public constructor checks
+its arguments in full.  Values the package builds from values it has already
+checked go through the class's private `_trusted` constructor instead, which
+checks nothing: `pair_class` builds its `SimpleSlope` that way, and the two
+invariant routes (`iteration._chain`, `two_bridge.semisimple_slopes`) build
+their `TunnelInvariants` that way.  Pickling and copying rebuild through the
+public constructor, so a value that leaves the process is checked again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_set = object.__setattr__  # the one way a `Frozen` field gets its value, in `__init__`
+_set = object.__setattr__  # the one way a `Frozen` field gets its value, in `__init__` or `_trusted`
+_new = object.__new__  # an instance before any field is set, for a `_trusted` constructor
 
 
 class Frozen:
     """Immutable value with its fields in `__slots__`, each set once in `__init__`.
 
     `_fields` names the constructor arguments: `repr` shows them and pickling
-    and copying pass them back to the constructor.  Equality and hashing
-    compare `_key()`, all of `_fields` unless a class narrows it; objects of
-    different classes never compare equal.
+    and copying pass them back to the constructor.  A class whose values the
+    package also builds from values it has already checked adds a private
+    classmethod `_trusted`, which sets the fields and checks nothing; its
+    public constructor keeps every check.  Equality and hashing compare
+    `_key()`, all of `_fields` unless a class narrows it; objects of different
+    classes never compare equal.
     """
 
     __slots__ = ()
@@ -141,6 +153,13 @@ class SimpleSlope(Frozen):
             rep %= 1
         _set(self, "representative", rep)
 
+    @classmethod
+    def _trusted(cls, representative: Fraction) -> "SimpleSlope":
+        """Private constructor for a `Fraction` already in [0, 1)."""
+        obj = _new(cls)
+        _set(obj, "representative", representative)
+        return obj
+
     def __eq__(self, other):
         if other.__class__ is not SimpleSlope:
             return NotImplemented
@@ -173,7 +192,7 @@ def pair_class(num: int, den: int) -> SimpleSlope:
     """Mod-1 class of num/den, for a nonzero den, taken on the integers."""
     if den < 0:
         num, den = -num, -den
-    return SimpleSlope(Fraction(num % den, den))
+    return SimpleSlope._trusted(Fraction(num % den, den))  # num % den is already in [0, den)
 
 
 class TunnelInvariants(Frozen):
@@ -210,6 +229,15 @@ class TunnelInvariants(Frozen):
         _set(self, "first", first)
         _set(self, "rest", rest)
         _set(self, "binary", binary)
+
+    @classmethod
+    def _trusted(cls, first: SimpleSlope | Slope, rest: tuple[Slope, ...], binary: tuple[int, ...]):
+        """Private constructor for tuples the package built in the shape `__init__` checks."""
+        obj = _new(cls)
+        _set(obj, "first", first)
+        _set(obj, "rest", rest)
+        _set(obj, "binary", binary)
+        return obj
 
     def __eq__(self, other):
         if other.__class__ is not TunnelInvariants:

@@ -10,6 +10,14 @@ determines, so the two computations must always agree.
 
 The crosswalk is one rule both ways: twist count n[i] = 2*turns[i] +
 (signs[i-1] + signs[i]) // 2, the innermost pair reading a virtual -1 sign.
+
+Validation happens at the boundary: `TwoBridgeFraction(...)` checks the
+structural rules and `validate_cf` adds the classical one, and a twist
+sequence is checked by `TwistSequence` when `twists_to_cf` reads it.  What
+is built from those checked values skips the checks: `twists_to_cf` builds
+its fraction, `cf_to_twists` its twist sequence and `semisimple_slopes` its
+invariants through the private `_trusted` constructors.  `cf_to_twists`
+keeps the one check that a valid fraction can fail, a leading count of 0.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ from .frames import SplitKind, validate_frame
 from .iteration import (
     SequenceKind,
     TwistSequence,
+    _position_tags,
     as_twists,
     assemble_invariants,
-    position_coords,
 )
-from .slopes import Frozen, TunnelInvariants, _set, chain_slope, pair_class
+from .slopes import Frozen, TunnelInvariants, _new, _set, chain_slope, pair_class
 
 
 def _offset(prev_sign: int, sign: int) -> int:
@@ -65,6 +73,15 @@ class TwoBridgeFraction(Frozen):
         _set(self, "signs", signs)
         _set(self, "turns", turns)
         _set(self, "_steps", steps)
+
+    @classmethod
+    def _trusted(cls, signs: tuple[int, ...], turns: tuple[int, ...], steps: tuple[int, ...]):
+        """Private constructor for fields `__init__` would accept, with the step twists they give."""
+        obj = _new(cls)
+        _set(obj, "signs", signs)
+        _set(obj, "turns", turns)
+        _set(obj, "_steps", steps)
+        return obj
 
     def step_twists(self) -> tuple[int, ...]:
         """Twist counts of the chained joins, one per position past the innermost."""
@@ -114,11 +131,10 @@ def semisimple_slopes(cf: TwoBridgeFraction) -> TunnelInvariants:
         first = pair_class(2 * lead_turn, 4 * lead_turn + 1)
     else:
         first = pair_class(2 * lead_turn - 1, 4 * lead_turn - 1)
-    rest = tuple(
-        chain_slope(-2 * cf.signs[i - 1], k, position_coords(i, SplitKind.DROP_RHO))
-        for i, k in enumerate(cf.step_twists(), start=1)
-    )
-    return TunnelInvariants(first, rest, (0,) * len(cf.signs))
+    # step i pairs with signs[i - 1]: zip stops at the shorter step list
+    tags = _position_tags(len(cf.signs), SplitKind.DROP_RHO)[1:]
+    rest = tuple([chain_slope(-2 * sign, n, coords) for sign, n, coords in zip(cf.signs, cf.step_twists(), tags)])
+    return TunnelInvariants._trusted(first, rest, (0,) * len(cf.signs))
 
 
 def cf_to_twists(cf: TwoBridgeFraction) -> TwistSequence:
@@ -128,7 +144,10 @@ def cf_to_twists(cf: TwoBridgeFraction) -> TwistSequence:
     the rest are the step twists.
     """
     lead = 2 * cf.turns[0] + _offset(-1, cf.signs[0])
-    return TwistSequence((lead, *cf.step_twists()))
+    # the step twists were checked nonzero with the fraction; the lead is 0 for turns[0] == 0 under sign +1
+    if lead == 0:
+        raise ValueError("twist counts must be nonzero integers, got 0")
+    return TwistSequence._trusted((lead, *cf.step_twists()))
 
 
 def twists_to_cf(twists) -> TwoBridgeFraction:
@@ -140,14 +159,16 @@ def twists_to_cf(twists) -> TwoBridgeFraction:
     The leading count -1 lands on the flagged turns[0] == 0 family, the one
     case outside the classical hypothesis.
     """
+    entries = as_twists(twists).entries
     signs, turns = [], []
     prev = -1
-    for n in as_twists(twists).entries:
+    for n in entries:
         sign = prev if n % 2 else -prev
         signs.append(sign)
         turns.append((n - _offset(prev, sign)) // 2)
         prev = sign
-    return TwoBridgeFraction(tuple(signs), tuple(turns))
+    # each count comes back as 2*turn + offset, so the step twists are the later counts, already checked
+    return TwoBridgeFraction._trusted(tuple(signs), tuple(turns), entries[1:])
 
 
 class CorrespondenceReport(Frozen):

@@ -144,6 +144,13 @@ def test_to_twists_without_preimage_exits_3(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("a, b", [("1", "0"), ("1,-1", "0,1")])
+def test_to_twists_zero_leading_count_names_the_count(capsys, a, b):
+    # the one check `cf_to_twists` keeps: the fraction itself is valid, its leading count is 0
+    code, out, err = run_cli(capsys, "two-bridge", "to-twists", f"--a={a}", f"--b={b}")
+    assert (code, out, err) == (3, "", "error: twist counts must be nonzero integers, got 0\n")
+
+
 def test_two_bridge_rejects_zero_leading_turn(capsys):
     code, _, err = run_cli(capsys, "two-bridge", "slopes", "--a", "1", "--b", "0")
     assert code == 3

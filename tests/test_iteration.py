@@ -23,8 +23,10 @@ from tunnelslopes import (
     closed_form_slopes,
     oracle_slopes,
     position_coords,
+    semisimple_slopes,
     splitting_tunnel_slope,
     step_sign,
+    twists_to_cf,
     validate_frame,
 )
 from tunnelslopes.cli import main
@@ -114,6 +116,34 @@ def test_position_coords():
     assert position_coords(1, SplitKind.DROP_RHO) == "(τ,τ⁰)"
     assert position_coords(2, SplitKind.DROP_RHO) == "(γ^0)"
     assert position_coords(3, SplitKind.LIFT_RHO) == "(γ^1)"
+
+
+def test_position_coords_refuses_negative_positions():
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match=f"slope positions start at 0, got {k}"):
+            position_coords(k, SplitKind.DROP_RHO)
+
+
+def test_tags_of_a_300_join_chain_in_every_engine():
+    twists = [(2, -3, 1, 5, -1, -2)[k % 6] for k in range(300)]
+    for kind in SequenceKind:
+        initial = kind.initial_split
+        replayed, _ = oracle_slopes(TREFOIL_FRAME, kind, twists)
+        for slopes in (closed_form_slopes(TREFOIL_FRAME, kind, twists), replayed):
+            assert [s.coords for s in slopes] == [position_coords(k, initial) for k in range(300)]
+    bridge = semisimple_slopes(twists_to_cf(twists))
+    assert [s.coords for s in bridge.rest] == [position_coords(k, SplitKind.DROP_RHO) for k in range(1, 300)]
+    # a shorter chain afterwards reads the same tags off the longer shared list
+    short = closed_form_slopes(TREFOIL_FRAME, SequenceKind.LIFT_LAMBDA_PURE, [1, 2, 3])
+    assert [s.coords for s in short] == ["(ρ,ρ⁰)", "(τ,τ⁰)", "(γ^0)"]
+
+
+def test_tag_memory_follows_the_longest_chain_not_the_number_of_lengths():
+    before = [len(tags) for tags in iteration._tag_lists]
+    for length in range(1, 301):
+        for kind in (SequenceKind.DROP_LAMBDA_PURE, SequenceKind.DROP_RHO_PURE):
+            closed_form_slopes(IDENTITY, kind, [2] * length)
+    assert [len(tags) for tags in iteration._tag_lists] == [max(n, 300) for n in before]
 
 
 # every kind's facts, written out: (initial_split, mixed) and (drops, splits_rho)

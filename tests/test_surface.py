@@ -1,9 +1,14 @@
-"""The package's public names, and the aliases that no module but `slopes` may name."""
+"""The package's public names, the signatures of the constructors that have a
+private twin, and the aliases that no module but `slopes` may name."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import tunnelslopes
+from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction
 
 PACKAGE = Path(tunnelslopes.__file__).resolve().parent
 PUBLIC = [
@@ -63,3 +68,23 @@ def test_public_names_are_the_26_and_no_module_but_slopes_names_an_alias():
     for path in modules:
         named = _names(ast.parse(path.read_text(encoding="utf-8"))) & ALIASES
         assert not named, f"{path.name} names {sorted(named)}"
+
+
+# written out as they were before the private `_trusted` constructors came in
+SIGNATURES = {
+    TunnelInvariants: "(first: 'SimpleSlope | Slope', rest: 'tuple[Slope, ...]', binary: 'tuple[int, ...]') -> 'None'",
+    TwistSequence: "(entries: 'tuple[int, ...]') -> 'None'",
+    TwoBridgeFraction: "(signs: 'tuple[int, ...]', turns: 'tuple[int, ...]') -> 'None'",
+    SimpleSlope: "(representative: 'Fraction') -> 'None'",
+}
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda cls: cls.__name__)
+def test_public_constructor_signature_is_unchanged(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls]
+    assert "_trusted" in vars(cls)
+
+
+def test_no_private_constructor_is_public():
+    assert len(tunnelslopes.__all__) == 26
+    assert not [name for name in tunnelslopes.__all__ if name.startswith("_") or "trusted" in name]

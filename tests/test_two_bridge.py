@@ -97,6 +97,13 @@ def test_cf_to_twists_examples():
     assert cf_to_twists(validate_cf([-1, 1], [1, 2])).entries == (1, 4)
 
 
+def test_cf_to_twists_refuses_a_zero_leading_count():
+    # a valid fraction whose leading twist count 2*turns[0] + 0 is 0: the check `cf_to_twists` keeps
+    for cf in (TwoBridgeFraction((1,), (0,)), TwoBridgeFraction((1, -1), (0, 1))):
+        with pytest.raises(ValueError, match="^twist counts must be nonzero integers, got 0$"):
+            cf_to_twists(cf)
+
+
 def test_twists_to_cf_examples():
     cf = twists_to_cf([2, 3])
     assert (cf.signs, cf.turns) == ((1, 1), (1, 1))

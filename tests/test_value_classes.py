@@ -1,5 +1,7 @@
 """The contract every value class keeps: immutable, picklable, copyable, hashable
-by value, and printed in the `Name(field=value, ...)` form.
+by value, and printed in the `Name(field=value, ...)` form.  A value built by
+a private `_trusted` constructor keeps it too, and equals what the public
+constructor builds from the same fields.
 
 The repr strings are fixed literals, not derived from the code under test.
 """
@@ -9,12 +11,21 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tunnelslopes.frames import FareyFrame, HomologyClass
-from tunnelslopes.iteration import TraceStep, TwistSequence
-from tunnelslopes.slopes import SimpleSlope, Slope, TunnelInvariants
-from tunnelslopes.two_bridge import TwoBridgeFraction, verify_correspondence
-from tunnelslopes.verify import GridResult
+from tunnelslopes.frames import FareyFrame, HomologyClass, validate_frame
+from tunnelslopes.iteration import SequenceKind, TraceStep, TwistSequence, assemble_invariants
+from tunnelslopes.slopes import SimpleSlope, Slope, TunnelInvariants, pair_class
+from tunnelslopes.two_bridge import (
+    TwoBridgeFraction,
+    cf_to_twists,
+    semisimple_slopes,
+    twists_to_cf,
+    validate_cf,
+    verify_correspondence,
+)
+from tunnelslopes.verify import GridResult, frames_in_box
 
 
 def _slope():
@@ -106,3 +117,63 @@ def test_tags_and_derived_fields_stay_out_of_equality():
     assert "_steps" not in repr(forced)
     assert Slope(Fraction(5, 2), "(γ^0)") != SimpleSlope(Fraction(5, 2))
     assert FareyFrame(2, 3, 1, 2) != FareyFrame(1, 2, 2, 3)
+
+
+nonzero = st.integers(-9, 9).filter(bool)
+twist_lists = st.lists(nonzero, min_size=1, max_size=7)
+cf_fields = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.tuples(*[st.sampled_from((-1, 1))] * n), st.tuples(*[nonzero] * n))
+)
+
+
+def _same_value(private, public):
+    """`private` came from a `_trusted` constructor; it must be indistinguishable from `public`."""
+    assert type(private) is type(public)
+    assert private == public and hash(private) == hash(public) and repr(private) == repr(public)
+    # `Frozen.__reduce__` rebuilds through the public constructor, so this runs its checks again
+    for clone in (pickle.loads(pickle.dumps(private)), copy.copy(private)):
+        assert type(clone) is type(private) and clone == private and hash(clone) == hash(private)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50).filter(bool))
+def test_trusted_simple_slope_is_the_public_one(num, den):
+    private = pair_class(num, den)
+    _same_value(private, SimpleSlope(private.representative))
+    _same_value(private, SimpleSlope(Fraction(num, den)))
+    _same_value(SimpleSlope._trusted(private.representative), private)
+
+
+@given(twist_lists, st.sampled_from(list(SequenceKind)), st.sampled_from(frames_in_box(2)), st.integers(0, 1))
+def test_trusted_chain_invariants_are_the_public_ones(twists, kind, frame, bit):
+    private = assemble_invariants(frame, kind, twists, bit)
+    _same_value(private, TunnelInvariants(private.first, private.rest, private.binary))
+    _same_value(TunnelInvariants._trusted(private.first, private.rest, private.binary), private)
+    trivial = assemble_invariants(validate_frame(1, 0, 0, 1), kind, twists, bit, from_trivial=True)
+    _same_value(trivial, TunnelInvariants(trivial.first, trivial.rest, trivial.binary))
+
+
+@given(cf_fields)
+def test_trusted_bridge_invariants_and_twists_are_the_public_ones(fields):
+    try:
+        cf = TwoBridgeFraction(*fields)
+    except ValueError:
+        return  # a vanishing step twist: not a fraction at all
+    invariants = semisimple_slopes(cf)
+    _same_value(invariants, TunnelInvariants(invariants.first, invariants.rest, invariants.binary))
+    if cf.signs[0] == 1 and cf.turns[0] == 0:
+        return  # leading count 0: `cf_to_twists` refuses it (test_two_bridge.py)
+    twists = cf_to_twists(cf)
+    _same_value(twists, TwistSequence(twists.entries))
+    _same_value(TwistSequence._trusted(twists.entries), twists)
+
+
+@given(twist_lists)
+def test_trusted_fraction_is_the_public_one(twists):
+    private = twists_to_cf(twists)
+    public = TwoBridgeFraction(private.signs, private.turns)
+    _same_value(private, public)
+    # the derived step twists are not part of equality, so compare them on their own
+    assert private.step_twists() == public.step_twists() == tuple(twists[1:])
+    _same_value(TwoBridgeFraction._trusted(public.signs, public.turns, public.step_twists()), public)
+    if public.turns[0]:
+        assert validate_cf(public.signs, public.turns) == private
