@@ -15,10 +15,9 @@ twice such a linking number.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
-from .slopes import Frozen, Slope, _set
+from .slopes import Frozen, Slope, _set, chain_slope
 
 RHO_COORDS = "(ρ,ρ⁰)"
 LAMBDA_COORDS = "(λ,λ⁰)"
@@ -167,12 +166,12 @@ def splitting_disk_slope(frame: FareyFrame, kind: SplitKind) -> Slope:
     """
     p, q, r, s = frame.p, frame.q, frame.r, frame.s
     if kind is SplitKind.DROP_LAMBDA:
-        return Slope(Fraction(2 * r * (q + s)), RHO_COORDS)
+        return Slope(2 * r * (q + s), RHO_COORDS)
     if kind is SplitKind.LIFT_LAMBDA:
-        return Slope(Fraction(2 * s * (p + r)), RHO_COORDS)
+        return Slope(2 * s * (p + r), RHO_COORDS)
     if kind is SplitKind.DROP_RHO:
-        return Slope(Fraction(2 * p * (q + s)), LAMBDA_COORDS)
-    return Slope(Fraction(2 * q * (p + r)), LAMBDA_COORDS)
+        return Slope(2 * p * (q + s), LAMBDA_COORDS)
+    return Slope(2 * q * (p + r), LAMBDA_COORDS)
 
 
 def splitting_tunnel_slope(frame: FareyFrame, kind: SplitKind, n: int) -> Slope:
@@ -183,4 +182,4 @@ def splitting_tunnel_slope(frame: FareyFrame, kind: SplitKind, n: int) -> Slope:
     if n == 0:
         raise ValueError("twist count must be nonzero")
     disk = splitting_disk_slope(frame, kind)
-    return Slope(disk.value + Fraction(1, n), disk.coords)
+    return chain_slope(disk.num, n, disk.coords)

@@ -130,8 +130,6 @@ class Slope(Frozen):
 
 def chain_slope(c: int, n: int, coords: str) -> Slope:
     """The slope c + 1/n of a join with n half-twists, stored as its lowest terms (c*n + 1)/n."""
-    if not coords:
-        raise ValueError("slope coordinate tag must be nonempty")
     num = c * n + 1
     if n < 0:
         num, n = -num, -n
@@ -148,10 +146,7 @@ class SimpleSlope(Frozen):
     __slots__ = _fields = ("representative",)
 
     def __init__(self, representative: Fraction) -> None:
-        rep = _as_exact(representative)
-        if not 0 <= rep.numerator < rep.denominator:
-            rep %= 1
-        _set(self, "representative", rep)
+        _set(self, "representative", _as_exact(representative) % 1)
 
     @classmethod
     def _trusted(cls, representative: Fraction) -> "SimpleSlope":

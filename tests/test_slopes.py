@@ -77,8 +77,6 @@ def test_slope_equality_ignores_coords():
     assert Slope(Fraction(5, 2), "(a)") != Slope(Fraction(7, 2), "(a)")
     with pytest.raises(ValueError):
         Slope(Fraction(1), "")
-    with pytest.raises(ValueError):
-        chain_slope(1, 2, "")
 
 
 def test_simple_slope_never_equals_full_slope():

@@ -1,8 +1,10 @@
 """The package's public names, the signatures of the constructors that have a
-private twin, and the aliases that no module but `slopes` may name."""
+private twin, the aliases that no module but `slopes` may name, and where a
+`Fraction` may be built."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,29 @@ def test_public_names_are_the_26_and_no_module_but_slopes_names_an_alias():
     for path in modules:
         named = _names(ast.parse(path.read_text(encoding="utf-8"))) & ALIASES
         assert not named, f"{path.name} names {sorted(named)}"
+
+
+def _spans(tree: ast.Module, keep) -> set[int]:
+    """The line numbers of the top-level statements that `keep` accepts."""
+    return {line for node in tree.body if keep(node) for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def test_no_module_but_slopes_and_the_oracle_names_fraction():
+    # the oracle's own `Fraction` per join stays: its gcd checks the closed form's lowest-terms pairs
+    iteration = ast.parse((PACKAGE / "iteration.py").read_text(encoding="utf-8"))
+    oracle = _spans(
+        iteration,
+        lambda node: (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.FunctionDef) and node.name == "oracle_slopes"),
+    )
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "slopes.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # by word, as `grep -w` reads it, so comments and docstrings count too
+        named = {lineno for lineno, line in enumerate(lines, 1) if re.search(r"\bFraction\b", line)}
+        stray = named - oracle if path.name == "iteration.py" else named
+        assert not stray, f"{path.name} names Fraction on lines {sorted(stray)}"
 
 
 # written out as they were before the private `_trusted` constructors came in
