@@ -9,7 +9,10 @@ two circles with a pair of banded arcs.
 Slopes fall out of homology bookkeeping.  In the ordered longitude/meridian
 basis, a circle with class (ell, m) on an upper level links one with class
 (ell', m') on a lower level in m * ell' points, and each disk slope below is
-twice such a linking number.
+twice such a linking number.  All of it is integer arithmetic: a tunnel slope
+c + 1/n goes to `chain_slope` as integers, like every later join of a chain,
+and `slopes` builds the rational value when it is read.  `FareyFrame` and
+`splitting_tunnel_slope` check their arguments; nothing is checked again.
 """
 
 from __future__ import annotations
@@ -179,6 +182,8 @@ def splitting_tunnel_slope(frame: FareyFrame, kind: SplitKind, n: int) -> Slope:
 
     n = 0 is rejected; with no twist the move does not produce a new tunnel.
     """
+    if type(n) is not int:
+        raise ValueError(f"twist count must be an integer, got {n!r}")
     if n == 0:
         raise ValueError("twist count must be nonzero")
     disk = splitting_disk_slope(frame, kind)

@@ -113,6 +113,8 @@ def step_sign(n: int) -> int:
     An odd number of half-twists lets the strand coming back from the joined
     copy keep its direction; an even number reverses it.
     """
+    if type(n) is not int:
+        raise ValueError(f"twist count must be an integer, got {n!r}")
     if n == 0:
         raise ValueError("twist count must be nonzero")
     return 1 if n % 2 else -1
@@ -148,6 +150,8 @@ def position_coords(k: int, initial: SplitKind) -> str:
     the second against the composite knot's, and each later one against the
     disk replaced two joins earlier.
     """
+    if type(k) is not int:
+        raise ValueError(f"slope positions are integers, got {k!r}")
     if k < 0:
         raise ValueError(f"slope positions start at 0, got {k}")
     if k == 0:
@@ -273,9 +277,11 @@ def binary_invariants(kind: SequenceKind, steps: int, splitting_bit: int) -> lis
     and therefore supplied by the caller, can be set.  A mixed chain switches
     the kept disk at its first join, which sets that join's bit as well.
     """
+    # type(...) is int also rejects True and False, which are ints to isinstance
+    if type(steps) is not int:
+        raise ValueError(f"join count must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("a chain has at least its initial splitting")
-    # type(...) is int also rejects True and False, which are ints to isinstance
     if type(splitting_bit) is not int or splitting_bit not in (0, 1):
         raise ValueError(f"splitting bit must be 0 or 1, got {splitting_bit!r}")
     bits = [0] * steps
@@ -295,6 +301,8 @@ TRIVIAL_FRAMES = ((1, 0, 0, 1), (-1, 0, 0, -1))
 def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False):
     """Invariants and, if asked, the oracle's trace; `trace` alone skips the check, so a mismatch can be read."""
     t = as_twists(twists)
+    if type(from_trivial) is not bool:
+        raise ValueError(f"from_trivial must be True or False, got {from_trivial!r}")
     if from_trivial and (frame.p, frame.q, frame.r, frame.s) not in TRIVIAL_FRAMES:
         raise ValueError("a chain out of the trivial knot needs the identity frame, up to sign")
     slopes = closed_form_slopes(frame, kind, t)

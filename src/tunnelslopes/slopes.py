@@ -3,12 +3,13 @@
 A slope is an exact rational, held by `Slope` as the integer pair (num, den)
 in lowest terms with den > 0.  Equality and hashing compare that pair, so
 structural equality is equality of rational numbers; no floats appear
-anywhere.  `Slope.value` builds the matching `fractions.Fraction` each time
-it is read, and `text()` formats from it.  A mod-1 class (`SimpleSlope`)
-keeps its `Fraction` representative, built once per class.  This module
-adds the thin layer the rest of the package builds on: text serialization,
-the mod-1 reduction applied to the leading slope of a chain grown out of the
-trivial knot, and the record pairing a slope sequence with its bit sequence.
+anywhere.  Apart from the one `iteration.oracle_slopes` builds per join on
+purpose, every `fractions.Fraction` is built here: `Slope.value` each time it
+is read (`text()` reads it), and the representative a mod-1 class
+(`SimpleSlope`) keeps, built once per class.  This module adds the thin
+layer the rest of the package builds on: text serialization, the mod-1
+reduction applied to the leading slope of a chain grown out of the trivial
+knot, and the record pairing a slope sequence with its bit sequence.
 
 Every chain slope has the form c + 1/n, an integer c (twice a linking
 number) plus the twist term of a join with n != 0 half-twists.  Its lowest
@@ -25,8 +26,10 @@ its arguments in full.  Values the package builds from values it has already
 checked go through the class's private `_trusted` constructor instead, which
 checks nothing: `pair_class` builds its `SimpleSlope` that way, and the two
 invariant routes (`iteration._chain`, `two_bridge.semisimple_slopes`) build
-their `TunnelInvariants` that way.  Pickling and copying rebuild through the
-public constructor, so a value that leaves the process is checked again.
+their `TunnelInvariants` that way.  `chain_slope` checks nothing either:
+every caller passes a nonzero int n and a tag the package built.  Pickling
+and copying rebuild through the public constructor, so a value that leaves
+the process is checked again.
 """
 
 from __future__ import annotations

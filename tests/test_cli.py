@@ -1,10 +1,12 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +23,21 @@ from tunnelslopes import (
 from tunnelslopes.catalog import load_entries, recompute_invariants
 from tunnelslopes import cli, iteration, two_bridge, verify
 from tunnelslopes.cli import main
+
+REPLAY_PATH = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
+
+
+def _load_replay():
+    spec = importlib.util.spec_from_file_location("tools_replay", REPLAY_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the `--opt=--` argvs and the last stderr line of each, one table that `tools/replay.py` also replays
+USAGE_ERRORS = _load_replay().USAGE_ERRORS
+# a flag given `=--`, or `=--` followed by a bare value: neither may turn into a valid call
+NEVER_VALID = [(argv, last) for argv, last in USAGE_ERRORS if "ignored" in last or argv[-2].endswith("=--")]
 
 
 def run_cli(capsys, *argv):
@@ -563,22 +580,9 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n=--"),
-        ("iterate", "--frame=--", "--kind", "drop-rho-pure", "--twists", "2"),
-        ("iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists=--"),
-        ("two-bridge", "slopes", "--a=--", "--b", "1"),
-        ("two-bridge", "from-twists", "--twists=--"),
-        ("enumerate", "--catalog=--", "--frame", "2,3,1,2"),
-        ("enumerate", "--catalog", "unused.jsonl", "--frame", "2,3,1,2", "--depth=--"),
-        ("verify-oracle", "--depth=--"),
-        ("compare", "--left=--", "--right", "{}"),
-        ("enumerate", "--catalog", "unused.jsonl", "--frame", "2,3,1,2", "--kind=--"),
-    ],
-    ids=" ".join,
+    "argv, last", [pytest.param(*entry, id=" ".join(entry[0])) for entry in USAGE_ERRORS if entry not in NEVER_VALID]
 )
-def test_double_dash_value_is_a_usage_error(capsys, argv):
+def test_double_dash_value_is_a_usage_error(capsys, argv, last):
     # Python versions read `--opt=--` differently (3.13 passes "--" on as the value); `main`
     # hands argparse the option with no value, so argparse itself reports it on every version,
     # with the command's own usage line, before any command sees it
@@ -589,26 +593,19 @@ def test_double_dash_value_is_a_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert info.value.code == 2 and out == ""
     assert err.startswith(f"usage: {prog} [-h] ")
-    assert err.splitlines()[-1] == f"{prog}: error: argument {option}: expected one argument"
+    assert err.splitlines()[-1] == last == f"{prog}: error: argument {option}: expected one argument"
 
 
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "2", "--verify=--"),
-         "argument --verify: ignored explicit argument '--'"),
-        (("split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n=--", "3"),
-         "argument --n: expected one argument"),
-    ],
-    ids=["flag", "value-follows"],
+    "argv, last",
+    [pytest.param(*entry, id="flag" if "ignored" in entry[1] else "value-follows") for entry in NEVER_VALID],
 )
-def test_double_dash_value_never_turns_valid(capsys, argv, message):
-    # a flag given `=--`, or `=--` followed by a bare value, stays a usage error
+def test_double_dash_value_never_turns_valid(capsys, argv, last):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     out, err = capsys.readouterr()
     assert info.value.code == 2 and out == ""
-    assert err.splitlines()[-1] == f"tunnelslopes {argv[0]}: error: {message}"
+    assert err.splitlines()[-1] == last and last.startswith(f"tunnelslopes {argv[0]}: error: ")
 
 
 def test_module_entry_point():

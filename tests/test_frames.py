@@ -163,6 +163,15 @@ def test_tunnel_slope_rejects_untwisted():
         splitting_tunnel_slope(validate_frame(1, 0, 0, 1), SplitKind.DROP_RHO, 0)
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0, 2.5, Fraction(3)], ids=repr)
+def test_tunnel_slope_refuses_a_count_that_is_not_an_int(n):
+    # True would pass as n = 1 and 2.5 would give a slope with float parts
+    with pytest.raises(ValueError, match=r"^twist count must be an integer, got .+$"):
+        splitting_tunnel_slope(validate_frame(2, 3, 1, 2), SplitKind.DROP_RHO, n)
+    with pytest.raises(ValueError, match="^twist count must be nonzero$"):
+        splitting_tunnel_slope(validate_frame(2, 3, 1, 2), SplitKind.DROP_RHO, 0)
+
+
 @given(box_frames, kinds, st.integers(-9, 9).filter(lambda n: n != 0))
 def test_tunnel_slope_offset(f, kind, n):
     disk = splitting_disk_slope(f, kind)

@@ -50,6 +50,15 @@ def test_step_sign():
         step_sign(0)
 
 
+@pytest.mark.parametrize("n", [True, False, 3.0, 2.5], ids=repr)
+def test_step_sign_refuses_a_count_that_is_not_an_int(n):
+    # 2.5 % 2 and True % 2 are truthy, so both read as odd
+    with pytest.raises(ValueError, match=r"^twist count must be an integer, got .+$"):
+        step_sign(n)
+    with pytest.raises(ValueError, match="^twist count must be nonzero$"):
+        step_sign(0)
+
+
 def test_sign_tables_examples():
     # one (mult, sign) pair per join; the last twist count only shapes pairs past the end
     assert iteration._cached_tables((5,)) == ((1, 1),)
@@ -122,6 +131,13 @@ def test_position_coords_refuses_negative_positions():
     for k in (-1, -3):
         with pytest.raises(ValueError, match=f"slope positions start at 0, got {k}"):
             position_coords(k, SplitKind.DROP_RHO)
+
+
+@pytest.mark.parametrize("k", [True, False, 3.0, 2.5], ids=repr)
+def test_position_coords_refuses_positions_that_are_not_ints(k):
+    # 2.5 would read "(γ^0.5)" and True would read as the composite's tag
+    with pytest.raises(ValueError, match=r"^slope positions are integers, got .+$"):
+        position_coords(k, SplitKind.DROP_RHO)
 
 
 def test_tags_of_a_300_join_chain_in_every_engine():
@@ -361,6 +377,15 @@ def test_binary_invariants_reject_a_bool_bit():
         assemble_invariants(TREFOIL_FRAME, SequenceKind.DROP_RHO_PURE, (2, 1), True)
 
 
+@pytest.mark.parametrize("steps", [True, 1.0, 2.5], ids=repr)
+def test_binary_invariants_refuse_a_join_count_that_is_not_an_int(steps):
+    # [0] * True is [0], one bit as if for one join
+    with pytest.raises(ValueError, match=r"^join count must be an integer, got .+$"):
+        binary_invariants(SequenceKind.DROP_RHO_PURE, steps, 0)
+    with pytest.raises(ValueError, match="^a chain has at least its initial splitting$"):
+        binary_invariants(SequenceKind.DROP_RHO_PURE, 0, 0)
+
+
 def test_assemble_examples():
     inv = assemble_invariants(IDENTITY, SequenceKind.DROP_RHO_PURE, [2, 3], 0, True)
     assert inv.to_dict() == {"first": "[2/5]", "rest": ["-5/3"], "binary": [0, 0]}
@@ -377,6 +402,13 @@ def test_assemble_from_trivial_needs_identity_frame():
     neg = FareyFrame(-1, 0, 0, -1)
     inv = assemble_invariants(neg, SequenceKind.DROP_RHO_PURE, [2, 3], 0, True)
     assert inv.to_dict()["first"] == "[2/5]"
+
+
+@pytest.mark.parametrize("from_trivial", [1, 0, "no", None], ids=repr)
+def test_assemble_refuses_a_from_trivial_that_is_not_a_bool(from_trivial):
+    # a truthy 1 or "no" would reduce the lead slope, as `parse_descriptor` refuses to
+    with pytest.raises(ValueError, match=r"^from_trivial must be True or False, got .+$"):
+        assemble_invariants(IDENTITY, SequenceKind.DROP_RHO_PURE, [2, 3], 0, from_trivial)
 
 
 def test_assemble_verify_cross_checks(monkeypatch):

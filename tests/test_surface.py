@@ -72,19 +72,15 @@ def test_public_names_are_the_26_and_no_module_but_slopes_names_an_alias():
         assert not named, f"{path.name} names {sorted(named)}"
 
 
-def _spans(tree: ast.Module, keep) -> set[int]:
-    """The line numbers of the top-level statements that `keep` accepts."""
-    return {line for node in tree.body if keep(node) for line in range(node.lineno, node.end_lineno + 1)}
-
-
 def test_no_module_but_slopes_and_the_oracle_names_fraction():
     # the oracle's own `Fraction` per join stays: its gcd checks the closed form's lowest-terms pairs
-    iteration = ast.parse((PACKAGE / "iteration.py").read_text(encoding="utf-8"))
-    oracle = _spans(
-        iteration,
-        lambda node: (isinstance(node, ast.ImportFrom) and node.module == "fractions")
-        or (isinstance(node, ast.FunctionDef) and node.name == "oracle_slopes"),
-    )
+    oracle = {
+        line
+        for node in ast.parse((PACKAGE / "iteration.py").read_text(encoding="utf-8")).body
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.FunctionDef) and node.name == "oracle_slopes")
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "slopes.py":
             continue

@@ -36,7 +36,8 @@ from tunnelslopes.cli import main as cli_main  # noqa: E402  (needs the path abo
 
 # Python versions read `--opt=--` differently; each of these must stay an argparse usage error
 # with this last stderr line.  They live here, not in the golden, which `tests/test_golden_cli.py`
-# also replays, and that test only runs steps that return an exit code.
+# also replays, and that test only runs steps that return an exit code.  The double-dash tests
+# of `tests/test_cli.py` read this table too.
 USAGE_ERRORS = (
     (("split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n=--"),
      "tunnelslopes split: error: argument --n: expected one argument"),
