@@ -6,11 +6,14 @@ keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
 differ are never merged; `add_chains` dedups a run of chain points.
 `dump_line` writes that serialization and every other JSON line the package
-prints or stores.
+prints or stores.  A line in the exact form `enumerate` writes is read by one
+regular expression; any other line goes through `json`, with the same
+entries and the same error messages as if every line did.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -98,6 +101,30 @@ def entry_dict(descriptor: dict, invariants: dict, flags) -> dict:
     }
 
 
+# The characters of a JSON string that JSON leaves unescaped, as `dump_line` writes them
+_JSON_CHARS = r'[^"\\\x00-\x1f]*'
+
+
+def _json_list(item: str) -> str:
+    """A compact JSON list of `item`s, its inside as one group."""
+    return r"\[((?:" + item + r"(?:," + item + r")*)?)\]"
+
+
+# Exactly the lines `dump_line(entry_dict(descriptor_dict(...), ...))` writes, in its key order.  Each
+# value has a shape `_json_entry` accepts, so a match needs no check.  Compiled by `load_entries`, not
+# at import: the one-shot commands never load a catalog.
+_CANONICAL = (
+    r'\{"descriptor":\{'
+    r'"frame":"(' + _JSON_CHARS + r')","kind":"(' + _JSON_CHARS + r')","twists":"(' + _JSON_CHARS + r')",'
+    r'"splitting_bit":([01]),"from_trivial":(true|false)\},'
+    r'"invariants":\{"first":"(' + _FIRST_TEXT + r')",'
+    r'"rest":' + _json_list(r'"(?:' + _SLOPE_TEXT + r')"') + r',"binary":' + _json_list("[01]") + r'\},'
+    r'"flags":' + _json_list(r'"' + _JSON_CHARS + r'"') + r',"schema_version":' + str(SCHEMA_VERSION) + r'\}'
+)
+# a matched bit's digit to its int: a lookup costs less than `int()`
+_BIT = {"0": 0, "1": 1}
+
+
 def _torn(tail: bytes) -> bool:
     """Whether the bytes after a file's last newline are an append cut short.
 
@@ -111,22 +138,78 @@ def _torn(tail: bytes) -> bool:
     return False
 
 
+# the scanner `json.loads` ends in, without the layers it adds per call
+_scan_once = json.JSONDecoder().scan_once
+
+
+@functools.cache
+def _slope_matchers():
+    """`fullmatch` of `_FIRST_TEXT` and of `_SLOPE_TEXT`, compiled at first use, not at import."""
+    return re.compile(_FIRST_TEXT).fullmatch, re.compile(_SLOPE_TEXT).fullmatch
+
+
+def _json_entry(line: str, where: str) -> dict:
+    """One nonblank catalog line read through `json`, every value's shape checked.
+
+    `load_entries` reads each line not in the `_CANONICAL` form this way,
+    and the tests hold the pattern's reading of a line to this one.  Errors
+    begin with `where`, the line's `path:lineno`.
+    """
+    try:
+        entry, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line):  # not one bare JSON value: `json.loads` parses it or words the error
+        try:
+            entry = json.loads(line)
+        # ValueError alone for an integer of too many digits, RecursionError for too deep a nesting
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{where}: not a JSON line: {exc}") from None
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: an entry must be a JSON object, got {type(entry).__name__}")
+    version = entry.get("schema_version")
+    # True == 1 == 1.0, so an equality test alone would let a bool or a float through
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"{where}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+    invariants = entry.get("invariants")
+    if not isinstance(invariants, dict):
+        raise ValueError(f"{where}: entry has no \"invariants\" object")
+    # a shape check only: a full parse_descriptor here would slow every catalog reload
+    if not isinstance(entry.get("descriptor"), dict):
+        raise ValueError(f"{where}: entry has no \"descriptor\" object")
+    flags = entry.get("flags", [])
+    # a string would pass `recompute_invariants`'s membership test as a substring search;
+    # list comprehensions, not generators, here and below: the lists are short
+    if not isinstance(flags, list) or not all([isinstance(flag, str) for flag in flags]):
+        raise ValueError(f"{where}: \"flags\" must be a list of strings, got {flags!r}")
+    if invariants.keys() != _INVARIANT_KEYS:
+        raise ValueError(f"{where}: \"invariants\" keys must be exactly first, rest, binary")
+    first, rest, binary = invariants["first"], invariants["rest"], invariants["binary"]
+    is_first, is_slope = _slope_matchers()
+    if type(first) is not str or not is_first(first):
+        raise ValueError(f"{where}: \"invariants\" first must be a slope text, got {first!r}")
+    if type(rest) is not list or not all([type(text) is str and is_slope(text) for text in rest]):
+        raise ValueError(f"{where}: \"invariants\" rest must be a list of slope texts, got {rest!r}")
+    # type(...) is int also rejects True, False and floats, which equal 0 or 1
+    if type(binary) is not list or not all([type(bit) is int and 0 <= bit <= 1 for bit in binary]):
+        raise ValueError(f"{where}: \"invariants\" binary must be a list of 0 and 1, got {binary!r}")
+    return entry
+
+
 def load_entries(path) -> list[dict]:
     """Read a catalog file; a missing file is an empty catalog.
 
-    A last line with no newline that does not parse was left by an
-    interrupted append: it is skipped with a warning on stderr, and the next
-    `append_lines` cuts it off.  A bad line anywhere else is an error, and so
-    is an invariant value of the wrong shape, which `invariants_key` could
-    not key apart.
+    A line in the exact form `enumerate` writes is read by the `_CANONICAL`
+    pattern alone; any other line goes through `json` (`_json_entry`).  The
+    entries and the error messages are the same either way.  A last line
+    with no newline that does not parse was left by an interrupted append:
+    it is skipped with a warning on stderr, and the next `append_lines` cuts
+    it off.  A bad line anywhere else is an error, and so is an invariant
+    value of the wrong shape, which `invariants_key` could not key apart.
     """
     if not os.path.exists(path):
         return []
-    # built here, not at import: the one-shot commands never load a catalog
-    is_first = re.compile(_FIRST_TEXT).fullmatch
-    is_slope = re.compile(_SLOPE_TEXT).fullmatch
-    # the scanner `json.loads` ends in, without the layers it adds per call
-    scan = json.JSONDecoder().scan_once
+    canonical = re.compile(_CANONICAL).fullmatch
     with open(path, "rb") as handle:
         head, newline, tail = handle.read().rpartition(b"\n")
     try:
@@ -139,46 +222,28 @@ def load_entries(path) -> list[dict]:
         lines.append(tail.decode("utf-8"))
     entries = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            entry, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):  # not one bare JSON value: `json.loads` parses it or words the error
-            try:
-                entry = json.loads(line)
-            # ValueError alone for an integer of too many digits, RecursionError for too deep a nesting
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: not a JSON line: {exc}") from None
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}:{lineno}: an entry must be a JSON object, got {type(entry).__name__}")
-        version = entry.get("schema_version")
-        # True == 1 == 1.0, so an equality test alone would let a bool or a float through
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ValueError(f"{path}:{lineno}: schema_version {version!r}, expected {SCHEMA_VERSION}")
-        invariants = entry.get("invariants")
-        if not isinstance(invariants, dict):
-            raise ValueError(f"{path}:{lineno}: entry has no \"invariants\" object")
-        # a shape check only: a full parse_descriptor here would slow every catalog reload
-        if not isinstance(entry.get("descriptor"), dict):
-            raise ValueError(f"{path}:{lineno}: entry has no \"descriptor\" object")
-        flags = entry.get("flags", [])
-        # a string would pass `recompute_invariants`'s membership test as a substring search;
-        # list comprehensions, not generators, here and below: the lists are short
-        if not isinstance(flags, list) or not all([isinstance(flag, str) for flag in flags]):
-            raise ValueError(f"{path}:{lineno}: \"flags\" must be a list of strings, got {flags!r}")
-        if invariants.keys() != _INVARIANT_KEYS:
-            raise ValueError(f"{path}:{lineno}: \"invariants\" keys must be exactly first, rest, binary")
-        first, rest, binary = invariants["first"], invariants["rest"], invariants["binary"]
-        if type(first) is not str or not is_first(first):
-            raise ValueError(f"{path}:{lineno}: \"invariants\" first must be a slope text, got {first!r}")
-        if type(rest) is not list or not all([type(text) is str and is_slope(text) for text in rest]):
-            raise ValueError(f"{path}:{lineno}: \"invariants\" rest must be a list of slope texts, got {rest!r}")
-        # type(...) is int also rejects True, False and floats, which equal 0 or 1
-        if type(binary) is not list or not all([type(bit) is int and 0 <= bit <= 1 for bit in binary]):
-            raise ValueError(f"{path}:{lineno}: \"invariants\" binary must be a list of 0 and 1, got {binary!r}")
-        entries.append(entry)
+        match = canonical(line)
+        if match:
+            frame, kind, twists, bit, from_trivial, first, rest, binary, flags = match.groups()
+            # a JSON list's inside, split on the '","' no string in it can hold
+            entries.append({
+                "descriptor": {
+                    "frame": frame,
+                    "kind": kind,
+                    "twists": twists,
+                    "splitting_bit": _BIT[bit],
+                    "from_trivial": from_trivial == "true",
+                },
+                "invariants": {
+                    "first": first,
+                    "rest": rest[1:-1].split('","') if rest else [],
+                    "binary": [_BIT[digit] for digit in binary[::2]],
+                },
+                "flags": flags[1:-1].split('","') if flags else [],
+                "schema_version": SCHEMA_VERSION,
+            })
+        elif line.strip():
+            entries.append(_json_entry(line, f"{path}:{lineno}"))
     if torn:
         print(
             f"{path}:{len(lines) + 1}: warning: skipping a last line cut short by an interrupted append",

@@ -89,7 +89,12 @@ def _as_exact(value) -> Fraction:
     # bool is an int subclass, so Fraction(True) would quietly read it as 1
     if isinstance(value, (float, bool)):
         raise TypeError(f"{type(value).__name__}s are not exact; pass Fraction or int")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    # `Fraction()` would also parse a text or take a `Decimal`
+    if not isinstance(value, int):
+        raise TypeError(f"a slope value must be a Fraction or an int, got {type(value).__name__}")
+    return Fraction(value)
 
 
 class Slope(Frozen):

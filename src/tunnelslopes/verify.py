@@ -81,8 +81,9 @@ def chain_points(frames, kinds, max_len: int, n_bound: int):
     """Every (FareyFrame, SequenceKind, TwistSequence) point of a chain grid, frames outermost."""
     for frame in frames:
         for kind in kinds:
+            # `twist_tuples` yields only nonempty tuples of nonzero ints
             for tw in twist_tuples(max_len, n_bound):
-                yield frame, kind, TwistSequence(tw)
+                yield frame, kind, TwistSequence._trusted(tw)
 
 
 def _sign_slices(max_depth: int, turn_bound: int) -> list[tuple[tuple[int, ...], int]]:

@@ -398,3 +398,105 @@ def test_compare_on_a_mutated_descriptor_exits_cleanly(written, data):
         record = json.loads(out)
         if how in NO_OPS:
             assert record["equal"] is True
+
+
+# Lines `enumerate` writes in every form a field takes: both splitting bits,
+# a `[a/b]` first slope, the bypass flag, several flags and none, negative
+# slopes, and an empty, a one-slope and a two-slope `rest`.
+VARIED_GRIDS = [
+    ["--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--depth", "3", "--n-range", "1", "--splitting-bit", "1"],
+    ["--frame", "1,0,0,1", "--kind", "drop-rho-pure", "--depth", "2", "--n-range", "1", "--from-trivial"],
+    ["--frame", "2,4,1,2", "--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1", "--bypass-validation"],
+    ["--frame=-1,0,0,-1", "--kind", "lift-rho-pure", "--depth", "2", "--n-range", "1"],
+]
+
+
+@pytest.fixture(scope="module")
+def varied(tmp_path_factory):
+    """A catalog `enumerate` wrote over VARIED_GRIDS, and its lines."""
+    path = tmp_path_factory.mktemp("varied") / "catalog.jsonl"
+    for grid in VARIED_GRIDS:
+        assert _main("enumerate", "--catalog", str(path), *grid)[0] == 0
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_every_written_line_loads_without_json(varied, monkeypatch):
+    path, lines = varied
+    parsed = [json.loads(line) for line in lines]
+    descriptors = [entry["descriptor"] for entry in parsed]
+    invariants = [entry["invariants"] for entry in parsed]
+    assert {d["splitting_bit"] for d in descriptors} == {0, 1}
+    assert {d["from_trivial"] for d in descriptors} == {False, True}
+    assert any(i["first"].startswith("[") for i in invariants)
+    assert any(text.startswith("-") for i in invariants for text in [i["first"], *i["rest"]])
+    assert {len(i["rest"]) for i in invariants} == {0, 1, 2}
+    assert {len(entry["flags"]) for entry in parsed} == {0, 1, 2}
+    assert any("unverified-bypass" in entry["flags"] for entry in parsed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line `enumerate` wrote was read through json")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(json, "JSONDecoder", refuse)
+    monkeypatch.setattr(catalog, "_json_entry", refuse)
+    loaded = load_entries(path)
+    assert loaded == parsed
+    # equal dicts may still differ in type, as 1 == True; the serialization does not
+    assert [dump_line(entry) for entry in loaded] == lines
+
+
+def _assert_read_as_json_reads(path, line: str) -> None:
+    """`line` matches the pattern only if `json` reads it, and then `load_entries` reads it alike."""
+    match = re.compile(catalog._CANONICAL).fullmatch(line)
+    try:
+        expected = catalog._json_entry(line, "here")
+    except ValueError:
+        assert match is None, line
+        return
+    if match:
+        path.write_text(line + "\n", encoding="utf-8")
+        (loaded,) = load_entries(path)
+        assert loaded == expected and dump_line(loaded) == dump_line(expected) == line
+
+
+CANONICAL_LINE = (
+    '{"descriptor":{"frame":"2,3,1,2","kind":"drop-rho-pure","twists":"1,-1","splitting_bit":1,'
+    '"from_trivial":false},"invariants":{"first":"-5/3","rest":["7/12"],"binary":[1,0]},'
+    '"flags":["degenerate-frame"],"schema_version":1}'
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, matches",
+    [
+        ("", "", True),
+        ('"degenerate-frame"', '"dégénéré"', True),
+        ('"degenerate-frame"', '"degenerate\x01frame"', False),  # a raw control character, which JSON refuses
+        ('"degenerate-frame"', '"degenerate\\u002dframe"', False),  # an escape
+        ('"splitting_bit":1', '"splitting_bit":2', False),
+        ('"splitting_bit":1', '"splitting_bit":true', False),
+        ('"splitting_bit":1', '"splitting_bit":1.0', False),
+        ('"binary":[1,0]', '"binary":[1,2]', False),
+        ('"binary":[1,0]', '"binary":[1, 0]', False),
+        ('"rest":["7/12"]', '"rest":["7/-12"]', False),
+        ('"rest":["7/12"]', '"rest":["٧/12"]', False),  # a digit outside ASCII
+        ('"schema_version":1', '"schema_version":01', False),
+    ],
+)
+def test_the_pattern_reads_edited_lines_as_json_does(tmp_path, old, new, matches):
+    assert old in CANONICAL_LINE
+    line = CANONICAL_LINE.replace(old, new)
+    assert (re.compile(catalog._CANONICAL).fullmatch(line) is not None) == matches
+    _assert_read_as_json_reads(tmp_path / "catalog.jsonl", line)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_pattern_reads_mutated_lines_as_json_does(varied, data):
+    path, lines = varied
+    _, mutant = data.draw(mutants(data.draw(st.sampled_from(lines))))
+    try:
+        line = mutant.decode("utf-8")
+    except UnicodeDecodeError:
+        return  # `load_entries` refuses such a file before it reads a line
+    _assert_read_as_json_reads(path.with_name("mutant.jsonl"), line)

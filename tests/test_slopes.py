@@ -1,5 +1,6 @@
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,14 @@ def test_bools_are_not_exact_values(build):
     # bool is an int subclass; read as 1 or 0 it would pass for a slope
     with pytest.raises(TypeError, match="bools are not exact"):
         build()
+
+
+@pytest.mark.parametrize("value", ["2.5", "3/2", Decimal("0.1")], ids=repr)
+def test_texts_and_decimals_are_not_slope_values(value):
+    # `Fraction()` would parse a text and take a `Decimal`
+    for build in (lambda: Slope(value, "(x)"), lambda: SimpleSlope(value)):
+        with pytest.raises(TypeError, match="must be a Fraction or an int"):
+            build()
 
 
 def test_slope_equality_ignores_coords():

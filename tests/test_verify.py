@@ -114,15 +114,26 @@ def test_oracle_grid():
     assert result.cases == len(frames_in_box(1)) * 8 * 6
 
 
-def test_oracle_grid_builds_each_twist_sequence_once(monkeypatch):
+def _count_twist_sequences(monkeypatch) -> list:
+    """Record the entries of every `TwistSequence` built, by either constructor."""
     built = []
-    init = TwistSequence.__init__
+    init, trusted = TwistSequence.__init__, TwistSequence._trusted.__func__
 
     def counting_init(self, entries):
         built.append(entries)
         init(self, entries)
 
+    def counting_trusted(cls, entries):
+        built.append(entries)
+        return trusted(cls, entries)
+
     monkeypatch.setattr(TwistSequence, "__init__", counting_init)
+    monkeypatch.setattr(TwistSequence, "_trusted", classmethod(counting_trusted))
+    return built
+
+
+def test_oracle_grid_builds_each_twist_sequence_once(monkeypatch):
+    built = _count_twist_sequences(monkeypatch)
     result = run_oracle_grid(1, 2, 1)
     assert result.ok
     assert len(built) == result.cases
@@ -130,18 +141,21 @@ def test_oracle_grid_builds_each_twist_sequence_once(monkeypatch):
 
 def test_pooled_oracle_grid_builds_no_points_in_the_parent(monkeypatch):
     # the pool receives (frame, kind) slices; forked workers count into their own copies of `built`
-    built = []
-    init = TwistSequence.__init__
-
-    def counting_init(self, entries):
-        built.append(entries)
-        init(self, entries)
-
-    monkeypatch.setattr(TwistSequence, "__init__", counting_init)
+    built = _count_twist_sequences(monkeypatch)
     result = run_oracle_grid(1, 2, 1, workers=2)
     assert result.ok
     assert result.cases == len(frames_in_box(1)) * 8 * 6
     assert built == []
+
+
+def test_chain_points_skip_the_public_twist_check(monkeypatch):
+    # `twist_tuples` yields only nonempty tuples of nonzero ints: checked once, where they are made
+    def refuse(self, entries):
+        raise AssertionError("a grid point ran the public TwistSequence check")
+
+    monkeypatch.setattr(TwistSequence, "__init__", refuse)
+    points = list(chain_points(frames_in_box(1)[:1], [SequenceKind.DROP_RHO_PURE], 2, 1))
+    assert [twists.entries for _, _, twists in points] == [(-1,), (1,), (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def test_pooled_oracle_grid_parent_memory_does_not_grow_with_the_grid():
