@@ -137,10 +137,6 @@ def _torn(tail: bytes) -> bool:
     return False
 
 
-# the scanner `json.loads` ends in, without the layers it adds per call
-_scan_once = json.JSONDecoder().scan_once
-
-
 @functools.cache
 def _matchers():
     """`fullmatch` of `_CANONICAL`, `_FIRST_TEXT` and `_SLOPE_TEXT`.
@@ -159,15 +155,10 @@ def _json_entry(line: str, where: str) -> dict:
     begin with `where`, the line's `path:lineno`.
     """
     try:
-        entry, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = -1
-    if end != len(line):  # not one bare JSON value: `json.loads` parses it or words the error
-        try:
-            entry = json.loads(line)
-        # ValueError alone for an integer of too many digits, RecursionError for too deep a nesting
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{where}: not a JSON line: {exc}") from None
+        entry = json.loads(line)
+    # ValueError alone for an integer of too many digits, RecursionError for too deep a nesting
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{where}: not a JSON line: {exc}") from None
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: an entry must be a JSON object, got {type(entry).__name__}")
     version = entry.get("schema_version")

@@ -32,7 +32,7 @@ from .frames import (
     SplitKind,
     parse_ints,
 )
-from .slopes import Frozen, Slope, TunnelInvariants, _new, _set, chain_slope, pair_class
+from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, pair_class
 
 
 class SequenceKind(Enum):
@@ -75,13 +75,6 @@ class TwistSequence(Frozen):
             if type(n) is not int or n == 0:
                 raise ValueError(f"twist counts must be nonzero integers, got {n!r}")
         _set(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "TwistSequence":
-        """Private constructor for a nonempty tuple of nonzero ints."""
-        obj = _new(cls)
-        _set(obj, "entries", entries)
-        return obj
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -23,13 +23,13 @@ den over den.
 
 Validation happens once, at the boundary.  Every public constructor checks
 its arguments in full.  Values the package builds from values it has already
-checked go through the class's private `_trusted` constructor instead, which
-checks nothing: `pair_class` builds its `SimpleSlope` that way, and the two
-invariant routes (`iteration._chain`, `two_bridge.semisimple_slopes`) build
-their `TunnelInvariants` that way.  `chain_slope` checks nothing either:
-every caller passes a nonzero int n and a tag the package built.  Pickling
-and copying rebuild through the public constructor, so a value that leaves
-the process is checked again.
+checked go through `Frozen._trusted` instead, which takes one such value per
+slot, in `__slots__` order, and checks nothing: `pair_class` builds its
+`SimpleSlope` that way, and the two invariant routes (`iteration._chain`,
+`two_bridge.semisimple_slopes`) build their `TunnelInvariants` that way.
+`chain_slope` checks nothing either: every caller passes a nonzero int n and
+a tag the package built.  Pickling and copying rebuild through the public
+constructor, so a value that leaves the process is checked again.
 """
 
 from __future__ import annotations
@@ -37,23 +37,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 _set = object.__setattr__  # the one way a `Frozen` field gets its value, in `__init__` or `_trusted`
-_new = object.__new__  # an instance before any field is set, for a `_trusted` constructor
+_new = object.__new__  # an instance before any slot is set, for `Frozen._trusted`
 
 
 class Frozen:
     """Immutable value with its fields in `__slots__`, each set once in `__init__`.
 
     `_fields` names the constructor arguments: `repr` shows them and pickling
-    and copying pass them back to the constructor.  A class whose values the
-    package also builds from values it has already checked adds a private
-    classmethod `_trusted`, which sets the fields and checks nothing; its
-    public constructor keeps every check.  Equality and hashing compare
-    `_key()`, all of `_fields` unless a class narrows it; objects of different
-    classes never compare equal.
+    and copying pass them back to the constructor.  `_trusted` is the private
+    constructor for values the package built from values it already checked:
+    it takes one such value per slot, in `__slots__` order, and checks
+    nothing; the public constructor keeps every check.  Equality and hashing
+    compare `_key()`, all of `_fields` unless a class narrows it; objects of
+    different classes never compare equal.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        obj = _new(cls)
+        # strict: a value too few would leave a slot unset, one too many would be dropped
+        for name, value in zip(cls.__slots__, values, strict=True):
+            _set(obj, name, value)
+        return obj
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -156,13 +164,6 @@ class SimpleSlope(Frozen):
     def __init__(self, representative: Fraction) -> None:
         _set(self, "representative", _as_exact(representative) % 1)
 
-    @classmethod
-    def _trusted(cls, representative: Fraction) -> "SimpleSlope":
-        """Private constructor for a `Fraction` already in [0, 1)."""
-        obj = _new(cls)
-        _set(obj, "representative", representative)
-        return obj
-
     def __eq__(self, other):
         if other.__class__ is not SimpleSlope:
             return NotImplemented
@@ -232,15 +233,6 @@ class TunnelInvariants(Frozen):
         _set(self, "first", first)
         _set(self, "rest", rest)
         _set(self, "binary", binary)
-
-    @classmethod
-    def _trusted(cls, first: SimpleSlope | Slope, rest: tuple[Slope, ...], binary: tuple[int, ...]):
-        """Private constructor for tuples the package built in the shape `__init__` checks."""
-        obj = _new(cls)
-        _set(obj, "first", first)
-        _set(obj, "rest", rest)
-        _set(obj, "binary", binary)
-        return obj
 
     def __eq__(self, other):
         if other.__class__ is not TunnelInvariants:

@@ -16,8 +16,9 @@ structural rules and `validate_cf` adds the classical one, and a twist
 sequence is checked by `TwistSequence` when `twists_to_cf` reads it.  What
 is built from those checked values skips the checks: `twists_to_cf` builds
 its fraction, `cf_to_twists` its twist sequence and `semisimple_slopes` its
-invariants through the private `_trusted` constructors.  `cf_to_twists`
-keeps the one check that a valid fraction can fail, a leading count of 0.
+invariants through the private `Frozen._trusted`, one value per slot.
+`cf_to_twists` keeps the one check that a valid fraction can fail, a leading
+count of 0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .iteration import (
     as_twists,
     assemble_invariants,
 )
-from .slopes import Frozen, TunnelInvariants, _new, _set, chain_slope, pair_class
+from .slopes import Frozen, TunnelInvariants, _set, chain_slope, pair_class
 
 
 def _offset(prev_sign: int, sign: int) -> int:
@@ -73,15 +74,6 @@ class TwoBridgeFraction(Frozen):
         _set(self, "signs", signs)
         _set(self, "turns", turns)
         _set(self, "_steps", steps)
-
-    @classmethod
-    def _trusted(cls, signs: tuple[int, ...], turns: tuple[int, ...], steps: tuple[int, ...]):
-        """Private constructor for fields `__init__` would accept, with the step twists they give."""
-        obj = _new(cls)
-        _set(obj, "signs", signs)
-        _set(obj, "turns", turns)
-        _set(obj, "_steps", steps)
-        return obj
 
     def step_twists(self) -> tuple[int, ...]:
         """Twist counts of the chained joins, one per position past the innermost."""

@@ -11,6 +11,7 @@ import pytest
 
 import tunnelslopes
 from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction
+from tunnelslopes.slopes import Frozen
 
 PACKAGE = Path(tunnelslopes.__file__).resolve().parent
 PUBLIC = [
@@ -91,7 +92,7 @@ def test_no_module_but_slopes_and_the_oracle_names_fraction():
         assert not stray, f"{path.name} names Fraction on lines {sorted(stray)}"
 
 
-# written out as they were before the private `_trusted` constructors came in
+# written out as they were before the private `_trusted` constructor came in
 SIGNATURES = {
     TunnelInvariants: "(first: 'SimpleSlope | Slope', rest: 'tuple[Slope, ...]', binary: 'tuple[int, ...]') -> 'None'",
     TwistSequence: "(entries: 'tuple[int, ...]') -> 'None'",
@@ -103,7 +104,20 @@ SIGNATURES = {
 @pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda cls: cls.__name__)
 def test_public_constructor_signature_is_unchanged(cls):
     assert str(inspect.signature(cls)) == SIGNATURES[cls]
-    assert "_trusted" in vars(cls)
+    assert cls._trusted.__func__ is Frozen._trusted.__func__
+
+
+def test_the_private_constructor_is_defined_once_on_frozen():
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        defined += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_trusted"
+        ]
+    assert defined == [("slopes.py", "Frozen")]
 
 
 def test_no_private_constructor_is_public():

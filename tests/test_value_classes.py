@@ -1,6 +1,6 @@
 """The contract every value class keeps: immutable, picklable, copyable, hashable
 by value, and printed in the `Name(field=value, ...)` form.  A value built by
-a private `_trusted` constructor keeps it too, and equals what the public
+the private `_trusted` constructor keeps it too, and equals what the public
 constructor builds from the same fields.
 
 The repr strings are fixed literals, not derived from the code under test.
@@ -177,3 +177,21 @@ def test_trusted_fraction_is_the_public_one(twists):
     _same_value(TwoBridgeFraction._trusted(public.signs, public.turns, public.step_twists()), public)
     if public.turns[0]:
         assert validate_cf(public.signs, public.turns) == private
+
+
+# one value per slot: a `_trusted` call one short or one over is refused, never left with a slot unset
+TRUSTED_FIELDS = {
+    SimpleSlope: (Fraction(1, 3),),
+    TwistSequence: ((2, -1),),
+    TunnelInvariants: (SimpleSlope(Fraction(1, 3)), (), (0,)),
+    TwoBridgeFraction: ((1,), (1,), ()),
+}
+
+
+@pytest.mark.parametrize("cls", list(TRUSTED_FIELDS), ids=lambda cls: cls.__name__)
+def test_trusted_takes_exactly_one_value_per_slot(cls):
+    fields = TRUSTED_FIELDS[cls]
+    _same_value(cls._trusted(*fields), cls(*fields[: len(cls._fields)]))
+    for wrong in (fields[:-1], (*fields, fields[-1])):
+        with pytest.raises(ValueError, match="zip"):
+            cls._trusted(*wrong)
