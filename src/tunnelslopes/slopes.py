@@ -57,10 +57,13 @@ class Frozen:
 
     @classmethod
     def _trusted(cls, *values):
+        names = cls.__slots__
+        # a length check, not `zip(..., strict=True)`: its keyword dict costs on every engine case
+        if len(values) != len(names):
+            raise ValueError(f"{cls.__name__} takes one value per slot {names}, got {len(values)}")
         obj = _new(cls)
-        # strict: a value too few would leave a slot unset, one too many would be dropped
-        for name, value in zip(cls.__slots__, values, strict=True):
-            _set(obj, name, value)
+        for i, name in enumerate(names):
+            _set(obj, name, values[i])
         return obj
 
     def _key(self) -> tuple:

@@ -16,9 +16,8 @@ structural rules and `validate_cf` adds the classical one, and a twist
 sequence is checked by `TwistSequence` when `twists_to_cf` reads it.  What
 is built from those checked values skips the checks: `twists_to_cf` builds
 its fraction, `cf_to_twists` its twist sequence and `semisimple_slopes` its
-invariants through the private `Frozen._trusted`, one value per slot.
-`cf_to_twists` keeps the one check that a valid fraction can fail, a leading
-count of 0.
+invariants through `Frozen._trusted`, one value per slot.  `cf_to_twists`
+keeps the one check that a valid fraction can fail, a leading count of 0.
 """
 
 from __future__ import annotations
