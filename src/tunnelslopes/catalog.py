@@ -75,6 +75,12 @@ def parse_descriptor(d: dict, *, bypass: bool = False):
     return frame, kind, twists, splitting_bit, from_trivial
 
 
+def descriptor_invariants(descriptor: dict, *, bypass: bool = False) -> tuple[FareyFrame, TunnelInvariants]:
+    """The frame a descriptor names and the invariants of its chain, through `parse_descriptor`."""
+    frame, kind, twists, splitting_bit, from_trivial = parse_descriptor(descriptor, bypass=bypass)
+    return frame, assemble_invariants(frame, kind, twists, splitting_bit, from_trivial)
+
+
 def dump_line(obj) -> str:
     """Compact JSON with a fixed key order: the one serialized form of every record."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
@@ -292,13 +298,6 @@ def add_chains(path, points, splitting_bit: int, from_trivial: bool) -> tuple[li
 
 
 def recompute_invariants(entry: dict) -> TunnelInvariants:
-    """Recompute an entry's invariants from its descriptor.
-
-    A frame that only passed because of the validation bypass is re-read the
-    same way; the entry's flags say whether that applies.
-    """
+    """Recompute an entry's invariants from its descriptor, re-reading a frame its flags mark bypassed the same way."""
     bypass = "unverified-bypass" in entry.get("flags", [])
-    frame, kind, twists, splitting_bit, from_trivial = parse_descriptor(
-        entry["descriptor"], bypass=bypass
-    )
-    return assemble_invariants(frame, kind, twists, splitting_bit, from_trivial)
+    return descriptor_invariants(entry["descriptor"], bypass=bypass)[1]

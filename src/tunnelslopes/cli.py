@@ -19,7 +19,7 @@ import sys
 
 from . import catalog
 from .frames import FareyFrame, SplitKind, parse_ints, splitting_tunnel_slope
-from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain, assemble_invariants
+from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain
 from .two_bridge import TwoBridgeFraction, cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
 
 EXIT_OK = 0
@@ -177,10 +177,7 @@ def _cmd_compare(args) -> int:
             descriptor = json.loads(raw)
         except (ValueError, RecursionError) as exc:  # RecursionError for too deep a nesting
             raise ValueError(f"descriptor is not JSON: {exc}") from None
-        frame, kind, twists, bit, from_trivial = catalog.parse_descriptor(
-            descriptor, bypass=args.bypass_validation
-        )
-        sides.append((frame, assemble_invariants(frame, kind, twists, bit, from_trivial)))
+        sides.append(catalog.descriptor_invariants(descriptor, bypass=args.bypass_validation))
     (left_frame, left), (right_frame, right) = sides
     flags = sorted(set(left_frame.flags) | set(right_frame.flags))
     _emit(
@@ -331,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except EngineMismatchError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # a bug, never a mismatch: keep exit 1 for real mismatches

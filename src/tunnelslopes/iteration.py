@@ -4,12 +4,15 @@ A chain starts with one of the four splitting moves and then keeps joining
 fresh copies of a fixed knot, one join per entry of its twist sequence.  Two
 independent engines compute the slope sequence:
 
-* `closed_form_slopes` orients the frame for the initial move and evaluates
-  one of two closed formulas, pure or mixed, driven by two small integer
-  recursions over the parities of the twist counts;
+* `closed_form_slopes` orients the frame for the initial move, fixes one
+  coefficient pair (A, B) for the chain, pure or mixed, and reads entry k's
+  integer part as the linear form A*mult_k + B*sign_k, where (mult_k,
+  sign_k) come from two small integer recursions over the parities of the
+  twist counts;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
-  linking number; on request it also returns the trace, one `TraceStep`
+  linking number; one placement rule, fixed for the chain, says which
+  circle is upper.  On request it also returns the trace, one `TraceStep`
   per join.  Only `iterate --trace` reads a trace, so no grid builds one.
 
 The engines must agree everywhere.  `assemble_invariants(..., verify=True)`
@@ -115,7 +118,7 @@ def step_sign(n: int) -> int:
 
 @lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 1 PR B
 def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The (mult, sign) pair of each join: orientation bookkeeping for the closed formulas.
+    """The (mult, sign) pair of each join: the variables of the closed form's linear form.
 
     With e_k = step_sign(n_k) for the k-th twist count, the pairs obey
 
@@ -126,7 +129,8 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     so sign_k is the product of the first k step signs (always +-1).  In a
     pure chain the class of the knot assembled after k joins is
     mult_k*(joined knot) + sign_k*(other constituent); a mixed chain carries
-    (mult_k - sign_k) copies of the composite knot instead.
+    (mult_k - sign_k) copies of the composite knot instead.  Either way entry
+    k's integer part is A*mult_k + B*sign_k for the chain's pair (A, B).
     """
     pairs = [(1, 1)]
     for n in entries[:-1]:
@@ -169,20 +173,20 @@ def _position_tags(length: int, initial: SplitKind) -> list[str]:
 
 
 def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Slope]:
-    """Slope sequence of a chain: one orientation step, then one of two formulas.
+    """Slope sequence of a chain: one orientation step, then one linear form.
 
     Take (a, b) from the peeled constituent, (p, q) for a rho move and
     (r, s) for a lambda move, and (c, d) from the kept one.  After a drop
-    each pair reads (ell, m); after a lift it reads (m, ell).  With (mult,
-    sgn) the k-th pair of `_cached_tables`, the integer part of entry k
-    (twice the join's linking number) is
+    each pair reads (ell, m); after a lift it reads (m, ell).  The chain
+    fixes one coefficient pair
 
-        pure:  2*a*(mult*b + sgn*d)
-        mixed: 2*(b + d)*(mult*a + (mult - sgn)*c)
+        pure:  (A, B) = (2*a*b, 2*a*d)
+        mixed: (A, B) = (2*(a + c)*(b + d), -2*c*(b + d))
 
-    and entry k adds the twist term 1/n_k; `chain_slope` builds the sum from
-    its integer lowest terms.  The first pair is (1, 1), so entry 0 always
-    agrees with the single-splitting slope of the chain's initial move.
+    and with (mult, sgn) the k-th pair of `_cached_tables`, entry k is
+    A*mult + B*sgn (twice the join's linking number) plus 1/n_k, which
+    `chain_slope` builds from its integer lowest terms.  The first pair is
+    (1, 1), so entry 0 always agrees with the initial move's own slope.
     """
     t = as_twists(twists)
     initial = kind.initial_split
@@ -192,15 +196,11 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     if not initial.drops:
         peeled, kept = peeled[::-1], kept[::-1]
     (a, b), (c, d) = peeled, kept
-    mixed = kind.mixed
+    A, B = (2 * (a + c) * (b + d), -2 * c * (b + d)) if kind.mixed else (2 * a * b, 2 * a * d)
     out = []
     tags = _position_tags(len(t.entries), initial)
     for (mult, sgn), n, coords in zip(_cached_tables(t.entries), t.entries, tags):
-        if mixed:
-            coeff = 2 * (b + d) * (mult * a + (mult - sgn) * c)
-        else:
-            coeff = 2 * a * (mult * b + sgn * d)
-        out.append(chain_slope(coeff, n, coords))
+        out.append(chain_slope(A * mult + B * sgn, n, coords))
     return out
 
 
@@ -225,10 +225,9 @@ def oracle_slopes(
     chain starts from B and accretes T.  Each join multiplies the old class
     by the step sign before adding the accreted one, and the slope read at
     the join is twice the linking number of the upper circle with the lower
-    one, plus 1/n.  Which circle is upper follows the chain geometry: a pure
-    chain places each fresh copy the way the initial move peeled (below
-    after a drop, above after a lift), and a mixed chain places it the other
-    way.
+    one, plus 1/n.  One placement rule holds for the whole chain: the old
+    knot's class is upper exactly when the initial move drops xor the chain
+    is mixed, and the other circle is always the accreted class.
 
     Each slope is the one `Fraction(2*link*n + 1, n)`: the same value as
     2*link + 1/n with no rational addition, and reduced by `Fraction`'s own
@@ -240,19 +239,14 @@ def oracle_slopes(
     t = as_twists(twists)
     initial = kind.initial_split
     constituent = frame.rho_class if initial.splits_rho else frame.lambda_class
-    composite = frame.tau_class
     mixed = kind.mixed
-    drops = initial.drops
-    accreted = composite if mixed else constituent
-    prev = constituent if mixed else composite
+    accreted, prev = (frame.tau_class, constituent) if mixed else (constituent, frame.tau_class)
+    prev_upper = initial.drops != mixed
     slopes: list[Slope] = []
     steps: list[TraceStep] = []
     tags = _position_tags(len(t.entries), initial)
     for n, coords in zip(t.entries, tags):
-        if mixed:
-            upper, lower = (composite, prev) if drops else (prev, composite)
-        else:
-            upper, lower = (prev, constituent) if drops else (constituent, prev)
+        upper, lower = (prev, accreted) if prev_upper else (accreted, prev)
         link = upper.m * lower.ell
         slope = Slope(Fraction(2 * link * n + 1, n), coords)
         if trace:

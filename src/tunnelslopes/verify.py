@@ -42,7 +42,8 @@ def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
 
     With `workers > 1` the pool consumes `items` up front, holding every
     item pickled before the first result comes back; that is why grids pass
-    slices, not points.
+    slices, not points.  Each worker ends itself once its parent is gone, so
+    a parent killed mid-grid, even by SIGKILL, leaves no worker running.
     """
     if workers <= 1:
         yield from map(fn, items)
@@ -50,8 +51,23 @@ def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
         # imported here so one-shot commands and 1-worker grids never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent) as pool:
             yield from pool.map(fn, items, chunksize=chunksize)
+
+
+def _end_with_parent() -> None:
+    """Pool-worker initializer: a daemon thread exits the worker once the process that started it is gone."""
+    import threading
+    import time
+
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def frames_in_box(bound: int) -> tuple[FareyFrame, ...]:

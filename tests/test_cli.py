@@ -560,6 +560,17 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert err == "internal error: KeyError: 'lost'\n"
 
 
+def test_zero_division_is_a_bug_not_bad_input(capsys, monkeypatch):
+    # no command input divides by zero: every denominator the package reduces is odd or a nonzero n
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "semisimple_slopes", broken)
+    code, out, err = run_cli(capsys, "two-bridge", "slopes", "--a", "1", "--b", "1")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
 def test_bypass_validation_flag(capsys):
     code, out, _ = run_cli(
         capsys, "split", "--frame", "2,4,1,2", "--kind", "drop-rho", "--n", "1", "--bypass-validation"

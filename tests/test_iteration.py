@@ -192,6 +192,66 @@ def test_kind_metadata():
         assert kind.splits_rho is splits_rho, kind
 
 
+def _reference_closed_form(frame, kind, twists):
+    """Entry values of a chain, from the two formulas written out per join."""
+    initial = kind.initial_split
+    peeled, kept = (frame.p, frame.q), (frame.r, frame.s)
+    if not initial.splits_rho:
+        peeled, kept = kept, peeled
+    if not initial.drops:  # after a lift each pair reads (m, ell)
+        peeled, kept = peeled[::-1], kept[::-1]
+    (a, b), (c, d) = peeled, kept
+    mult, sign, out = 1, 1, []
+    for n in twists:
+        if kind.mixed:
+            coeff = 2 * (b + d) * (mult * a + (mult - sign) * c)
+        else:
+            coeff = 2 * a * (mult * b + sign * d)
+        out.append(coeff + Fraction(1, n))
+        e = 1 if n % 2 else -1
+        mult, sign = 1 + e * mult, e * sign
+    return out
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda kind: kind.value)
+def test_closed_form_matches_the_per_join_formulas(kind):
+    for frame in verify.frames_in_box(2):
+        for twists in verify.twist_tuples(3, 2):
+            slopes = closed_form_slopes(frame, kind, twists)
+            assert [slope.value for slope in slopes] == _reference_closed_form(frame, kind, twists)
+            assert [slope.coords for slope in slopes] == [
+                position_coords(k, kind.initial_split) for k in range(len(twists))
+            ]
+
+
+# Whether the oracle places the old knot's class upper at every join: a drop xor a mixed chain.
+OLD_CLASS_UPPER = {
+    SequenceKind.DROP_RHO_PURE: True,
+    SequenceKind.DROP_RHO_MIXED_TAU: False,
+    SequenceKind.DROP_LAMBDA_PURE: True,
+    SequenceKind.DROP_LAMBDA_MIXED_TAU: False,
+    SequenceKind.LIFT_RHO_PURE: False,
+    SequenceKind.LIFT_RHO_MIXED_TAU: True,
+    SequenceKind.LIFT_LAMBDA_PURE: False,
+    SequenceKind.LIFT_LAMBDA_MIXED_TAU: True,
+}
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda kind: kind.value)
+def test_oracle_places_the_old_class_by_one_rule(kind):
+    assert list(OLD_CLASS_UPPER) == list(SequenceKind)
+    for frame in verify.frames_in_box(2):
+        constituent = frame.rho_class if kind.initial_split.splits_rho else frame.lambda_class
+        accreted = frame.tau_class if kind.mixed else constituent
+        for twists in [(1, 2, -1), (-2, 3, 2), (2, 2, 1, -3)]:
+            _, steps = oracle_slopes(frame, kind, twists, trace=True)
+            assert len(steps) == len(twists)
+            for step in steps:
+                placed = (step.c_prev, accreted) if OLD_CLASS_UPPER[kind] else (accreted, step.c_prev)
+                assert (step.upper, step.lower) == placed, (frame, step)
+                assert step.linking == step.upper.m * step.lower.ell
+
+
 @pytest.mark.parametrize("member", list(SequenceKind) + list(SplitKind))
 def test_kind_pickles_to_itself(member):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

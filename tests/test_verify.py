@@ -1,4 +1,10 @@
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -256,3 +262,58 @@ def test_ordered_map_serial_and_parallel():
     items = list(range(40))
     assert list(ordered_map(_double, items)) == [2 * n for n in items]
     assert list(ordered_map(_double, items, workers=2, chunksize=4)) == [2 * n for n in items]
+
+
+# A parent that maps a sleeping function over two workers, each printing its pid first.
+_NAPPING_PARENT = textwrap.dedent(
+    """
+    import os, time
+    from tunnelslopes.verify import ordered_map
+
+    def nap(i):
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+
+    list(ordered_map(nap, range(2), workers=2, chunksize=1))
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a live process; a zombie, which has ended but awaits its reaper, is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=lambda signum: signum.name)
+def test_pool_workers_end_with_their_parent(tmp_path, signum):
+    script = tmp_path / "parent.py"
+    script.write_text(_NAPPING_PARENT)
+    parent = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE)
+    workers, out = [], b""
+    try:
+        # raw reads: a buffered readline could hold the second pid where select cannot see it
+        while out.count(b"\n") < 2:
+            ready, _, _ = select.select([parent.stdout], [], [], 30)
+            assert ready, f"the workers reported {out!r} within 30 s"
+            chunk = os.read(parent.stdout.fileno(), 4096)
+            assert chunk, f"the parent exited after the workers reported {out!r}"
+            out += chunk
+        workers = [int(pid) for pid in out.split()]
+        parent.send_signal(signum)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
