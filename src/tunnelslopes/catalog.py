@@ -14,6 +14,7 @@ entries and the same error messages as if every line did.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import re
@@ -21,15 +22,12 @@ import sys
 
 from .frames import FareyFrame
 from .iteration import SequenceKind, TwistSequence, assemble_invariants
-from .slopes import TunnelInvariants
+from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants
 
 SCHEMA_VERSION = 1
 
 _DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
 _INVARIANT_KEYS = frozenset(("first", "rest", "binary"))
-# Shapes of loaded slope texts, in ASCII digits: none holds the "," or "|" that `invariants_key` joins with
-_SLOPE_TEXT = r"-?[0-9]+/[0-9]+"
-_FIRST_TEXT = rf"{_SLOPE_TEXT}|\[[0-9]+/[0-9]+\]"
 
 
 def descriptor_dict(
@@ -79,6 +77,14 @@ def descriptor_invariants(descriptor: dict, *, bypass: bool = False) -> tuple[Fa
     """The frame a descriptor names and the invariants of its chain, through `parse_descriptor`."""
     frame, kind, twists, splitting_bit, from_trivial = parse_descriptor(descriptor, bypass=bypass)
     return frame, assemble_invariants(frame, kind, twists, splitting_bit, from_trivial)
+
+
+def read_json(text: str, what: str):
+    """The package's one `json.loads`; a refusal, RecursionError too, raises `ValueError(f"{what}: ...")`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def dump_line(obj) -> str:
@@ -137,8 +143,8 @@ def _torn(tail: bytes) -> bool:
     parses is a complete line that only lacks its newline.
     """
     try:
-        json.loads(tail.decode("utf-8"))
-    except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError and too deep a nesting alike
+        read_json(tail.decode("utf-8"), "tail")
+    except ValueError:  # UnicodeDecodeError too
         return True
     return False
 
@@ -160,11 +166,7 @@ def _json_entry(line: str, where: str) -> dict:
     and the tests hold the pattern's reading of a line to this one.  Errors
     begin with `where`, the line's `path:lineno`.
     """
-    try:
-        entry = json.loads(line)
-    # ValueError alone for an integer of too many digits, RecursionError for too deep a nesting
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{where}: not a JSON line: {exc}") from None
+    entry = read_json(line, f"{where}: not a JSON line")
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: an entry must be a JSON object, got {type(entry).__name__}")
     version = entry.get("schema_version")
@@ -221,29 +223,35 @@ def load_entries(path) -> list[dict]:
     if not torn:
         lines.append(tail.decode("utf-8"))
     entries = []
-    for lineno, line in enumerate(lines, start=1):
-        match = canonical(line)
-        if match:
-            frame, kind, twists, bit, from_trivial, first, rest, binary, flags = match.groups()
-            # a JSON list's inside, split on the '","' no string in it can hold
-            entries.append({
-                "descriptor": {
-                    "frame": frame,
-                    "kind": kind,
-                    "twists": twists,
-                    "splitting_bit": _BIT[bit],
-                    "from_trivial": from_trivial == "true",
-                },
-                "invariants": {
-                    "first": first,
-                    "rest": rest[1:-1].split('","') if rest else [],
-                    "binary": [_BIT[digit] for digit in binary[::2]],
-                },
-                "flags": flags[1:-1].split('","') if flags else [],
-                "schema_version": SCHEMA_VERSION,
-            })
-        elif line.strip():
-            entries.append(_json_entry(line, f"{path}:{lineno}"))
+    collecting = gc.isenabled()
+    gc.disable()  # no entry holds a cycle, and each of the collector's passes would walk every entry built so far
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            match = canonical(line)
+            if match:
+                frame, kind, twists, bit, from_trivial, first, rest, binary, flags = match.groups()
+                # a JSON list's inside, split on the '","' no string in it can hold
+                entries.append({
+                    "descriptor": {
+                        "frame": frame,
+                        "kind": kind,
+                        "twists": twists,
+                        "splitting_bit": _BIT[bit],
+                        "from_trivial": from_trivial == "true",
+                    },
+                    "invariants": {
+                        "first": first,
+                        "rest": rest[1:-1].split('","') if rest else [],
+                        "binary": [_BIT[digit] for digit in binary[::2]],
+                    },
+                    "flags": flags[1:-1].split('","') if flags else [],
+                    "schema_version": SCHEMA_VERSION,
+                })
+            elif line.strip():
+                entries.append(_json_entry(line, f"{path}:{lineno}"))
+    finally:
+        if collecting:
+            gc.enable()
     if torn:
         print(
             f"{path}:{len(lines) + 1}: warning: skipping a last line cut short by an interrupted append",

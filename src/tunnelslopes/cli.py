@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import catalog
@@ -173,10 +172,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_compare(args) -> int:
     sides = []
     for raw in (args.left, args.right):
-        try:
-            descriptor = json.loads(raw)
-        except (ValueError, RecursionError) as exc:  # RecursionError for too deep a nesting
-            raise ValueError(f"descriptor is not JSON: {exc}") from None
+        descriptor = catalog.read_json(raw, "descriptor is not JSON")
         sides.append(catalog.descriptor_invariants(descriptor, bypass=args.bypass_validation))
     (left_frame, left), (right_frame, right) = sides
     flags = sorted(set(left_frame.flags) | set(right_frame.flags))

@@ -13,6 +13,10 @@ twice such a linking number.  All of it is integer arithmetic: a tunnel slope
 c + 1/n goes to `chain_slope` as integers, like every later join of a chain,
 and `slopes` builds the rational value when it is read.  `FareyFrame` and
 `splitting_tunnel_slope` check their arguments; nothing is checked again.
+
+The single move is a chain's first join, so this module also owns the rules
+of one join that every chain shares: the twist count's check and parity
+(`step_sign`) and the disk pair each slope is measured against (`position_coords`).
 """
 
 from __future__ import annotations
@@ -160,31 +164,55 @@ def validate_frame(p: int, q: int, r: int, s: int, *, bypass: bool = False) -> F
     return FareyFrame(p, q, r, s, checked=not bypass)
 
 
-def splitting_disk_slope(frame: FareyFrame, kind: SplitKind) -> Slope:
-    """Slope of the splitting move's disk before any twisting.
+def step_sign(n: int) -> int:
+    """+1 when the twist count is odd, -1 when even.
 
-    Each value is twice the linking number of the upper circle with the
-    lower one after the peel, and it is measured against the disk pair of
-    the constituent that was not peeled.
-    """
-    p, q, r, s = frame.p, frame.q, frame.r, frame.s
-    if kind is SplitKind.DROP_LAMBDA:
-        return Slope(2 * r * (q + s), RHO_COORDS)
-    if kind is SplitKind.LIFT_LAMBDA:
-        return Slope(2 * s * (p + r), RHO_COORDS)
-    if kind is SplitKind.DROP_RHO:
-        return Slope(2 * p * (q + s), LAMBDA_COORDS)
-    return Slope(2 * q * (p + r), LAMBDA_COORDS)
-
-
-def splitting_tunnel_slope(frame: FareyFrame, kind: SplitKind, n: int) -> Slope:
-    """Slope of the tunnel made by rejoining with n half-twists: disk slope + 1/n.
-
-    n = 0 is rejected; with no twist the move does not produce a new tunnel.
+    An odd number of half-twists lets the strand coming back from the joined
+    copy keep its direction; an even number reverses it.
     """
     if type(n) is not int:
         raise ValueError(f"twist count must be an integer, got {n!r}")
     if n == 0:
         raise ValueError("twist count must be nonzero")
+    return 1 if n % 2 else -1
+
+
+def position_coords(k: int, initial: SplitKind) -> str:
+    """Coordinate tag for the k-th slope of a chain.
+
+    The first slope is measured against the unpeeled constituent's disk pair,
+    the second against the composite knot's, and each later one against the
+    disk replaced two joins earlier.
+    """
+    if type(k) is not int:
+        raise ValueError(f"slope positions are integers, got {k!r}")
+    if k < 0:
+        raise ValueError(f"slope positions start at 0, got {k}")
+    if k == 0:
+        return LAMBDA_COORDS if initial.splits_rho else RHO_COORDS
+    if k == 1:
+        return TAU_COORDS
+    return f"(γ^{k - 2})"
+
+
+def splitting_disk_slope(frame: FareyFrame, kind: SplitKind) -> Slope:
+    """Slope of the splitting move's disk before any twisting, measured against a chain's first disk pair.
+
+    The value is twice the linking number of the upper circle with the lower
+    one after the peel: the composite knot is upper after a drop, the peeled
+    copy after a lift.
+    """
+    p, q, r, s = frame.p, frame.q, frame.r, frame.s
+    ell, m = (p, q) if kind.splits_rho else (r, s)  # the peeled constituent's class
+    link = (q + s) * ell if kind.drops else m * (p + r)
+    return Slope(2 * link, position_coords(0, kind))
+
+
+def splitting_tunnel_slope(frame: FareyFrame, kind: SplitKind, n: int) -> Slope:
+    """Slope of the tunnel made by rejoining with n half-twists: disk slope + 1/n.
+
+    n = 0 is rejected, as at every join (`step_sign`); with no twist the move does not produce a new tunnel.
+    """
+    step_sign(n)
     disk = splitting_disk_slope(frame, kind)
     return chain_slope(disk.num, n, disk.coords)

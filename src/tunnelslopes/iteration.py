@@ -27,14 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .frames import (
-    LAMBDA_COORDS,
-    RHO_COORDS,
-    TAU_COORDS,
-    FareyFrame,
-    SplitKind,
-    parse_ints,
-)
+from .frames import FareyFrame, SplitKind, parse_ints, position_coords, step_sign
 from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, pair_class
 
 
@@ -103,19 +96,6 @@ def as_twists(twists) -> TwistSequence:
     return TwistSequence(tuple(twists))
 
 
-def step_sign(n: int) -> int:
-    """+1 when the twist count is odd, -1 when even.
-
-    An odd number of half-twists lets the strand coming back from the joined
-    copy keep its direction; an even number reverses it.
-    """
-    if type(n) is not int:
-        raise ValueError(f"twist count must be an integer, got {n!r}")
-    if n == 0:
-        raise ValueError("twist count must be nonzero")
-    return 1 if n % 2 else -1
-
-
 @lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 1 PR B
 def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The (mult, sign) pair of each join: the variables of the closed form's linear form.
@@ -138,24 +118,6 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         e = step_sign(n)
         pairs.append((1 + e * mult, e * sign))
     return tuple(pairs)
-
-
-def position_coords(k: int, initial: SplitKind) -> str:
-    """Coordinate tag for the k-th slope of a chain.
-
-    The first slope is measured against the unpeeled constituent's disk pair,
-    the second against the composite knot's, and each later one against the
-    disk replaced two joins earlier.
-    """
-    if type(k) is not int:
-        raise ValueError(f"slope positions are integers, got {k!r}")
-    if k < 0:
-        raise ValueError(f"slope positions start at 0, got {k}")
-    if k == 0:
-        return LAMBDA_COORDS if initial.splits_rho else RHO_COORDS
-    if k == 1:
-        return TAU_COORDS
-    return f"(γ^{k - 2})"
 
 
 # The tags of the longest chain seen so far, one list per first tag, indexed by

@@ -96,6 +96,12 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# The shapes of the texts `format_rational` and `SimpleSlope.text` write, in ASCII digits; the catalog
+# checks loaded slope texts against them, and neither holds the "," or "|" `invariants_key` joins with
+_SLOPE_TEXT = r"-?[0-9]+/[0-9]+"
+_FIRST_TEXT = rf"{_SLOPE_TEXT}|\[[0-9]+/[0-9]+\]"
+
+
 def _as_exact(value) -> Fraction:
     # bool is an int subclass, so Fraction(True) would quietly read it as 1
     if isinstance(value, (float, bool)):

@@ -57,14 +57,12 @@ def ordered_map(fn, items, *, workers: int = 1, chunksize: int = 256):
 
 def _end_with_parent() -> None:
     """Pool-worker initializer: a daemon thread exits the worker once the process that started it is gone."""
+    import multiprocessing
     import threading
-    import time
-
-    parent = os.getppid()
 
     def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(1)
+        # the parent's sentinel, a pipe that workers forked later hold too: the last one ends first, freeing the next
+        multiprocessing.parent_process().join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()

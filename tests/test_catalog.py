@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import re
@@ -98,6 +99,54 @@ def test_load_parses_and_words_errors_as_json_loads(tmp_path):
         with pytest.raises(ValueError) as got:
             load_entries(path)
         assert str(got.value) == f"{path}:1: not a JSON line: {expected.value}"
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test, whatever the test set it to."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def _padded_catalog(path):
+    """Two entries, one in the canonical form and one padded so that it goes through `json`."""
+    entry = entry_dict(descriptor_dict(FRAME, KIND, TWISTS, 0, False),
+                       assemble_invariants(FRAME, KIND, TWISTS, 0, False).to_dict(), [])
+    path.write_text(f"{dump_line(entry)}\n {dump_line(entry)}\n", encoding="utf-8")
+    return entry
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, collector, enabled):
+    entry = _padded_catalog(tmp_path / "catalog.jsonl")
+    (gc.enable if enabled else gc.disable)()
+    assert load_entries(tmp_path / "catalog.jsonl") == [entry, entry]
+    assert gc.isenabled() is enabled
+
+
+def test_load_enables_the_collector_again_after_a_malformed_line(tmp_path, collector):
+    path = tmp_path / "catalog.jsonl"
+    path.write_text("{not json\n", encoding="utf-8")
+    gc.enable()
+    with pytest.raises(ValueError, match="not a JSON line"):
+        load_entries(path)
+    assert gc.isenabled()
+
+
+def test_load_builds_entries_with_the_collector_paused(tmp_path, monkeypatch, collector):
+    _padded_catalog(tmp_path / "catalog.jsonl")
+    seen = []
+    read = catalog._json_entry
+
+    def recording(line, where):
+        seen.append(gc.isenabled())
+        return read(line, where)
+
+    monkeypatch.setattr(catalog, "_json_entry", recording)
+    gc.enable()
+    load_entries(tmp_path / "catalog.jsonl")
+    assert seen == [False]
 
 
 def test_recompute_honors_bypass_flag():

@@ -1,6 +1,6 @@
 """The package's public names, the signatures of the constructors that have a
-private twin, the aliases that no module but `slopes` may name, and where a
-`Fraction` may be built."""
+private twin, the aliases that no module but `slopes` may name, where a
+`Fraction` may be built, and the one module that owns each input rule."""
 
 import ast
 import inspect
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tunnelslopes
-from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction
+from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction, frames, iteration
 from tunnelslopes.slopes import Frozen
 
 PACKAGE = Path(tunnelslopes.__file__).resolve().parent
@@ -123,3 +123,47 @@ def test_the_private_constructor_is_defined_once_on_frozen():
 def test_no_private_constructor_is_public():
     assert len(tunnelslopes.__all__) == 26
     assert not [name for name in tunnelslopes.__all__ if name.startswith("_") or "trusted" in name]
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_only_catalog_read_json_calls_json_loads():
+    trees = _trees()
+    calls = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "loads" in _names(node.func)
+    ]
+    assert [name for name, _ in calls] == ["catalog.py"]
+    read_json = next(node for node in trees["catalog.py"].body if getattr(node, "name", None) == "read_json")
+    assert read_json.lineno <= calls[0][1] <= read_json.end_lineno
+
+
+@pytest.mark.parametrize("text", ["twist count must be an integer", "twist count must be nonzero"])
+def test_each_twist_count_message_is_written_once(text):
+    counts = {path.name: path.read_text(encoding="utf-8").count(text) for path in PACKAGE.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"frames.py": 1}
+
+
+def test_only_frames_names_the_disk_pair_tags():
+    tags = {"RHO_COORDS", "LAMBDA_COORDS", "TAU_COORDS"}
+    naming = {name for name, tree in _trees().items() if _names(tree) & tags}
+    assert naming == {"frames.py"}
+
+
+def test_slopes_owns_the_slope_text_shapes():
+    def assigned(tree: ast.Module) -> set[str]:
+        return {target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets
+                if isinstance(target, ast.Name)}
+
+    trees = _trees()
+    assert {"_SLOPE_TEXT", "_FIRST_TEXT"} <= assigned(trees["slopes.py"])
+    assert not {"_SLOPE_TEXT", "_FIRST_TEXT"} & assigned(trees["catalog.py"])
+
+
+def test_iteration_takes_the_join_rules_from_frames():
+    assert iteration.step_sign is frames.step_sign is tunnelslopes.step_sign
+    assert iteration.position_coords is frames.position_coords is tunnelslopes.position_coords

@@ -264,17 +264,18 @@ def test_ordered_map_serial_and_parallel():
     assert list(ordered_map(_double, items, workers=2, chunksize=4)) == [2 * n for n in items]
 
 
-# A parent that maps a sleeping function over two workers, each printing its pid first.
+# A parent that maps a sleeping function over as many workers as its argument says, each printing its pid first.
 _NAPPING_PARENT = textwrap.dedent(
     """
-    import os, time
+    import os, sys, time
     from tunnelslopes.verify import ordered_map
 
     def nap(i):
         print(os.getpid(), flush=True)
         time.sleep(60)
 
-    list(ordered_map(nap, range(2), workers=2, chunksize=1))
+    workers = int(sys.argv[1])
+    list(ordered_map(nap, range(workers), workers=workers, chunksize=1))
     """
 )
 
@@ -290,14 +291,16 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=lambda signum: signum.name)
-def test_pool_workers_end_with_their_parent(tmp_path, signum):
+# four workers hold each other's parent sentinels open, so they end one after another
+@pytest.mark.parametrize("count", [2, 4])
+def test_pool_workers_end_with_their_parent(tmp_path, signum, count):
     script = tmp_path / "parent.py"
     script.write_text(_NAPPING_PARENT)
-    parent = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE)
+    parent = subprocess.Popen([sys.executable, str(script), str(count)], stdout=subprocess.PIPE)
     workers, out = [], b""
     try:
-        # raw reads: a buffered readline could hold the second pid where select cannot see it
-        while out.count(b"\n") < 2:
+        # raw reads: a buffered readline could hold a later pid where select cannot see it
+        while out.count(b"\n") < count:
             ready, _, _ = select.select([parent.stdout], [], [], 30)
             assert ready, f"the workers reported {out!r} within 30 s"
             chunk = os.read(parent.stdout.fileno(), 4096)
