@@ -14,9 +14,9 @@ c + 1/n goes to `chain_slope` as integers, like every later join of a chain,
 and `slopes` builds the rational value when it is read.  `FareyFrame` and
 `splitting_tunnel_slope` check their arguments; nothing is checked again.
 
-The single move is a chain's first join, so this module also owns the rules
-of one join that every chain shares: the twist count's check and parity
-(`step_sign`) and the disk pair each slope is measured against (`position_coords`).
+The single move is a chain's first join, so this module also owns the join
+rules every chain shares: `step_sign`, a twist count's check and parity,
+and `position_coords`, the disk pair each slope is measured against.
 """
 
 from __future__ import annotations
