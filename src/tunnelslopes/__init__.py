@@ -1,68 +1,54 @@
 """Exact slope and binary invariants of knot tunnels built from twisted
-splittings of torus knots, with a 2-bridge continued-fraction crosswalk."""
+splittings of torus knots, with a 2-bridge continued-fraction crosswalk.
 
-from .frames import (
-    FareyFrame,
-    HomologyClass,
-    SplitKind,
-    splitting_disk_slope,
-    splitting_tunnel_slope,
-    validate_frame,
-)
-from .iteration import (
-    EngineMismatchError,
-    SequenceKind,
-    TwistSequence,
-    assemble_invariants,
-    binary_invariants,
-    closed_form_slopes,
-    oracle_slopes,
-    position_coords,
-    step_sign,
-)
-from .slopes import (
-    SimpleSlope,
-    Slope,
-    TunnelInvariants,
-    format_rational,
-)
-from .two_bridge import (
-    CorrespondenceReport,
-    TwoBridgeFraction,
-    cf_to_twists,
-    semisimple_slopes,
-    twists_to_cf,
-    validate_cf,
-    verify_correspondence,
-)
+Names load on first use: reading one imports the submodule that owns it and
+looks it up there on every read, storing nothing here, so a rebinding shows.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrespondenceReport",
-    "EngineMismatchError",
-    "FareyFrame",
-    "HomologyClass",
-    "SequenceKind",
-    "SimpleSlope",
-    "Slope",
-    "SplitKind",
-    "TunnelInvariants",
-    "TwistSequence",
-    "TwoBridgeFraction",
-    "assemble_invariants",
-    "binary_invariants",
-    "cf_to_twists",
-    "closed_form_slopes",
-    "format_rational",
-    "oracle_slopes",
-    "position_coords",
-    "semisimple_slopes",
-    "splitting_disk_slope",
-    "splitting_tunnel_slope",
-    "step_sign",
-    "twists_to_cf",
-    "validate_cf",
-    "validate_frame",
-    "verify_correspondence",
-]
+# public name -> the submodule that defines it
+_OWNERS = {
+    "FareyFrame": "frames",
+    "HomologyClass": "frames",
+    "SplitKind": "frames",
+    "position_coords": "frames",
+    "splitting_disk_slope": "frames",
+    "splitting_tunnel_slope": "frames",
+    "step_sign": "frames",
+    "validate_frame": "frames",
+    "EngineMismatchError": "iteration",
+    "SequenceKind": "iteration",
+    "TwistSequence": "iteration",
+    "assemble_invariants": "iteration",
+    "binary_invariants": "iteration",
+    "closed_form_slopes": "iteration",
+    "oracle_slopes": "iteration",
+    "SimpleSlope": "slopes",
+    "Slope": "slopes",
+    "TunnelInvariants": "slopes",
+    "format_rational": "slopes",
+    "CorrespondenceReport": "two_bridge",
+    "TwoBridgeFraction": "two_bridge",
+    "cf_to_twists": "two_bridge",
+    "semisimple_slopes": "two_bridge",
+    "twists_to_cf": "two_bridge",
+    "validate_cf": "two_bridge",
+    "verify_correspondence": "two_bridge",
+}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _OWNERS:
+        return getattr(import_module(f"{__name__}.{_OWNERS[name]}"), name)
+    if name in _OWNERS.values():
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNERS, *_OWNERS.values()})

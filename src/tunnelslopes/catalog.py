@@ -87,9 +87,13 @@ def read_json(text: str, what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
+# built once: `json.dumps` with any argument not at its default builds a fresh encoder on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def dump_line(obj) -> str:
     """Compact JSON with a fixed key order: the one serialized form of every record."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(obj)
 
 
 def invariants_key(invariants: dict) -> str:

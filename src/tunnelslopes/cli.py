@@ -8,18 +8,14 @@ record type, rationals as "num/den", so identical invocations are
 byte-identical.  Exit codes: 0 ok, 1 a verification found a mismatch, 2
 usage error (argparse), 3 an input failed validation, 4 an internal error
 (any other exception, reported in one line).
-"""
 
-from __future__ import annotations
+Handlers load on first use: each command imports what it runs when it runs,
+so importing this module loads no other module of the package.
+"""
 
 import argparse
 import functools
 import sys
-
-from . import catalog
-from .frames import FareyFrame, SplitKind, parse_ints, splitting_tunnel_slope
-from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain
-from .two_bridge import TwoBridgeFraction, cf_to_twists, semisimple_slopes, twists_to_cf, validate_cf
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -31,10 +27,14 @@ _INT_LIST = "expected comma-separated integers"  # the message for unreadable --
 
 
 def _emit(obj: dict) -> None:
-    print(catalog.dump_line(obj))
+    from .catalog import dump_line
+
+    print(dump_line(obj))
 
 
 def _cmd_split(args) -> int:
+    from .frames import FareyFrame, SplitKind, splitting_tunnel_slope
+
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kind = SplitKind(args.kind)
     slope = splitting_tunnel_slope(frame, kind, args.n)
@@ -52,11 +52,19 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    from .catalog import descriptor_dict
+    from .frames import FareyFrame
+    from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain
+
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kind = SequenceKind(args.kind)
     twists = TwistSequence.parse(args.twists)
-    # the engine check runs here, before anything is printed
-    invariants, trace = _chain(frame, kind, twists, args.splitting_bit, args.from_trivial, args.verify, args.trace)
+    # the engine check runs here, before anything is printed: the one call a mismatch can come from
+    try:
+        invariants, trace = _chain(frame, kind, twists, args.splitting_bit, args.from_trivial, args.verify, args.trace)
+    except EngineMismatchError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if args.trace:
         for step in trace:
             _emit(
@@ -70,9 +78,7 @@ def _cmd_iterate(args) -> int:
                 }
             )
     out = {
-        "descriptor": catalog.descriptor_dict(
-            frame, kind, twists, args.splitting_bit, args.from_trivial
-        ),
+        "descriptor": descriptor_dict(frame, kind, twists, args.splitting_bit, args.from_trivial),
         "invariants": invariants.to_dict(),
     }
     if args.verify:
@@ -83,6 +89,9 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_two_bridge_slopes(args) -> int:
+    from .frames import parse_ints
+    from .two_bridge import semisimple_slopes, validate_cf
+
     cf = validate_cf(parse_ints(args.a, _INT_LIST), parse_ints(args.b, _INT_LIST))
     invariants = semisimple_slopes(cf)
     _emit(
@@ -98,6 +107,9 @@ def _cmd_two_bridge_slopes(args) -> int:
 
 
 def _cmd_two_bridge_to_twists(args) -> int:
+    from .frames import parse_ints
+    from .two_bridge import TwoBridgeFraction, cf_to_twists
+
     # the structural rules only, so the flagged turns[0] == 0 fraction `from-twists` prints maps back
     cf = TwoBridgeFraction(parse_ints(args.a, _INT_LIST), parse_ints(args.b, _INT_LIST))
     _emit({"a": list(cf.signs), "b": list(cf.turns), "twists": cf_to_twists(cf).text()})
@@ -105,6 +117,9 @@ def _cmd_two_bridge_to_twists(args) -> int:
 
 
 def _cmd_two_bridge_from_twists(args) -> int:
+    from .iteration import TwistSequence
+    from .two_bridge import twists_to_cf
+
     twists = TwistSequence.parse(args.twists)
     cf = twists_to_cf(twists)
     _emit(
@@ -130,7 +145,6 @@ def _report_grid(result, cases_key: str, failures_key: str) -> int:
 
 
 def _cmd_verify_correspondence(args) -> int:
-    # imported in the grid and enumerate commands only, so one-shot commands never load verify
     from .verify import run_correspondence_grid, worker_count
 
     result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
@@ -145,6 +159,9 @@ def _cmd_verify_oracle(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .catalog import add_chains
+    from .frames import FareyFrame
+    from .iteration import SequenceKind
     from .verify import chain_points
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
@@ -155,7 +172,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("the enumeration grid is empty; widen its bounds")
     points = chain_points([frame], kinds, args.depth, args.n_range)
     # written before any line is printed, so a catalog that cannot be written leaves stdout empty
-    lines, count, appended = catalog.add_chains(args.catalog, points, args.splitting_bit, args.from_trivial)
+    lines, count, appended = add_chains(args.catalog, points, args.splitting_bit, args.from_trivial)
     for line in lines:
         print(line)
     _emit(
@@ -170,10 +187,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .catalog import descriptor_invariants, read_json
+
     sides = []
     for raw in (args.left, args.right):
-        descriptor = catalog.read_json(raw, "descriptor is not JSON")
-        sides.append(catalog.descriptor_invariants(descriptor, bypass=args.bypass_validation))
+        descriptor = read_json(raw, "descriptor is not JSON")
+        sides.append(descriptor_invariants(descriptor, bypass=args.bypass_validation))
     (left_frame, left), (right_frame, right) = sides
     flags = sorted(set(left_frame.flags) | set(right_frame.flags))
     _emit(
@@ -196,6 +215,8 @@ def _add_bypass(parser: argparse.ArgumentParser) -> None:
 
 
 def _args_split(split: argparse.ArgumentParser) -> None:
+    from .frames import SplitKind
+
     split.add_argument("--frame", required=True, help="p,q,r,s")
     split.add_argument("--kind", required=True, choices=[k.value for k in SplitKind])
     split.add_argument("--n", required=True, type=int, help="half-twist count, nonzero")
@@ -204,6 +225,8 @@ def _args_split(split: argparse.ArgumentParser) -> None:
 
 
 def _args_iterate(iterate: argparse.ArgumentParser) -> None:
+    from .iteration import SequenceKind
+
     iterate.add_argument("--frame", required=True, help="p,q,r,s")
     iterate.add_argument("--kind", required=True, choices=[k.value for k in SequenceKind])
     iterate.add_argument("--twists", required=True, help="comma-separated nonzero counts")
@@ -245,6 +268,8 @@ def _args_verify_oracle(oracle: argparse.ArgumentParser) -> None:
 
 
 def _args_enumerate(enum: argparse.ArgumentParser) -> None:
+    from .iteration import SequenceKind
+
     enum.add_argument("--catalog", required=True, help="JSON-lines catalog path, appended to")
     enum.add_argument("--frame", required=True, help="p,q,r,s")
     enum.add_argument("--kind", action="append", choices=[k.value for k in SequenceKind],
@@ -321,13 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except EngineMismatchError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except Exception as exc:  # a bug, never a mismatch: keep exit 1 for real mismatches
+    except Exception as exc:  # a bug, even an engine mismatch outside `_cmd_iterate`: exit 1 means a real mismatch
         message = str(exc).replace("\n", " ")
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -67,9 +67,7 @@ class TwistSequence(Frozen):
         if not entries:
             raise ValueError("a twist sequence has at least one entry")
         for n in entries:
-            # type(...) is int also rejects True, which would print as "True" and never parse back
-            if type(n) is not int or n == 0:
-                raise ValueError(f"twist counts must be nonzero integers, got {n!r}")
+            step_sign(n)  # the twist-count rule; it refuses True, which would print as "True" and never parse back
         _set(self, "entries", entries)
 
     def __len__(self) -> int:

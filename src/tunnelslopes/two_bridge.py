@@ -17,12 +17,13 @@ sequence is checked by `TwistSequence` when `twists_to_cf` reads it.  What
 is built from those checked values skips the checks: `twists_to_cf` builds
 its fraction, `cf_to_twists` its twist sequence and `semisimple_slopes` its
 invariants through `Frozen._trusted`, one value per slot.  `cf_to_twists`
-keeps the one check that a valid fraction can fail, a leading count of 0.
+keeps the one check that a valid fraction can fail, a leading count of 0,
+which `step_sign` refuses.
 """
 
 from __future__ import annotations
 
-from .frames import SplitKind, validate_frame
+from .frames import SplitKind, step_sign, validate_frame
 from .iteration import (
     SequenceKind,
     TwistSequence,
@@ -136,8 +137,7 @@ def cf_to_twists(cf: TwoBridgeFraction) -> TwistSequence:
     """
     lead = 2 * cf.turns[0] + _offset(-1, cf.signs[0])
     # the step twists were checked nonzero with the fraction; the lead is 0 for turns[0] == 0 under sign +1
-    if lead == 0:
-        raise ValueError("twist counts must be nonzero integers, got 0")
+    step_sign(lead)
     return TwistSequence._trusted((lead, *cf.step_twists()))
 
 

@@ -252,6 +252,22 @@ TWIN_POINTS = [
 ]
 
 
+def test_dump_line_writes_what_json_dumps_writes(tmp_path):
+    # the kept encoder against a fresh `json.dumps` per record: catalog lines, `iterate --trace`
+    # records, and `split` records, whose coordinate tags are not ASCII
+    path = tmp_path / "catalog.jsonl"
+    _, enumerated, _ = _main("enumerate", "--catalog", str(path), "--frame", "2,3,1,2", "--depth", "2",
+                             "--n-range", "1")
+    _, traced, _ = _main("iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-mixed-tau", "--twists", "2,3,-1",
+                         "--trace", "--verify")
+    _, split, _ = _main("split", "--frame", "2,3,1,2", "--kind", "lift-rho", "--n", "2")
+    records = [json.loads(line) for line in (*path.read_text(encoding="utf-8").splitlines(), *traced.splitlines(),
+                                             *enumerated.splitlines(), *split.splitlines())]
+    assert len(records) > 30 and any("k" in record for record in records) and "λ" in split
+    for record in records:
+        assert dump_line(record) == json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+
+
 def test_add_chains_keeps_the_first_point_of_each_key(tmp_path):
     for n, points in enumerate([TWIN_POINTS, TWIN_POINTS[::-1]]):
         path = tmp_path / f"catalog{n}.jsonl"

@@ -21,7 +21,7 @@ from tunnelslopes import (
     validate_frame,
 )
 from tunnelslopes.catalog import load_entries, recompute_invariants
-from tunnelslopes import cli, iteration, two_bridge, verify
+from tunnelslopes import catalog, cli, frames, iteration, two_bridge, verify
 from tunnelslopes.cli import main
 
 REPLAY_PATH = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
@@ -165,7 +165,7 @@ def test_to_twists_without_preimage_exits_3(capsys):
 def test_to_twists_zero_leading_count_names_the_count(capsys, a, b):
     # the one check `cf_to_twists` keeps: the fraction itself is valid, its leading count is 0
     code, out, err = run_cli(capsys, "two-bridge", "to-twists", f"--a={a}", f"--b={b}")
-    assert (code, out, err) == (3, "", "error: twist counts must be nonzero integers, got 0\n")
+    assert (code, out, err) == (3, "", "error: twist count must be nonzero\n")
 
 
 def test_two_bridge_rejects_zero_leading_turn(capsys):
@@ -553,11 +553,23 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def broken(*args):
         raise KeyError("lost")
 
-    # a name `_cmd_split` looks up when it runs: the kept parser holds `_cmd_split` itself
-    monkeypatch.setattr(cli, "splitting_tunnel_slope", broken)
+    # a name `_cmd_split` imports when it runs: the kept parser holds `_cmd_split` itself
+    monkeypatch.setattr(frames, "splitting_tunnel_slope", broken)
     code, out, err = run_cli(capsys, "split", "--frame", "2,3,1,2", "--kind", "drop-rho", "--n", "1")
     assert (code, out) == (cli.EXIT_INTERNAL, "") and cli.EXIT_INTERNAL == 4
     assert err == "internal error: KeyError: 'lost'\n"
+
+
+def test_engine_mismatch_outside_iterate_is_a_bug(capsys, monkeypatch):
+    # exit 1 is `iterate --verify`'s alone: `compare` never checks the engines, so a mismatch there is a bug
+    def broken(*args, **kwargs):
+        raise iteration.EngineMismatchError("engines disagree")
+
+    monkeypatch.setattr(catalog, "assemble_invariants", broken)
+    descriptor = '{"frame":"2,3,1,2","kind":"drop-rho-pure","twists":"2,1"}'
+    code, out, err = run_cli(capsys, "compare", "--left", descriptor, "--right", descriptor)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal error: EngineMismatchError: engines disagree\n"
 
 
 def test_zero_division_is_a_bug_not_bad_input(capsys, monkeypatch):
@@ -565,7 +577,7 @@ def test_zero_division_is_a_bug_not_bad_input(capsys, monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(cli, "semisimple_slopes", broken)
+    monkeypatch.setattr(two_bridge, "semisimple_slopes", broken)
     code, out, err = run_cli(capsys, "two-bridge", "slopes", "--a", "1", "--b", "1")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err == "internal error: ZeroDivisionError: division by zero\n"
@@ -645,7 +657,7 @@ def test_one_shot_command_never_loads_the_process_pool():
     split_line, modules_line = proc.stdout.splitlines()
     assert json.loads(split_line)["slope"] == "37/2"
     code, loaded = json.loads(modules_line)
-    assert code == 0 and "tunnelslopes.two_bridge" in loaded
+    assert code == 0 and "tunnelslopes.frames" in loaded
     assert "tunnelslopes.verify" not in loaded
     assert [name for name in loaded if name.startswith(("concurrent.futures", "multiprocessing"))] == []
     # nor `dataclasses` and the `inspect` it pulls in: the value classes are written by hand

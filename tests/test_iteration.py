@@ -113,7 +113,7 @@ def test_twist_sequence_validation():
 def test_twist_sequence_rejects_bools():
     # True == 1 as an int, but it printed as "True,2", which parse cannot read back
     for entries in ((True, 2), (2, False)):
-        with pytest.raises(ValueError, match="nonzero integers"):
+        with pytest.raises(ValueError, match="^twist count must be an integer, got (True|False)$"):
             TwistSequence(entries)
     with pytest.raises(ValueError, match="nonzero integers"):
         TwistSequence.parse("True,2")

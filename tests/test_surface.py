@@ -1,10 +1,13 @@
-"""The package's public names, the signatures of the constructors that have a
-private twin, the aliases that no module but `slopes` may name, where a
-`Fraction` may be built, and the one module that owns each input rule."""
+"""The package's public names and the modules they load, the signatures of
+the constructors that have a private twin, the aliases that no module but
+`slopes` may name, where a `Fraction` may be built, and the one module that
+owns each input rule."""
 
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,6 +151,12 @@ def test_each_twist_count_message_is_written_once(text):
     assert {name: count for name, count in counts.items() if count} == {"frames.py": 1}
 
 
+def test_no_module_writes_a_twist_count_message_of_its_own():
+    # the wording `TwistSequence` and `cf_to_twists` used before both checked through `step_sign`
+    assert [path.name for path in PACKAGE.glob("*.py") if "twist counts must be nonzero integers" in
+            path.read_text(encoding="utf-8")] == []
+
+
 def test_only_frames_names_the_disk_pair_tags():
     tags = {"RHO_COORDS", "LAMBDA_COORDS", "TAU_COORDS"}
     naming = {name for name, tree in _trees().items() if _names(tree) & tags}
@@ -167,3 +176,58 @@ def test_slopes_owns_the_slope_text_shapes():
 def test_iteration_takes_the_join_rules_from_frames():
     assert iteration.step_sign is frames.step_sign is tunnelslopes.step_sign
     assert iteration.position_coords is frames.position_coords is tunnelslopes.position_coords
+
+
+def _loaded_by(code: str) -> list[str]:
+    """The `tunnelslopes` modules a fresh interpreter holds after running `code`."""
+    script = f"import sys\n{code}\nprint(*sorted(name for name in sys.modules if name.startswith('tunnelslopes')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _loaded_by("import tunnelslopes") == ["tunnelslopes"]
+
+
+def test_importing_the_cli_loads_no_other_module_of_the_package():
+    assert _loaded_by("import tunnelslopes.cli") == ["tunnelslopes", "tunnelslopes.cli"]
+
+
+def test_split_loads_neither_the_two_bridge_tools_nor_the_grids():
+    loaded = _loaded_by("from tunnelslopes.cli import main\nmain(['split', '--frame', '2,3,1,2', '--kind', "
+                        "'lift-rho', '--n', '2'])")
+    assert "tunnelslopes.frames" in loaded
+    assert "tunnelslopes.two_bridge" not in loaded and "tunnelslopes.verify" not in loaded
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_public_name_is_its_modules_object_and_is_not_kept(name):
+    value = getattr(tunnelslopes, name)
+    assert value is getattr(sys.modules[value.__module__], name)
+    assert value.__module__.rsplit(".", 1)[-1] in {"frames", "iteration", "slopes", "two_bridge"}
+    # looked up afresh on every read: a copy kept here would outlive a rebinding in its module
+    assert name not in vars(tunnelslopes)
+
+
+def test_a_name_rebound_in_its_module_reads_rebound(monkeypatch):
+    original = iteration.oracle_slopes
+    monkeypatch.setattr(iteration, "oracle_slopes", patched := lambda *args: None)
+    assert tunnelslopes.oracle_slopes is patched
+    from tunnelslopes import oracle_slopes
+
+    assert oracle_slopes is patched
+    monkeypatch.undo()
+    assert tunnelslopes.oracle_slopes is original
+
+
+def test_the_lazy_surface_lists_and_refuses_as_before():
+    namespace = {}
+    exec("from tunnelslopes import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC
+    assert set(PUBLIC) | {"frames", "iteration", "slopes", "two_bridge", "__version__"} <= set(dir(tunnelslopes))
+    assert tunnelslopes.two_bridge is sys.modules["tunnelslopes.two_bridge"]
+    # an unknown name, a private one and a name that left the API all stay unknown
+    for name in ("no_such_name", "_chain", "slope_to_simple"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(tunnelslopes, name)
