@@ -4,11 +4,11 @@ One line per entry: a descriptor (enough to recompute everything), the
 invariants it produced, warning flags, and a schema version.  Deduplication
 keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
-differ are never merged; `add_chains` dedups a run of chain points.
-`dump_line` writes that serialization and every other JSON line the package
-prints or stores.  A line in the exact form `enumerate` writes is read by one
-regular expression; any other line goes through `json`, with the same
-entries and the same error messages as if every line did.
+differ are never merged.  `add_chains` dedups the points `verify.chain_walk`
+grows, each its prefix plus one join.  `dump_line` writes that serialization
+and every other JSON line the package prints or stores.  A line in the exact
+form `enumerate` writes is read by one regular expression; any other line
+goes through `json`, with the same entries and errors as if every line did.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ def append_lines(path, lines) -> None:
         handle.write(data)
 
 
-def add_chains(path, points, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
-    """Catalog the chains at `points`, (FareyFrame, SequenceKind, TwistSequence) triples.
+def add_chains(path, chains, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
+    """Catalog `chains`, (FareyFrame, SequenceKind, TwistSequence, invariants dict) points of `verify.chain_walk`.
 
     The file is read before the first point is computed; the first point of
     each key gives its line, and the lines the file lacks go in one append.
@@ -298,8 +298,7 @@ def add_chains(path, points, splitting_bit: int, from_trivial: bool) -> tuple[li
     known = load_keys(path)
     unique: dict[str, str] = {}  # dedup key -> entry line
     count = 0
-    for count, (frame, kind, twists) in enumerate(points, start=1):
-        invariants = assemble_invariants(frame, kind, twists, splitting_bit, from_trivial).to_dict()
+    for count, (frame, kind, twists, invariants) in enumerate(chains, start=1):
         key = invariants_key(invariants)
         if key not in unique:
             descriptor = descriptor_dict(frame, kind, twists, splitting_bit, from_trivial)

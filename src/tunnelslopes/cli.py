@@ -161,8 +161,8 @@ def _cmd_verify_oracle(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .catalog import add_chains
     from .frames import FareyFrame
-    from .iteration import SequenceKind
-    from .verify import chain_points
+    from .iteration import SequenceKind, check_trivial_frame
+    from .verify import chain_walk
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     # a repeated --kind counts once, in the order first given
@@ -170,9 +170,10 @@ def _cmd_enumerate(args) -> int:
     # checked before the catalog is loaded or written, as the verify grids check theirs
     if args.depth < 1 or args.n_range < 1:
         raise ValueError("the enumeration grid is empty; widen its bounds")
-    points = chain_points([frame], kinds, args.depth, args.n_range)
+    check_trivial_frame(frame, args.from_trivial)
+    chains = chain_walk(frame, kinds, args.depth, args.n_range, args.splitting_bit, args.from_trivial)
     # written before any line is printed, so a catalog that cannot be written leaves stdout empty
-    lines, count, appended = add_chains(args.catalog, points, args.splitting_bit, args.from_trivial)
+    lines, count, appended = add_chains(args.catalog, chains, args.splitting_bit, args.from_trivial)
     for line in lines:
         print(line)
     _emit(

@@ -68,7 +68,7 @@ class HomologyClass(Frozen):
     def __rmul__(self, k: int) -> "HomologyClass":
         return HomologyClass(k * self.ell, k * self.m)
 
-    # perfbench pin (spans.py): delete after ROADMAP item 1 PR B
+    # perfbench pin (spans.py): delete after ROADMAP item 2
     def __neg__(self) -> "HomologyClass":
         return HomologyClass(-self.ell, -self.m)
 

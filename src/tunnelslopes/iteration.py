@@ -4,11 +4,10 @@ A chain starts with one of the four splitting moves and then keeps joining
 fresh copies of a fixed knot, one join per entry of its twist sequence.  Two
 independent engines compute the slope sequence:
 
-* `closed_form_slopes` orients the frame for the initial move, fixes one
-  coefficient pair (A, B) for the chain, pure or mixed, and reads entry k's
-  integer part as the linear form A*mult_k + B*sign_k, where (mult_k,
-  sign_k) come from two small integer recursions over the parities of the
-  twist counts;
+* `closed_form_slopes` reads entry k's integer part as the linear form
+  A*mult_k + B*sign_k, with (A, B) fixed per chain (`chain_coefficients`)
+  and (mult_k, sign_k) one `join_step` on from the join before; `enumerate`
+  extends each chain from its prefix by the same two rules, one join each;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
   linking number; one placement rule, fixed for the chain, says which
@@ -28,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frames import FareyFrame, SplitKind, parse_ints, position_coords, step_sign
-from .slopes import Frozen, Slope, TunnelInvariants, _set, chain_slope, pair_class
+from .slopes import Frozen, SimpleSlope, Slope, TunnelInvariants, _set, chain_slope, pair_class
 
 
 class SequenceKind(Enum):
@@ -94,7 +93,7 @@ def as_twists(twists) -> TwistSequence:
     return TwistSequence(tuple(twists))
 
 
-@lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 1 PR B
+@lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 2
 def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The (mult, sign) pair of each join: the variables of the closed form's linear form.
 
@@ -112,10 +111,14 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """
     pairs = [(1, 1)]
     for n in entries[:-1]:
-        mult, sign = pairs[-1]
-        e = step_sign(n)
-        pairs.append((1 + e * mult, e * sign))
+        pairs.append(join_step(*pairs[-1], n))
     return tuple(pairs)
+
+
+def join_step(mult: int, sign: int, n: int) -> tuple[int, int]:
+    """The (mult, sign) pair of the join after one with n half-twists and pair (mult, sign)."""
+    e = step_sign(n)
+    return 1 + e * mult, e * sign
 
 
 # The tags of the longest chain seen so far, one list per first tag, indexed by
@@ -130,6 +133,18 @@ def _position_tags(length: int, initial: SplitKind) -> list[str]:
     if len(tags) < length:
         tags = _tag_lists[initial.splits_rho] = [position_coords(k, initial) for k in range(length)]
     return tags
+
+
+def chain_coefficients(frame: FareyFrame, kind: SequenceKind) -> tuple[int, int]:
+    """The chain's coefficient pair (A, B); see `closed_form_slopes`."""
+    initial = kind.initial_split
+    peeled, kept = (frame.p, frame.q), (frame.r, frame.s)
+    if not initial.splits_rho:
+        peeled, kept = kept, peeled
+    if not initial.drops:
+        peeled, kept = peeled[::-1], kept[::-1]
+    (a, b), (c, d) = peeled, kept
+    return (2 * (a + c) * (b + d), -2 * c * (b + d)) if kind.mixed else (2 * a * b, 2 * a * d)
 
 
 def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Slope]:
@@ -149,16 +164,9 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
     (1, 1), so entry 0 always agrees with the initial move's own slope.
     """
     t = as_twists(twists)
-    initial = kind.initial_split
-    peeled, kept = (frame.p, frame.q), (frame.r, frame.s)
-    if not initial.splits_rho:
-        peeled, kept = kept, peeled
-    if not initial.drops:
-        peeled, kept = peeled[::-1], kept[::-1]
-    (a, b), (c, d) = peeled, kept
-    A, B = (2 * (a + c) * (b + d), -2 * c * (b + d)) if kind.mixed else (2 * a * b, 2 * a * d)
+    A, B = chain_coefficients(frame, kind)
     out = []
-    tags = _position_tags(len(t.entries), initial)
+    tags = _position_tags(len(t.entries), kind.initial_split)
     for (mult, sgn), n, coords in zip(_cached_tables(t.entries), t.entries, tags):
         out.append(chain_slope(A * mult + B * sgn, n, coords))
     return out
@@ -242,16 +250,23 @@ class EngineMismatchError(RuntimeError):
     """The closed-form and step-by-step engines disagreed; this is an internal bug."""
 
 
-TRIVIAL_FRAMES = ((1, 0, 0, 1), (-1, 0, 0, -1))
+def check_trivial_frame(frame: FareyFrame, from_trivial: bool) -> None:
+    """Refuse a non-bool `from_trivial`, and a chain out of the trivial knot on a frame other than +-identity."""
+    if type(from_trivial) is not bool:
+        raise ValueError(f"from_trivial must be True or False, got {from_trivial!r}")
+    if from_trivial and (frame.p, frame.q, frame.r, frame.s) not in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+        raise ValueError("a chain out of the trivial knot needs the identity frame, up to sign")
+
+
+def lead_invariant(lead: Slope, from_trivial: bool) -> Slope | SimpleSlope:
+    """The first invariant: the lead slope, or out of the trivial knot its reciprocal's mod-1 class."""
+    return pair_class(lead.den, lead.num) if from_trivial else lead
 
 
 def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False):
     """Invariants and, if asked, the oracle's trace; `trace` alone skips the check, so a mismatch can be read."""
     t = as_twists(twists)
-    if type(from_trivial) is not bool:
-        raise ValueError(f"from_trivial must be True or False, got {from_trivial!r}")
-    if from_trivial and (frame.p, frame.q, frame.r, frame.s) not in TRIVIAL_FRAMES:
-        raise ValueError("a chain out of the trivial knot needs the identity frame, up to sign")
+    check_trivial_frame(frame, from_trivial)
     slopes = closed_form_slopes(frame, kind, t)
     steps = ()
     if verify or trace:
@@ -261,10 +276,8 @@ def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False
                 f"engines disagree for frame {frame.text()}, kind {kind.value}, twists {t.text()}"
             )
     bits = binary_invariants(kind, len(t), splitting_bit)
-    # the reciprocal's mod-1 class, read off the lead slope's integer pair
-    first = pair_class(slopes[0].den, slopes[0].num) if from_trivial else slopes[0]
     # every part was built here from checked values: one bit per slope, shaped by `binary_invariants`
-    return TunnelInvariants._trusted(first, tuple(slopes[1:]), tuple(bits)), steps
+    return TunnelInvariants._trusted(lead_invariant(slopes[0], from_trivial), tuple(slopes[1:]), tuple(bits)), steps
 
 
 def assemble_invariants(

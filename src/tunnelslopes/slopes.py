@@ -185,10 +185,10 @@ class SimpleSlope(Frozen):
         return f"[{format_rational(self.representative)}]"
 
 
-simple_class = SimpleSlope  # perfbench pin (test_perfbench.py): delete after ROADMAP item 1 PR B
+simple_class = SimpleSlope  # perfbench pin (test_perfbench.py): delete after ROADMAP item 2
 
 
-# perfbench pin (spans.py): delete after ROADMAP item 1 PR B
+# perfbench pin (spans.py): delete after ROADMAP item 2
 def slope_to_simple(x) -> SimpleSlope:
     """Mod-1 class of the reciprocal of a nonzero slope.
 
@@ -260,6 +260,6 @@ class TunnelInvariants(Frozen):
         }
 
 
-# perfbench pin (spans.py): delete after ROADMAP item 1 PR B
+# perfbench pin (spans.py): delete after ROADMAP item 2
 def invariants_equal(a: TunnelInvariants, b: TunnelInvariants) -> bool:
     return a == b

@@ -8,9 +8,9 @@ this suite; these checks make the suite fail instead.
 The benchmark's own tests also assert three behaviours of the package: the
 sign-table cache takes hits, the correspondence check reaches
 `semisimple_slopes` through the module global, and every workload builds
-at least one `Fraction`.  The checks for them here follow ROADMAP item 1
-PR B, which replaces those probes with metrics that name no internals;
-they change or go when it lands.  So does the check that the three
+at least one `Fraction`.  The checks for them here follow ROADMAP item 2,
+which replaces those probes with metrics that name no internals; they
+change or go when it lands.  So does the check that the three
 `slopes` aliases kept only for the benchmark still do what their
 replacements do.
 """
@@ -82,9 +82,9 @@ def test_bridge_invariant_is_a_two_bridge_global():
 
 
 def test_catalog_layers_are_catalog_globals():
-    # the benchmark spans these calls inside `enumerate`, and reads its unique ratio from two of them
+    # the benchmark spans these calls inside `enumerate`, and none inside `verify.chain_walk`, which makes the points
     names = catalog.add_chains.__code__.co_names
-    for name in ("assemble_invariants", "invariants_key", "entry_dict", "dump_line", "append_lines"):
+    for name in ("invariants_key", "entry_dict", "dump_line", "append_lines"):
         assert name in names, name
 
 

@@ -252,6 +252,11 @@ TWIN_POINTS = [
 ]
 
 
+def _chains(points, splitting_bit=0):
+    """`add_chains`' input as `verify.chain_walk` yields it: each point with its invariants dict."""
+    return [(*point, assemble_invariants(*point, splitting_bit).to_dict()) for point in points]
+
+
 def test_dump_line_writes_what_json_dumps_writes(tmp_path):
     # the kept encoder against a fresh `json.dumps` per record: catalog lines, `iterate --trace`
     # records, and `split` records, whose coordinate tags are not ASCII
@@ -271,7 +276,7 @@ def test_dump_line_writes_what_json_dumps_writes(tmp_path):
 def test_add_chains_keeps_the_first_point_of_each_key(tmp_path):
     for n, points in enumerate([TWIN_POINTS, TWIN_POINTS[::-1]]):
         path = tmp_path / f"catalog{n}.jsonl"
-        lines, count, appended = catalog.add_chains(path, iter(points), 0, False)
+        lines, count, appended = catalog.add_chains(path, iter(_chains(points)), 0, False)
         assert (count, appended) == (2, 1)
         assert [json.loads(line)["descriptor"]["frame"] for line in lines] == [points[0][0].text()]
         assert path.read_text(encoding="utf-8") == lines[0] + "\n"
@@ -280,12 +285,12 @@ def test_add_chains_keeps_the_first_point_of_each_key(tmp_path):
 def test_add_chains_appends_only_keys_the_file_lacks(tmp_path):
     path = tmp_path / "catalog.jsonl"
     old, new = (FRAME, KIND, TwistSequence((1,))), (FRAME, KIND, TwistSequence((2, 1)))
-    (stored,), _, _ = catalog.add_chains(path, [old], 1, False)
-    lines, count, appended = catalog.add_chains(path, [new, old], 1, False)
+    (stored,), _, _ = catalog.add_chains(path, _chains([old], 1), 1, False)
+    lines, count, appended = catalog.add_chains(path, _chains([new, old], 1), 1, False)
     assert (count, appended) == (2, 1)
     assert lines[1] == stored
     assert path.read_text(encoding="utf-8").splitlines() == [stored, lines[0]]
-    assert catalog.add_chains(path, [old, new], 1, False) == ([stored, lines[0]], 2, 0)
+    assert catalog.add_chains(path, _chains([old, new], 1), 1, False) == ([stored, lines[0]], 2, 0)
 
 
 def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path, monkeypatch):
@@ -298,7 +303,7 @@ def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path, monkeypatch):
 
     monkeypatch.setattr(catalog, "entry_dict", counting_entry_dict)
     points = TWIN_POINTS + [(FRAME, KIND, TwistSequence((1,)))] + TWIN_POINTS
-    lines, count, _ = catalog.add_chains(tmp_path / "catalog.jsonl", points, 0, False)
+    lines, count, _ = catalog.add_chains(tmp_path / "catalog.jsonl", _chains(points), 0, False)
     assert (count, len(lines), len(built)) == (5, 2, 2)
 
 
@@ -309,7 +314,7 @@ def test_add_chains_reads_the_catalog_before_the_first_point(tmp_path):
 
     def points():
         advanced.append(True)
-        yield from TWIN_POINTS
+        yield from _chains(TWIN_POINTS)
 
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
         catalog.add_chains(path, points(), 0, False)

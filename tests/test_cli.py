@@ -118,6 +118,16 @@ def test_iterate_from_trivial_rejects_other_frames(capsys):
     assert "identity frame" in err
 
 
+def test_enumerate_from_trivial_refuses_the_frame_before_reading_the_catalog(tmp_path, capsys):
+    # the frame rule is checked once, before the catalog is read, so a malformed line's `path:lineno:` loses
+    path = tmp_path / "catalog.jsonl"
+    path.write_bytes(b'{"schema_version":1}\nnot json\n')
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), "--frame", "2,3,1,2", "--from-trivial")
+    assert (code, out) == (3, "")
+    assert err == "error: a chain out of the trivial knot needs the identity frame, up to sign\n"
+    assert path.read_bytes() == b'{"schema_version":1}\nnot json\n'
+
+
 def test_two_bridge_slopes(capsys):
     code, out, _ = run_cli(capsys, "two-bridge", "slopes", "--a", "1,1", "--b", "1,1")
     assert code == 0
