@@ -111,14 +111,14 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """
     pairs = [(1, 1)]
     for n in entries[:-1]:
-        pairs.append(join_step(*pairs[-1], n))
+        pairs.append(join_step(pairs[-1], n))
     return tuple(pairs)
 
 
-def join_step(mult: int, sign: int, n: int) -> tuple[int, int]:
-    """The (mult, sign) pair of the join after one with n half-twists and pair (mult, sign)."""
+def join_step(pair: tuple[int, int], n: int) -> tuple[int, int]:
+    """The next join's (mult, sign) after one with n half-twists and `pair`, taken whole: `*`-spread calls are slow."""
     e = step_sign(n)
-    return 1 + e * mult, e * sign
+    return 1 + e * pair[0], e * pair[1]
 
 
 # The tags of the longest chain seen so far, one list per first tag, indexed by

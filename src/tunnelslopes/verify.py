@@ -120,16 +120,16 @@ def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, fro
             tag, bits = position_coords(length - 1, kind.initial_split), binary_invariants(kind, length, splitting_bit)
             level, prefixes = prefixes[::-1], []
             while level:  # a prefix goes once extended, so the states held never outnumber one level's points
-                head, first, rest, (mult, sign) = level.pop()
+                head, first, rest, pair = level.pop()
                 for n in opts:
-                    slope = chain_slope(A * mult + B * sign, n, tag)
+                    slope = chain_slope(A * pair[0] + B * pair[1], n, tag)
                     if first is None:
                         tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
                     else:
                         tw, text, texts = head + (n,), first, rest + (slope.text(),)
                     yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": [*bits]}
                     if length < max_len:
-                        prefixes.append((tw, text, texts, join_step(mult, sign, n)))
+                        prefixes.append((tw, text, texts, join_step(pair, n)))
 
 
 def _sign_slices(max_depth: int, turn_bound: int) -> list[tuple[tuple[int, ...], int]]:

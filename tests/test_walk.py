@@ -110,7 +110,7 @@ def test_a_fault_in_a_shared_rule_reaches_enumerate_and_the_oracle_grid(tmp_path
     # the walk and the closed form read one rule each, so the oracle grid guards the walk too
     original = getattr(iteration, rule)
     faults = {
-        "join_step": lambda mult, sign, n: original(mult, -sign, n),
+        "join_step": lambda pair, n: original((pair[0], -pair[1]), n),
         "chain_coefficients": lambda frame, kind: (original(frame, kind)[0], original(frame, kind)[1] + 2),
     }
     clean = _enumerated(tmp_path, capsys, "clean.jsonl")
@@ -139,8 +139,8 @@ def test_the_walk_holds_at_most_one_level_of_one_grid(monkeypatch):
     def let_go():
         held[0] -= 1
 
-    def tracked(mult, sign, n):
-        pair = _Pair(original(mult, sign, n))
+    def tracked(pair, n):
+        pair = _Pair(original(pair, n))
         held[0] += 1
         weakref.finalize(pair, let_go)
         return pair
@@ -148,9 +148,9 @@ def test_the_walk_holds_at_most_one_level_of_one_grid(monkeypatch):
     monkeypatch.setattr(iteration, "join_step", tracked)
     kinds = [SequenceKind.DROP_RHO_PURE, SequenceKind.LIFT_LAMBDA_MIXED_TAU]
     seen = [(kind, len(twists), held[0]) for _, kind, twists, _ in chain_walk(FRAME, kinds, 4, 2, 0, False)]
-    # the grid's levels have 4, 16, 64 and 256 points, and the last is never kept; a count is taken as a
-    # point is yielded, before its own prefix is kept, so the 64 of level 3 read 63 at most
-    assert max(count for _, _, count in seen) == 4**3 - 1
+    # the grid's levels have 4, 16, 64 and 256 points, and the last is never kept; the prefix being
+    # extended counts too, so at most one level's 64 are held
+    assert max(count for _, _, count in seen) == 4**3
     firsts = [count for index, (kind, length, count) in enumerate(seen) if index == 0 or seen[index - 1][0] != kind]
     assert firsts == [0, 0]
     assert len(seen) == 2 * (4 + 16 + 64 + 256)
