@@ -4,7 +4,7 @@ One line per entry: a descriptor (enough to recompute everything), the
 invariants it produced, warning flags, and a schema version.  Deduplication
 keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
-differ are never merged.  `add_chains` dedups the points `verify.chain_walk`
+differ are never merged.  `add_chains` dedups the points `iteration.chain_walk`
 grows, each its prefix plus one join.  `dump_line` writes that serialization
 and every other JSON line the package prints or stores.  A line in the exact
 form `enumerate` writes is read by one regular expression; any other line
@@ -289,7 +289,7 @@ def append_lines(path, lines) -> None:
 
 
 def add_chains(path, chains, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
-    """Catalog `chains`, (FareyFrame, SequenceKind, TwistSequence, invariants dict) points of `verify.chain_walk`.
+    """Catalog `chains`, (FareyFrame, SequenceKind, TwistSequence, invariants dict) points of `iteration.chain_walk`.
 
     The file is read before the first point is computed; the first point of
     each key gives its line, and the lines the file lacks go in one append.

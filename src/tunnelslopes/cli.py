@@ -2,12 +2,13 @@
 
 Single computations, verification grids, enumeration into a catalog, and
 invariant comparison.  This module only parses arguments and prints: the
-engine check comes from `iteration`, the grids from `verify` and the catalog
-dedup from `catalog`.  All output is JSON lines with a fixed key order per
-record type, rationals as "num/den", so identical invocations are
-byte-identical.  Exit codes: 0 ok, 1 a verification found a mismatch, 2
-usage error (argparse), 3 an input failed validation, 4 an internal error
-(any other exception, reported in one line).
+engine check and the `enumerate` walk come from `iteration`, the grids from
+`verify` and the catalog dedup from `catalog`.  All output is JSON lines
+with a fixed key order per record type, rationals as "num/den", so identical
+invocations are byte-identical.  Exit codes: 0 ok, 1 a verification found a
+mismatch, 2 usage error (argparse), 3 an input failed validation, 4 an
+internal error (any other exception, reported in one line), 141 (128 +
+SIGPIPE) the reader closed stdout early, with nothing on stderr.
 
 Handlers load on first use: each command imports what it runs when it runs,
 so importing this module loads no other module of the package.
@@ -15,6 +16,7 @@ so importing this module loads no other module of the package.
 
 import argparse
 import functools
+import os
 import sys
 
 EXIT_OK = 0
@@ -22,6 +24,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 _INT_LIST = "expected comma-separated integers"  # the message for unreadable --a and --b text
 
@@ -161,8 +164,7 @@ def _cmd_verify_oracle(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .catalog import add_chains
     from .frames import FareyFrame
-    from .iteration import SequenceKind, check_trivial_frame
-    from .verify import chain_walk
+    from .iteration import SequenceKind, chain_walk, check_trivial_frame
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     # a repeated --kind counts once, in the order first given
@@ -346,7 +348,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit: a reader gone before the last write is met below
+        return code
+    except BrokenPipeError:  # as the Python `signal` docs advise: stdout to devnull, so no flush at exit meets the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

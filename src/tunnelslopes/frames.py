@@ -15,8 +15,9 @@ and `slopes` builds the rational value when it is read.  `FareyFrame` and
 `splitting_tunnel_slope` check their arguments; nothing is checked again.
 
 The single move is a chain's first join, so this module also owns the join
-rules every chain shares: `step_sign`, a twist count's check and parity,
-and `position_coords`, the disk pair each slope is measured against.
+rules every chain shares: `step_sign`, a twist count's check and parity;
+`position_coords`, the disk pair each slope is measured against, and
+`_position_tags`, its memo; and `_oriented_pairs`, the move's orientation.
 """
 
 from __future__ import annotations
@@ -177,6 +178,11 @@ def step_sign(n: int) -> int:
     return 1 if n % 2 else -1
 
 
+def nonzero_range(bound: int) -> tuple[int, ...]:
+    """All nonzero integers in [-bound, bound], ascending: the twist counts of a grid."""
+    return tuple(n for n in range(-bound, bound + 1) if n != 0)
+
+
 def position_coords(k: int, initial: SplitKind) -> str:
     """Coordinate tag for the k-th slope of a chain.
 
@@ -195,17 +201,38 @@ def position_coords(k: int, initial: SplitKind) -> str:
     return f"(γ^{k - 2})"
 
 
+# The tags of the longest chain seen so far, one list per first tag, indexed by
+# `initial.splits_rho`.  A longer chain swaps in a longer list and none is edited
+# in place, so a list an engine is zipping with never changes under it.
+_tag_lists = [[], []]
+
+
+def _position_tags(length: int, initial: SplitKind) -> list[str]:
+    """`position_coords(k, initial)` for k = 0 .. length - 1 at least; zip it with the slopes, never edit it."""
+    tags = _tag_lists[initial.splits_rho]
+    if len(tags) < length:
+        tags = _tag_lists[initial.splits_rho] = [position_coords(k, initial) for k in range(length)]
+    return tags
+
+
+def _oriented_pairs(frame: FareyFrame, kind: SplitKind) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The move's (peeled, kept) constituent pairs, each read (ell, m) after a drop and (m, ell) after a lift."""
+    rho, lam = (frame.p, frame.q), (frame.r, frame.s)
+    peeled, kept = (rho, lam) if kind.splits_rho else (lam, rho)
+    if not kind.drops:
+        peeled, kept = peeled[::-1], kept[::-1]
+    return peeled, kept
+
+
 def splitting_disk_slope(frame: FareyFrame, kind: SplitKind) -> Slope:
     """Slope of the splitting move's disk before any twisting, measured against a chain's first disk pair.
 
     The value is twice the linking number of the upper circle with the lower
     one after the peel: the composite knot is upper after a drop, the peeled
-    copy after a lift.
+    copy after a lift.  In the pairs of `_oriented_pairs`, that is 2*a*(b + d).
     """
-    p, q, r, s = frame.p, frame.q, frame.r, frame.s
-    ell, m = (p, q) if kind.splits_rho else (r, s)  # the peeled constituent's class
-    link = (q + s) * ell if kind.drops else m * (p + r)
-    return Slope(2 * link, position_coords(0, kind))
+    (a, b), (_, d) = _oriented_pairs(frame, kind)
+    return Slope(2 * a * (b + d), position_coords(0, kind))
 
 
 def splitting_tunnel_slope(frame: FareyFrame, kind: SplitKind, n: int) -> Slope:

@@ -6,8 +6,8 @@ independent engines compute the slope sequence:
 
 * `closed_form_slopes` reads entry k's integer part as the linear form
   A*mult_k + B*sign_k, with (A, B) fixed per chain (`chain_coefficients`)
-  and (mult_k, sign_k) one `join_step` on from the join before; `enumerate`
-  extends each chain from its prefix by the same two rules, one join each;
+  and (mult_k, sign_k) one `join_step` on from the join before; `enumerate`'s
+  `chain_walk` extends each chain from its prefix by the same two rules;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
   linking number; one placement rule, fixed for the chain, says which
@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .frames import FareyFrame, SplitKind, parse_ints, position_coords, step_sign
+from .frames import FareyFrame, SplitKind, _oriented_pairs, _position_tags, nonzero_range, parse_ints, step_sign
 from .slopes import Frozen, SimpleSlope, Slope, TunnelInvariants, _set, chain_slope, pair_class
 
 
@@ -121,39 +121,17 @@ def join_step(pair: tuple[int, int], n: int) -> tuple[int, int]:
     return 1 + e * pair[0], e * pair[1]
 
 
-# The tags of the longest chain seen so far, one list per first tag, indexed by
-# `initial.splits_rho`.  A longer chain swaps in a longer list and none is edited
-# in place, so a list an engine is zipping with never changes under it.
-_tag_lists = [[], []]
-
-
-def _position_tags(length: int, initial: SplitKind) -> list[str]:
-    """`position_coords(k, initial)` for k = 0 .. length - 1 at least; zip it with the slopes, never edit it."""
-    tags = _tag_lists[initial.splits_rho]
-    if len(tags) < length:
-        tags = _tag_lists[initial.splits_rho] = [position_coords(k, initial) for k in range(length)]
-    return tags
-
-
 def chain_coefficients(frame: FareyFrame, kind: SequenceKind) -> tuple[int, int]:
     """The chain's coefficient pair (A, B); see `closed_form_slopes`."""
-    initial = kind.initial_split
-    peeled, kept = (frame.p, frame.q), (frame.r, frame.s)
-    if not initial.splits_rho:
-        peeled, kept = kept, peeled
-    if not initial.drops:
-        peeled, kept = peeled[::-1], kept[::-1]
-    (a, b), (c, d) = peeled, kept
+    (a, b), (c, d) = _oriented_pairs(frame, kind.initial_split)
     return (2 * (a + c) * (b + d), -2 * c * (b + d)) if kind.mixed else (2 * a * b, 2 * a * d)
 
 
 def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Slope]:
     """Slope sequence of a chain: one orientation step, then one linear form.
 
-    Take (a, b) from the peeled constituent, (p, q) for a rho move and
-    (r, s) for a lambda move, and (c, d) from the kept one.  After a drop
-    each pair reads (ell, m); after a lift it reads (m, ell).  The chain
-    fixes one coefficient pair
+    With (a, b) and (c, d) the initial move's peeled and kept pairs as
+    `frames._oriented_pairs` orients them, the chain fixes one coefficient pair
 
         pure:  (A, B) = (2*a*b, 2*a*d)
         mixed: (A, B) = (2*(a + c)*(b + d), -2*c*(b + d))
@@ -278,6 +256,32 @@ def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False
     bits = binary_invariants(kind, len(t), splitting_bit)
     # every part was built here from checked values: one bit per slope, shaped by `binary_invariants`
     return TunnelInvariants._trusted(lead_invariant(slopes[0], from_trivial), tuple(slopes[1:]), tuple(bits)), steps
+
+
+def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
+    """`verify.chain_points`' points of one frame, in order, each its prefix plus one join, with its invariants.
+
+    Yields (frame, kind, twists, invariants dict), level by level.  The caller checks the frame first.
+    """
+    opts = nonzero_range(n_bound)
+    for kind in kinds:
+        A, B = chain_coefficients(frame, kind)
+        tags = _position_tags(max_len, kind.initial_split)
+        prefixes = [((), None, (), (1, 1))]  # (twists, first text, rest texts, the next join's (mult, sign))
+        for length in range(1, max_len + 1):
+            tag, bits = tags[length - 1], binary_invariants(kind, length, splitting_bit)
+            level, prefixes = prefixes[::-1], []
+            while level:  # a prefix goes once extended, so the states held never outnumber one level's points
+                head, first, rest, pair = level.pop()
+                for n in opts:
+                    slope = chain_slope(A * pair[0] + B * pair[1], n, tag)
+                    if first is None:
+                        tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
+                    else:
+                        tw, text, texts = head + (n,), first, rest + (slope.text(),)
+                    yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": [*bits]}
+                    if length < max_len:
+                        prefixes.append((tw, text, texts, join_step(pair, n)))
 
 
 def assemble_invariants(

@@ -23,14 +23,8 @@ which `step_sign` refuses.
 
 from __future__ import annotations
 
-from .frames import SplitKind, step_sign, validate_frame
-from .iteration import (
-    SequenceKind,
-    TwistSequence,
-    _position_tags,
-    as_twists,
-    assemble_invariants,
-)
+from .frames import SplitKind, _position_tags, step_sign, validate_frame
+from .iteration import SequenceKind, TwistSequence, as_twists, assemble_invariants
 from .slopes import Frozen, TunnelInvariants, _set, chain_slope, pair_class
 
 

@@ -7,11 +7,8 @@ slice and returns the slice's case count and failures, so the parent's
 memory does not grow with the grid.  Slices run in order at every worker
 count, through the mapping helper that preserves input order, which keeps
 every grid's output deterministic.  The process pool is imported on first
-parallel use, so a one-worker grid runs without it.
-
-`enumerate` walks its grid (`chain_walk`): a chain is its prefix plus one
-join, so each point extends its prefix by one `iteration.join_step` and one
-slope text, with the lines, order and dedup of computing each on its own.
+parallel use, so a one-worker grid runs without it.  `enumerate` walks
+`chain_points`' order by prefixes, in `iteration.chain_walk`.
 """
 
 from __future__ import annotations
@@ -20,9 +17,8 @@ import itertools
 import os
 from collections import namedtuple
 
-from .frames import FareyFrame, position_coords, validate_frame
+from .frames import FareyFrame, nonzero_range, validate_frame
 from .iteration import SequenceKind, TwistSequence, closed_form_slopes, oracle_slopes
-from .slopes import chain_slope
 from .two_bridge import validate_cf, verify_correspondence
 
 WORKERS_ENV = "TUNNELSLOPES_WORKERS"
@@ -84,11 +80,6 @@ def frames_in_box(bound: int) -> tuple[FareyFrame, ...]:
     return tuple(out)
 
 
-def nonzero_range(bound: int) -> tuple[int, ...]:
-    """All nonzero integers in [-bound, bound], ascending."""
-    return tuple(n for n in range(-bound, bound + 1) if n != 0)
-
-
 def twist_tuples(max_len: int, bound: int):
     """All twist sequences of length 1..max_len over the nonzero box, as tuples."""
     opts = nonzero_range(bound)
@@ -103,33 +94,6 @@ def chain_points(frames, kinds, max_len: int, n_bound: int):
             # `twist_tuples` yields only nonempty tuples of nonzero ints
             for tw in twist_tuples(max_len, n_bound):
                 yield frame, kind, TwistSequence._trusted(tw)
-
-
-def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
-    """`chain_points`' points of one frame, in order, as (frame, kind, twists, invariants dict), level by level.
-
-    The caller checks the frame first, with `iteration.check_trivial_frame`.
-    """
-    from .iteration import binary_invariants, chain_coefficients, join_step, lead_invariant  # patched ones too
-
-    opts = nonzero_range(n_bound)
-    for kind in kinds:
-        A, B = chain_coefficients(frame, kind)
-        prefixes = [((), None, (), (1, 1))]  # (twists, first text, rest texts, the next join's (mult, sign))
-        for length in range(1, max_len + 1):
-            tag, bits = position_coords(length - 1, kind.initial_split), binary_invariants(kind, length, splitting_bit)
-            level, prefixes = prefixes[::-1], []
-            while level:  # a prefix goes once extended, so the states held never outnumber one level's points
-                head, first, rest, pair = level.pop()
-                for n in opts:
-                    slope = chain_slope(A * pair[0] + B * pair[1], n, tag)
-                    if first is None:
-                        tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
-                    else:
-                        tw, text, texts = head + (n,), first, rest + (slope.text(),)
-                    yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": [*bits]}
-                    if length < max_len:
-                        prefixes.append((tw, text, texts, join_step(pair, n)))
 
 
 def _sign_slices(max_depth: int, turn_bound: int) -> list[tuple[tuple[int, ...], int]]:

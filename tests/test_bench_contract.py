@@ -82,7 +82,7 @@ def test_bridge_invariant_is_a_two_bridge_global():
 
 
 def test_catalog_layers_are_catalog_globals():
-    # the benchmark spans these calls inside `enumerate`, and none inside `verify.chain_walk`, which makes the points
+    # the benchmark spans these calls inside `enumerate`, and none inside `iteration.chain_walk`, which makes the points
     names = catalog.add_chains.__code__.co_names
     for name in ("invariants_key", "entry_dict", "dump_line", "append_lines"):
         assert name in names, name

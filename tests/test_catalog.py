@@ -253,7 +253,7 @@ TWIN_POINTS = [
 
 
 def _chains(points, splitting_bit=0):
-    """`add_chains`' input as `verify.chain_walk` yields it: each point with its invariants dict."""
+    """`add_chains`' input as `iteration.chain_walk` yields it: each point with its invariants dict."""
     return [(*point, assemble_invariants(*point, splitting_bit).to_dict()) for point in points]
 
 

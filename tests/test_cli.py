@@ -651,6 +651,41 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["slope"] == "37/2"
 
 
+def _read_then_close(argv, keep: int = 10, env=None) -> tuple[int, bytes, bytes]:
+    """Run the CLI with stdout a pipe its reader closes after `keep` bytes: exit code, bytes read, stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "tunnelslopes", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(keep) if keep else b""
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), head, err
+
+
+def test_iterate_into_a_pipe_closed_early_exits_141_and_says_nothing():
+    # 3,000 trace lines: far more than the pipe holds, so the writer meets the closed end
+    twists = ",".join(["2", "-3", "1"] * 1000)
+    argv = ["iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", f"--twists={twists}", "--trace"]
+    assert _read_then_close(argv) == (141, b'{"k":0,"c_', b"")
+
+
+def test_enumerate_into_a_pipe_closed_early_exits_141_with_its_catalog_complete(tmp_path, capsys):
+    argv = ["--frame", "2,3,1,2", "--depth", "3", "--n-range", "3"]
+    closed, full = tmp_path / "closed.jsonl", tmp_path / "full.jsonl"
+    assert _read_then_close(["enumerate", "--catalog", str(closed), *argv]) == (141, b'{"descript', b"")
+    assert main(["enumerate", "--catalog", str(full), *argv]) == 0
+    assert len(capsys.readouterr().out) > 2**18  # far more than the pipe holds
+    # the catalog is written before the first line is printed
+    assert closed.read_bytes() == full.read_bytes()
+
+
+def test_a_short_record_held_in_the_stdout_buffer_meets_the_closed_pipe_inside_main():
+    # block-buffered stdout, closed before the child writes: `main`'s own flush meets the pipe, not the one at exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = ["split", "--frame", "2,3,1,2", "--kind", "lift-rho", "--n", "2"]
+    assert _read_then_close(argv, keep=0, env=env) == (141, b"", b"")
+
+
 def test_one_shot_command_never_loads_the_process_pool():
     # modules already loaded at the start of `-c` are the bare interpreter's,
     # which a host's site .pth files may extend

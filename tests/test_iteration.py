@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tunnelslopes.frames as frames
 import tunnelslopes.iteration as iteration
 import tunnelslopes.verify as verify
 from tunnelslopes import (
@@ -24,6 +25,7 @@ from tunnelslopes import (
     oracle_slopes,
     position_coords,
     semisimple_slopes,
+    splitting_disk_slope,
     splitting_tunnel_slope,
     step_sign,
     twists_to_cf,
@@ -154,12 +156,20 @@ def test_tags_of_a_300_join_chain_in_every_engine():
     assert [s.coords for s in short] == ["(ρ,ρ⁰)", "(τ,τ⁰)", "(γ^0)"]
 
 
+def test_a_chains_first_coefficients_sum_to_its_moves_disk_slope():
+    # entry 0 of every chain is its initial move's slope: mult = sign = 1 there, so it reads A + B
+    pairs = [(frame, kind) for frame in frames_in_box(3) for kind in SequenceKind]
+    assert len(pairs) == 1856
+    for frame, kind in pairs:
+        assert splitting_disk_slope(frame, kind.initial_split).num == sum(iteration.chain_coefficients(frame, kind))
+
+
 def test_tag_memory_follows_the_longest_chain_not_the_number_of_lengths():
-    before = [len(tags) for tags in iteration._tag_lists]
+    before = [len(tags) for tags in frames._tag_lists]
     for length in range(1, 301):
         for kind in (SequenceKind.DROP_LAMBDA_PURE, SequenceKind.DROP_RHO_PURE):
             closed_form_slopes(IDENTITY, kind, [2] * length)
-    assert [len(tags) for tags in iteration._tag_lists] == [max(n, 300) for n in before]
+    assert [len(tags) for tags in frames._tag_lists] == [max(n, 300) for n in before]
 
 
 # every kind's facts, written out: (initial_split, mixed) and (drops, splits_rho)

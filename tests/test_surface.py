@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tunnelslopes
-from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction, frames, iteration
+from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction, frames, iteration, two_bridge
 from tunnelslopes.slopes import Frozen
 
 PACKAGE = Path(tunnelslopes.__file__).resolve().parent
@@ -173,9 +173,33 @@ def test_slopes_owns_the_slope_text_shapes():
     assert not {"_SLOPE_TEXT", "_FIRST_TEXT"} & assigned(trees["catalog.py"])
 
 
+def _defined_in(name: str) -> list[str]:
+    """The modules that bind `name` at top level, by `def`, `class` or assignment."""
+    return [path for path, tree in _trees().items() for node in tree.body
+            if getattr(node, "name", None) == name
+            or any(isinstance(target, ast.Name) and target.id == name for target in getattr(node, "targets", ()))]
+
+
 def test_iteration_takes_the_join_rules_from_frames():
     assert iteration.step_sign is frames.step_sign is tunnelslopes.step_sign
-    assert iteration.position_coords is frames.position_coords is tunnelslopes.position_coords
+    assert frames.position_coords is tunnelslopes.position_coords
+    # the move's orientation, the tag memo and the twist-count box each have one home, read by the chain modules
+    for name in ("_oriented_pairs", "_position_tags", "_tag_lists", "nonzero_range"):
+        assert _defined_in(name) == ["frames.py"], name
+    for name in ("_oriented_pairs", "_position_tags", "nonzero_range"):
+        assert getattr(iteration, name) is getattr(frames, name), name
+    assert two_bridge._position_tags is frames._position_tags
+    assert "_oriented_pairs" in frames.splitting_disk_slope.__code__.co_names
+    assert "_oriented_pairs" in iteration.chain_coefficients.__code__.co_names
+    assert _defined_in("chain_walk") == ["iteration.py"]
+
+
+def test_verify_holds_no_chain_rule_and_imports_no_module_of_the_package_late():
+    tree = _trees()["verify.py"]
+    assert not _names(tree) & {"chain_walk", "chain_slope", "position_coords"}
+    late = [node.lineno for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function) if isinstance(node, ast.ImportFrom) and node.level]
+    assert late == []
 
 
 def _loaded_by(code: str) -> list[str]:
@@ -198,6 +222,14 @@ def test_split_loads_neither_the_two_bridge_tools_nor_the_grids():
     loaded = _loaded_by("from tunnelslopes.cli import main\nmain(['split', '--frame', '2,3,1,2', '--kind', "
                         "'lift-rho', '--n', '2'])")
     assert "tunnelslopes.frames" in loaded
+    assert "tunnelslopes.two_bridge" not in loaded and "tunnelslopes.verify" not in loaded
+
+
+def test_enumerate_loads_neither_the_two_bridge_tools_nor_the_grids(tmp_path):
+    catalog = str(tmp_path / "catalog.jsonl")
+    loaded = _loaded_by(f"from tunnelslopes.cli import main\nassert main(['enumerate', '--catalog', {catalog!r}, "
+                        "'--frame', '2,3,1,2', '--depth', '2', '--n-range', '1']) == 0")
+    assert "tunnelslopes.iteration" in loaded and "tunnelslopes.catalog" in loaded
     assert "tunnelslopes.two_bridge" not in loaded and "tunnelslopes.verify" not in loaded
 
 

@@ -1,4 +1,4 @@
-"""The prefix walk behind `enumerate`: `verify.chain_walk` against each point computed on its own.
+"""The prefix walk behind `enumerate`: `iteration.chain_walk` against each point computed on its own.
 
 The reference is the per-point route `enumerate` took before the walk:
 `assemble_invariants(...).to_dict()` for every point of `chain_points`,
@@ -16,7 +16,8 @@ from tunnelslopes import SequenceKind, assemble_invariants, iteration, validate_
 from tunnelslopes.catalog import descriptor_dict, dump_line, entry_dict, invariants_key, load_keys
 from tunnelslopes.cli import main
 from tunnelslopes.frames import FareyFrame
-from tunnelslopes.verify import chain_points, chain_walk, frames_in_box, run_oracle_grid, twist_tuples
+from tunnelslopes.iteration import chain_walk
+from tunnelslopes.verify import chain_points, frames_in_box, run_oracle_grid, twist_tuples
 
 FRAME = validate_frame(2, 3, 1, 2)
 

@@ -24,7 +24,9 @@ median is no worse than the parent's by more than the metric's bound) and
 better by more than the parent's interquartile range).  It lists every run
 made.  The file is written even when a run fails; the exit code is then 1.
 It is 0 when every run exited 0 and reported itself correct, and 2 on a
-usage error.  Needs only the standard library and `git`.
+usage error, which includes a workload that `BENCHMARK.json` at the change
+does not list: that is found before any run.  Needs only the standard
+library and `git`.
 """
 
 from __future__ import annotations
@@ -198,7 +200,12 @@ def main(argv: list[str] | None = None) -> int:
         shas = {"parent": resolve(args.parent), "change": resolve(args.change)}
     except subprocess.CalledProcessError as exc:
         parser.error(exc.stderr.decode().strip() or "unknown revision")
-    metrics = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))["end_to_end"]
+    benchmark = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))
+    metrics = benchmark["end_to_end"]
+    known = [workload["name"] for workload in benchmark["workloads"]]
+    unknown = [name for name, _, _ in args.workload if name not in known]
+    if unknown:
+        parser.error(f"--workload names {unknown} not in BENCHMARK.json, which lists {known}")
     if args.claim and (args.claim[0] not in [name for name, _, _ in args.workload]
                        or args.claim[1] not in [metric["name"] for metric in metrics]):
         parser.error(f"--claim names a workload not run or a metric not in BENCHMARK.json: {args.claim}")

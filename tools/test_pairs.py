@@ -45,13 +45,26 @@ def test_one_oracle_grid_pair_of_head_against_itself(tmp_path):
 
 
 def test_a_failed_run_is_listed_and_exits_1(tmp_path):
+    # perfbench refuses `--seconds 0` with a usage error, so both runs of the pair fail
     out = tmp_path / "BENCH_failed.json"
     argv = [sys.executable, str(TOOL), "--parent", "HEAD", "--change", "HEAD", "--label", "failed",
-            "--workload", "no-such-workload:1:7", "--out", str(out), "--scratch", str(tmp_path)]
+            "--workload", "oracle-grid:1:7", "--seconds", "0", "--out", str(out), "--scratch", str(tmp_path)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1
-    workload = json.loads(out.read_text(encoding="utf-8"))["workloads"]["no-such-workload"]
+    workload = json.loads(out.read_text(encoding="utf-8"))["workloads"]["oracle-grid"]
     assert (workload["correct"], workload["metrics"]) == (False, {})
     (run,) = workload["runs"]
     assert run["correct"] is False and run["parent"]["error"].startswith("exit 2") and "error" in run["change"]
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path):
+    out = tmp_path / "BENCH_unknown.json"
+    argv = [sys.executable, str(TOOL), "--parent", "HEAD", "--change", "HEAD", "--label", "unknown",
+            "--workload", "oracle-grid:1:7", "--workload", "no-such-workload:1:7", "--out", str(out),
+            "--scratch", str(tmp_path)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "error: --workload names ['no-such-workload'] not in BENCHMARK.json" in proc.stderr
+    assert "pairs:" not in proc.stderr  # no run was made
+    assert list(tmp_path.iterdir()) == []  # no checkout, and no BENCH file
