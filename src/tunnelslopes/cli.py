@@ -352,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # here, not at exit: a reader gone before the last write is met below
         return code
     except BrokenPipeError:  # as the Python `signal` docs advise: stdout to devnull, so no flush at exit meets the pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
