@@ -10,24 +10,18 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _OWNERS = {
     "FareyFrame": "frames",
-    "HomologyClass": "frames",
     "SplitKind": "frames",
-    "position_coords": "frames",
-    "splitting_disk_slope": "frames",
     "splitting_tunnel_slope": "frames",
-    "step_sign": "frames",
     "validate_frame": "frames",
     "EngineMismatchError": "iteration",
     "SequenceKind": "iteration",
     "TwistSequence": "iteration",
     "assemble_invariants": "iteration",
-    "binary_invariants": "iteration",
     "closed_form_slopes": "iteration",
     "oracle_slopes": "iteration",
     "SimpleSlope": "slopes",
     "Slope": "slopes",
     "TunnelInvariants": "slopes",
-    "format_rational": "slopes",
     "CorrespondenceReport": "two_bridge",
     "TwoBridgeFraction": "two_bridge",
     "cf_to_twists": "two_bridge",
@@ -39,16 +33,19 @@ _OWNERS = {
 
 __all__ = sorted(_OWNERS)
 
+# the submodules, each imported on first read as an attribute of the package
+_MODULES = ("catalog", "cli", "frames", "iteration", "slopes", "two_bridge", "verify")
+
 
 def __getattr__(name: str):
     from importlib import import_module
 
     if name in _OWNERS:
         return getattr(import_module(f"{__name__}.{_OWNERS[name]}"), name)
-    if name in _OWNERS.values():
+    if name in _MODULES:
         return import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_OWNERS, *_OWNERS.values()})
+    return sorted({*globals(), *_OWNERS, *_MODULES})

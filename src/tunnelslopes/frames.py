@@ -113,18 +113,6 @@ class FareyFrame(Frozen):
         return (self.p, self.q, self.r, self.s)  # `checked` is bookkeeping, like a slope's coords
 
     @property
-    def rho_class(self) -> HomologyClass:
-        return HomologyClass(self.p, self.q)
-
-    @property
-    def lambda_class(self) -> HomologyClass:
-        return HomologyClass(self.r, self.s)
-
-    @property
-    def tau_class(self) -> HomologyClass:
-        return HomologyClass(self.p + self.r, self.q + self.s)
-
-    @property
     def degenerate(self) -> bool:
         """True when the composite knot is trivial or 2-bridge rather than a true torus knot."""
         return abs(self.p + self.r) <= DEGENERATE_BOUND or abs(self.q + self.s) <= DEGENERATE_BOUND

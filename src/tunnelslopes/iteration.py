@@ -26,7 +26,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .frames import FareyFrame, SplitKind, _oriented_pairs, _position_tags, nonzero_range, parse_ints, step_sign
+from .frames import (
+    FareyFrame, HomologyClass, SplitKind, _oriented_pairs, _position_tags, nonzero_range, parse_ints, step_sign,
+)
 from .slopes import Frozen, SimpleSlope, Slope, TunnelInvariants, _set, chain_slope, pair_class
 
 
@@ -184,10 +186,10 @@ def oracle_slopes(
     """
     t = as_twists(twists)
     initial = kind.initial_split
-    constituent = frame.rho_class if initial.splits_rho else frame.lambda_class
-    mixed = kind.mixed
-    accreted, prev = (frame.tau_class, constituent) if mixed else (constituent, frame.tau_class)
-    prev_upper = initial.drops != mixed
+    constituent = HomologyClass(frame.p, frame.q) if initial.splits_rho else HomologyClass(frame.r, frame.s)
+    composite = HomologyClass(frame.p + frame.r, frame.q + frame.s)
+    accreted, prev = (composite, constituent) if kind.mixed else (constituent, composite)
+    prev_upper = initial.drops != kind.mixed
     slopes: list[Slope] = []
     steps: list[TraceStep] = []
     tags = _position_tags(len(t.entries), initial)

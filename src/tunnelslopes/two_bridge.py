@@ -10,6 +10,8 @@ determines, so the two computations must always agree.
 
 The crosswalk is one rule both ways: twist count n[i] = 2*turns[i] +
 (signs[i-1] + signs[i]) // 2, the innermost pair reading a virtual -1 sign.
+Construction of a `TwoBridgeFraction` applies it forward to every count;
+`twists_to_cf` applies it back, each sign's flip or keep from `step_sign`.
 
 Validation happens at the boundary: `TwoBridgeFraction(...)` checks the
 structural rules and `validate_cf` adds the classical one, and a twist
@@ -28,23 +30,18 @@ from .iteration import SequenceKind, TwistSequence, as_twists, assemble_invarian
 from .slopes import Frozen, TunnelInvariants, _set, chain_slope, pair_class
 
 
-def _offset(prev_sign: int, sign: int) -> int:
-    """Twist count minus twice the turn: +1 or -1 for equal signs, 0 otherwise."""
-    return (prev_sign + sign) // 2
-
-
 class TwoBridgeFraction(Frozen):
     """An alternating even continued fraction, innermost pair first.
 
     Construction enforces the structural rules: equal positive lengths, signs
-    +-1, integer turns, and every derived step twist nonzero; it keeps the
-    step twists it derived.  The classical hypothesis also demands
-    turns[0] != 0; `validate_cf` adds that check, while `twists_to_cf` may
-    build the single flagged turns[0] == 0 family so that every nonzero
-    leading twist count has a preimage.
+    +-1, integer turns, and every derived step twist nonzero; it keeps every
+    twist count it derived, the leading one included.  The classical
+    hypothesis also demands turns[0] != 0; `validate_cf` adds that check,
+    while `twists_to_cf` may build the single flagged turns[0] == 0 family
+    so that every nonzero leading twist count has a preimage.
     """
 
-    __slots__ = ("signs", "turns", "_steps")
+    __slots__ = ("signs", "turns", "_twists")
     _fields = ("signs", "turns")
 
     def __init__(self, signs: tuple[int, ...], turns: tuple[int, ...]) -> None:
@@ -59,19 +56,19 @@ class TwoBridgeFraction(Frozen):
                 raise ValueError(f"sign entries must be +-1, got {sign!r} at position {i}")
             if type(turn) is not int:
                 raise ValueError(f"turn entries must be integers, got {turn!r} at position {i}")
-        steps = tuple([2 * turns[i] + _offset(signs[i - 1], signs[i]) for i in range(1, len(signs))])
-        if 0 in steps:
+        twists = tuple([2 * turn + (prev + sign) // 2 for prev, sign, turn in zip((-1, *signs), signs, turns)])
+        if 0 in twists[1:]:
             raise ValueError(
-                f"step twist vanishes at position {steps.index(0) + 1}: "
+                f"step twist vanishes at position {twists.index(0, 1)}: "
                 "opposite adjacent signs with turn 0"
             )
         _set(self, "signs", signs)
         _set(self, "turns", turns)
-        _set(self, "_steps", steps)
+        _set(self, "_twists", twists)
 
     def step_twists(self) -> tuple[int, ...]:
         """Twist counts of the chained joins, one per position past the innermost."""
-        return self._steps
+        return self._twists[1:]
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -119,20 +116,15 @@ def semisimple_slopes(cf: TwoBridgeFraction) -> TunnelInvariants:
         first = pair_class(2 * lead_turn - 1, 4 * lead_turn - 1)
     # step i pairs with signs[i - 1]: zip stops at the shorter step list
     tags = _position_tags(len(cf.signs), SplitKind.DROP_RHO)[1:]
-    rest = tuple([chain_slope(-2 * sign, n, coords) for sign, n, coords in zip(cf.signs, cf.step_twists(), tags)])
+    rest = tuple([chain_slope(-2 * sign, n, coords) for sign, n, coords in zip(cf.signs, cf._twists[1:], tags)])
     return TunnelInvariants._trusted(first, rest, (0,) * len(cf.signs))
 
 
 def cf_to_twists(cf: TwoBridgeFraction) -> TwistSequence:
-    """Twist counts of the drop chain on the identity frame matching the fraction.
-
-    The leading count follows the crosswalk rule with the virtual -1 sign;
-    the rest are the step twists.
-    """
-    lead = 2 * cf.turns[0] + _offset(-1, cf.signs[0])
+    """Twist counts of the drop chain on the identity frame matching the fraction: the counts it derived."""
     # the step twists were checked nonzero with the fraction; the lead is 0 for turns[0] == 0 under sign +1
-    step_sign(lead)
-    return TwistSequence._trusted((lead, *cf.step_twists()))
+    step_sign(cf._twists[0])
+    return TwistSequence._trusted(cf._twists)
 
 
 def twists_to_cf(twists) -> TwoBridgeFraction:
@@ -148,12 +140,12 @@ def twists_to_cf(twists) -> TwoBridgeFraction:
     signs, turns = [], []
     prev = -1
     for n in entries:
-        sign = prev if n % 2 else -prev
+        sign = step_sign(n) * prev
         signs.append(sign)
-        turns.append((n - _offset(prev, sign)) // 2)
+        turns.append((n - (prev + sign) // 2) // 2)
         prev = sign
-    # each count comes back as 2*turn + offset, so the step twists are the later counts, already checked
-    return TwoBridgeFraction._trusted(tuple(signs), tuple(turns), entries[1:])
+    # each count comes back from its turn and signs, so the fraction's counts are the entries, already checked
+    return TwoBridgeFraction._trusted(tuple(signs), tuple(turns), entries)
 
 
 class CorrespondenceReport(Frozen):

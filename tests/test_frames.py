@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from tunnelslopes import (
     FareyFrame,
-    HomologyClass,
     SplitKind,
-    splitting_disk_slope,
     splitting_tunnel_slope,
     validate_frame,
 )
-from tunnelslopes.frames import parse_ints
+from tunnelslopes.frames import HomologyClass, parse_ints, splitting_disk_slope
 from tunnelslopes.verify import frames_in_box
 
 box_frames = st.sampled_from(frames_in_box(3))
@@ -142,11 +140,12 @@ def test_disk_slope_examples():
 @given(box_frames, kinds)
 def test_disk_slope_is_a_linking_slope(f, kind):
     """Each formula is the doubled linking number of the split-apart circles."""
-    peeled = f.rho_class if kind.splits_rho else f.lambda_class
+    peeled = HomologyClass(f.p, f.q) if kind.splits_rho else HomologyClass(f.r, f.s)
+    composite = HomologyClass(f.p + f.r, f.q + f.s)
     if kind.drops:
-        upper, lower = f.tau_class, peeled
+        upper, lower = composite, peeled
     else:
-        upper, lower = peeled, f.tau_class
+        upper, lower = peeled, composite
     assert splitting_disk_slope(f, kind).value == 2 * upper.m * lower.ell
 
 

@@ -20,18 +20,16 @@ from tunnelslopes import (
     SplitKind,
     TwistSequence,
     assemble_invariants,
-    binary_invariants,
     closed_form_slopes,
     oracle_slopes,
-    position_coords,
     semisimple_slopes,
-    splitting_disk_slope,
     splitting_tunnel_slope,
-    step_sign,
     twists_to_cf,
     validate_frame,
 )
 from tunnelslopes.cli import main
+from tunnelslopes.frames import HomologyClass, position_coords, splitting_disk_slope, step_sign
+from tunnelslopes.iteration import binary_invariants
 from tunnelslopes.verify import check_correspondence_case, check_oracle_case, frames_in_box, run_oracle_grid
 
 IDENTITY = validate_frame(1, 0, 0, 1)
@@ -251,8 +249,9 @@ OLD_CLASS_UPPER = {
 def test_oracle_places_the_old_class_by_one_rule(kind):
     assert list(OLD_CLASS_UPPER) == list(SequenceKind)
     for frame in verify.frames_in_box(2):
-        constituent = frame.rho_class if kind.initial_split.splits_rho else frame.lambda_class
-        accreted = frame.tau_class if kind.mixed else constituent
+        rho, lam = HomologyClass(frame.p, frame.q), HomologyClass(frame.r, frame.s)
+        constituent = rho if kind.initial_split.splits_rho else lam
+        accreted = HomologyClass(frame.p + frame.r, frame.q + frame.s) if kind.mixed else constituent
         for twists in [(1, 2, -1), (-2, 3, 2), (2, 2, 1, -3)]:
             _, steps = oracle_slopes(frame, kind, twists, trace=True)
             assert len(steps) == len(twists)

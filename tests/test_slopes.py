@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tunnelslopes import SimpleSlope, Slope, TunnelInvariants, format_rational
-from tunnelslopes.slopes import chain_slope, pair_class
+from tunnelslopes import SimpleSlope, Slope, TunnelInvariants
+from tunnelslopes.slopes import chain_slope, format_rational, pair_class
 
 rationals = st.fractions(max_denominator=1000)
 

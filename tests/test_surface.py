@@ -21,7 +21,6 @@ PUBLIC = [
     "CorrespondenceReport",
     "EngineMismatchError",
     "FareyFrame",
-    "HomologyClass",
     "SequenceKind",
     "SimpleSlope",
     "Slope",
@@ -30,16 +29,11 @@ PUBLIC = [
     "TwistSequence",
     "TwoBridgeFraction",
     "assemble_invariants",
-    "binary_invariants",
     "cf_to_twists",
     "closed_form_slopes",
-    "format_rational",
     "oracle_slopes",
-    "position_coords",
     "semisimple_slopes",
-    "splitting_disk_slope",
     "splitting_tunnel_slope",
-    "step_sign",
     "twists_to_cf",
     "validate_cf",
     "validate_frame",
@@ -65,7 +59,7 @@ def _names(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_public_names_are_the_26_and_no_module_but_slopes_names_an_alias():
+def test_public_names_are_the_20_and_no_module_but_slopes_names_an_alias():
     assert sorted(tunnelslopes.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(tunnelslopes, name) is not None, name
@@ -124,7 +118,7 @@ def test_the_private_constructor_is_defined_once_on_frozen():
 
 
 def test_no_private_constructor_is_public():
-    assert len(tunnelslopes.__all__) == 26
+    assert len(tunnelslopes.__all__) == 20
     assert not [name for name in tunnelslopes.__all__ if name.startswith("_") or "trusted" in name]
 
 
@@ -181,8 +175,7 @@ def _defined_in(name: str) -> list[str]:
 
 
 def test_iteration_takes_the_join_rules_from_frames():
-    assert iteration.step_sign is frames.step_sign is tunnelslopes.step_sign
-    assert frames.position_coords is tunnelslopes.position_coords
+    assert iteration.step_sign is frames.step_sign
     # the move's orientation, the tag memo and the twist-count box each have one home, read by the chain modules
     for name in ("_oriented_pairs", "_position_tags", "_tag_lists", "nonzero_range"):
         assert _defined_in(name) == ["frames.py"], name
@@ -192,6 +185,13 @@ def test_iteration_takes_the_join_rules_from_frames():
     assert "_oriented_pairs" in frames.splitting_disk_slope.__code__.co_names
     assert "_oriented_pairs" in iteration.chain_coefficients.__code__.co_names
     assert _defined_in("chain_walk") == ["iteration.py"]
+
+
+def test_the_parity_rule_has_one_writer_and_the_oracle_reads_no_closed_form_rule():
+    assert "% 2" not in (PACKAGE / "two_bridge.py").read_text(encoding="utf-8")
+    assert "step_sign" in two_bridge.twists_to_cf.__code__.co_names
+    # the engines stay independent: the oracle builds its classes from the frame's entries
+    assert not {"_oriented_pairs", "chain_coefficients"} & set(iteration.oracle_slopes.__code__.co_names)
 
 
 def test_verify_holds_no_chain_rule_and_imports_no_module_of_the_package_late():
@@ -212,6 +212,21 @@ def _loaded_by(code: str) -> list[str]:
 
 def test_a_bare_import_loads_no_submodule():
     assert _loaded_by("import tunnelslopes") == ["tunnelslopes"]
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    loaded = _loaded_by(
+        "import tunnelslopes\n"
+        "bare = sorted(name for name in sys.modules if name.startswith('tunnelslopes'))\n"
+        "assert bare == ['tunnelslopes'], bare\n"
+        "assert callable(tunnelslopes.catalog.recompute_invariants)\n"
+        "assert callable(tunnelslopes.frames.step_sign)\n"
+        "assert tunnelslopes.verify and tunnelslopes.cli"
+    )
+    assert {"tunnelslopes.catalog", "tunnelslopes.frames", "tunnelslopes.verify", "tunnelslopes.cli"} <= set(loaded)
+    assert sorted(tunnelslopes._MODULES) == sorted(
+        path.stem for path in PACKAGE.glob("*.py") if path.stem not in {"__init__", "__main__"}
+    )
 
 
 def test_importing_the_cli_loads_no_other_module_of_the_package():

@@ -45,6 +45,32 @@ def test_validation():
         TwoBridgeFraction((), ())
 
 
+def test_vanishing_step_twist_names_its_position():
+    # the first vanishing count is named, at position 1 and later
+    for signs, turns, k in [((1, -1), (1, 0), 1), ((-1, 1, 1, -1), (1, 2, 3, 0), 3), ((1, -1, 1), (2, 0, 0), 1)]:
+        with pytest.raises(ValueError, match=f"^step twist vanishes at position {k}: "):
+            TwoBridgeFraction(signs, turns)
+
+
+def _crosswalk_counts(signs, turns):
+    """The README's n_i = 2*turn_i + (sign_{i-1} + sign_i)/2, the innermost pair reading a virtual sign -1."""
+    counts, prev = [], -1
+    for sign, turn in zip(signs, turns):
+        counts.append(2 * turn + (prev + sign) // 2)
+        prev = sign
+    return tuple(counts)
+
+
+def test_crosswalk_counts_are_the_readme_rule():
+    fractions = [validate_cf(signs, turns) for signs, turns in cf_pairs(3, 3)]
+    fractions += [twists_to_cf(tw) for tw in twist_tuples(4, 3)]
+    assert any(cf.turns[0] == 0 for cf in fractions)  # the flagged family is in
+    for cf in fractions:
+        counts = _crosswalk_counts(cf.signs, cf.turns)
+        assert cf_to_twists(cf).entries == counts, cf
+        assert cf.step_twists() == counts[1:], cf
+
+
 def test_bool_signs_and_turns_are_rejected():
     # True == 1, but a bool entry would serialize as `true` in the fraction's sign or turn list
     with pytest.raises(ValueError, match=r"sign entries must be \+-1, got True at position 0"):

@@ -25,8 +25,8 @@ better by more than the parent's interquartile range).  It lists every run
 made.  The file is written even when a run fails; the exit code is then 1.
 It is 0 when every run exited 0 and reported itself correct, and 2 on a
 usage error, which includes a workload that `BENCHMARK.json` at the change
-does not list: that is found before any run.  Needs only the standard
-library and `git`.
+does not list and a `--seconds` below 1: each is found before any run.
+Needs only the standard library and `git`.
 """
 
 from __future__ import annotations
@@ -196,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="output path, BENCH_<label>.json at the repository root if unset")
     parser.add_argument("--scratch", help="where the checkouts go, the system temporary directory if unset")
     args = parser.parse_args(argv)
+    if args.seconds < 1:
+        parser.error(f"--seconds must be at least 1, got {args.seconds}")
     try:
         shas = {"parent": resolve(args.parent), "change": resolve(args.change)}
     except subprocess.CalledProcessError as exc:

@@ -5,6 +5,7 @@ Not part of tier-1 (`testpaths` is `tests`); run it with
     PYTHONPATH=src python -m pytest -q tools
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -44,18 +45,32 @@ def test_one_oracle_grid_pair_of_head_against_itself(tmp_path):
     assert list(tmp_path.iterdir()) == [out]  # every checkout was deleted
 
 
-def test_a_failed_run_is_listed_and_exits_1(tmp_path):
-    # perfbench refuses `--seconds 0` with a usage error, so both runs of the pair fail
+def test_a_failed_run_is_listed_and_exits_1(tmp_path, monkeypatch):
+    # every run fails as perfbench fails on a usage error, so both runs of the pair fail
+    spec = importlib.util.spec_from_file_location("pairs", TOOL)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    monkeypatch.setattr(pairs, "run_once", lambda *args: {"error": "exit 2: perfbench: usage error"})
     out = tmp_path / "BENCH_failed.json"
-    argv = [sys.executable, str(TOOL), "--parent", "HEAD", "--change", "HEAD", "--label", "failed",
-            "--workload", "oracle-grid:1:7", "--seconds", "0", "--out", str(out), "--scratch", str(tmp_path)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--label", "failed", "--workload", "oracle-grid:1:7",
+            "--seconds", "1", "--out", str(out), "--scratch", str(tmp_path)]
+    assert pairs.main(argv) == 1
     workload = json.loads(out.read_text(encoding="utf-8"))["workloads"]["oracle-grid"]
     assert (workload["correct"], workload["metrics"]) == (False, {})
     (run,) = workload["runs"]
     assert run["correct"] is False and run["parent"]["error"].startswith("exit 2") and "error" in run["change"]
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_seconds_below_1_is_a_usage_error_before_any_run(tmp_path):
+    out = tmp_path / "BENCH_zero.json"
+    argv = [sys.executable, str(TOOL), "--parent", "HEAD", "--change", "HEAD", "--label", "zero",
+            "--workload", "oracle-grid:1:7", "--seconds", "0", "--out", str(out), "--scratch", str(tmp_path)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "error: --seconds must be at least 1, got 0" in proc.stderr
+    assert "pairs:" not in proc.stderr  # no run was made
+    assert list(tmp_path.iterdir()) == []  # no checkout, and no BENCH file
 
 
 def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path):
