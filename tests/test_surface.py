@@ -257,6 +257,27 @@ def test_each_public_name_is_its_modules_object_and_is_not_kept(name):
     assert name not in vars(tunnelslopes)
 
 
+# helpers that left `__all__`: each keeps its home module and is read there, not from the top level
+HELPERS = {
+    "HomologyClass": "frames",
+    "binary_invariants": "iteration",
+    "format_rational": "slopes",
+    "position_coords": "frames",
+    "splitting_disk_slope": "frames",
+    "step_sign": "frames",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELPERS))
+def test_each_helper_left_out_of_all_stays_in_its_module(name):
+    module = getattr(tunnelslopes, HELPERS[name])
+    value = getattr(module, name)
+    assert value.__module__ == module.__name__
+    assert name not in tunnelslopes.__all__ and name not in vars(tunnelslopes)
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(tunnelslopes, name)
+
+
 def test_a_name_rebound_in_its_module_reads_rebound(monkeypatch):
     original = iteration.oracle_slopes
     monkeypatch.setattr(iteration, "oracle_slopes", patched := lambda *args: None)
