@@ -6,7 +6,12 @@ keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
 differ are never merged.  `add_chains` dedups the points `iteration.chain_walk`
 grows, each its prefix plus one join.  `dump_line` writes that serialization
-and every other JSON line the package prints or stores.  A line in the exact
+and every other JSON line the package prints or stores, through one encoder
+from CPython's `json` accelerator built at import: the setup that
+`json.JSONEncoder.encode` repeats on every call was most of a short record's
+cost.  The encoder keeps no circular-reference check, which a kept encoder
+could not reset after a refused record; every record is a fresh tree the
+package builds, and none holds itself.  A line in the exact
 form `enumerate` writes is read by one regular expression; any other line
 goes through `json`, with the same entries and errors as if every line did.
 """
@@ -87,13 +92,21 @@ def read_json(text: str, what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-# built once: `json.dumps` with any argument not at its default builds a fresh encoder on every call
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+# CPython's `json` accelerator, built once at import: `JSONEncoder.encode` builds a fresh one, with its
+# closure and circular-reference dict, on every call, and that setup was most of a short record's cost.
+# `markers=None` drops the circular-reference check: a kept encoder could not reset its dict after a
+# refused record, and every record is a fresh tree of dicts, lists, strings, ints and bools, none
+# holding itself (a list that did would raise RecursionError, not json's ValueError).  The arguments
+# are `json.dumps(obj, separators=(",", ":"), ensure_ascii=False)`'s: markers, default, string
+# encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ":", ",", False, False, True
+)
 
 
 def dump_line(obj) -> str:
     """Compact JSON with a fixed key order: the one serialized form of every record."""
-    return _ENCODER.encode(obj)
+    return "".join(_ENCODE(obj, 0))
 
 
 def invariants_key(invariants: dict) -> str:

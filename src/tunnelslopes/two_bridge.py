@@ -66,10 +66,6 @@ class TwoBridgeFraction(Frozen):
         _set(self, "turns", turns)
         _set(self, "_twists", twists)
 
-    def step_twists(self) -> tuple[int, ...]:
-        """Twist counts of the chained joins, one per position past the innermost."""
-        return self._twists[1:]
-
     @property
     def flags(self) -> tuple[str, ...]:
         out = []

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -259,7 +260,14 @@ def _chains(points, splitting_bit=0):
 
 def test_dump_line_writes_what_json_dumps_writes(tmp_path):
     # the kept encoder against a fresh `json.dumps` per record: catalog lines, `iterate --trace`
-    # records, and `split` records, whose coordinate tags are not ASCII
+    # records, and `split` records, whose coordinate tags are not ASCII; then a top-level list and
+    # string, and a record holding None, True and a tuple.  A refused record comes first, so every
+    # record is written after a failed call of the kept encoder.
+    refused = {"rest": ["1/2", Fraction(1, 2)]}
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        json.dumps(refused)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        dump_line(refused)
     path = tmp_path / "catalog.jsonl"
     _, enumerated, _ = _main("enumerate", "--catalog", str(path), "--frame", "2,3,1,2", "--depth", "2",
                              "--n-range", "1")
@@ -269,8 +277,23 @@ def test_dump_line_writes_what_json_dumps_writes(tmp_path):
     records = [json.loads(line) for line in (*path.read_text(encoding="utf-8").splitlines(), *traced.splitlines(),
                                              *enumerated.splitlines(), *split.splitlines())]
     assert len(records) > 30 and any("k" in record for record in records) and "λ" in split
+    records += [[1, "τ", [], {}], 'a "quoted"\nλ', {"none": None, "yes": True, "pair": (1, -2), "no": False}]
     for record in records:
         assert dump_line(record) == json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+
+
+def test_dump_line_refuses_a_list_that_holds_itself():
+    # the kept encoder has no circular-reference check, so the refusal is Python's recursion limit,
+    # where `json.dumps` raises ValueError("Circular reference detected"); no package record holds itself
+    looped = [1]
+    looped.append(looped)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json.dumps(looped)
+    written = None
+    with pytest.raises(RecursionError):
+        written = dump_line(looped)
+    assert written is None
+    assert dump_line([1, [2]]) == "[1,[2]]"
 
 
 def test_add_chains_keeps_the_first_point_of_each_key(tmp_path):

@@ -22,7 +22,12 @@ over the parent's, the pairs the change wins, `within_bound` (the change's
 median is no worse than the parent's by more than the metric's bound) and
 `gain_rule_met` (wins in at least nine tenths of the pairs, and a median
 better by more than the parent's interquartile range).  It lists every run
-made.  The file is written even when a run fails; the exit code is then 1.
+made.  With `--claim`, its `claim` block says whether the claimed metric's
+gain rule holds at the target (`met`), and whether every end-to-end metric of
+every workload run is within its bound (`others_within_bound`).  The closing
+`pairs:` line on stderr names each `WORKLOAD:METRIC` that is not, with or
+without `--claim`.  The file is written even when a run fails; the exit code
+is then 1.
 It is 0 when every run exited 0 and reported itself correct, and 2 on a
 usage error, which includes a workload that `BENCHMARK.json` at the change
 does not list and a `--seconds` below 1: each is found before any run.
@@ -140,6 +145,12 @@ def summarize(metric: dict, runs: list[dict]) -> dict:
     }
 
 
+def outside_bounds(workloads: dict, metrics: list[dict]) -> list[str]:
+    """`WORKLOAD:METRIC` for each end-to-end metric not within its bound, or with no correct pair to read."""
+    return [f"{name}:{metric['name']}" for name, workload in workloads.items() for metric in metrics
+            if not workload["metrics"].get(metric["name"], {}).get("within_bound")]
+
+
 def run_workload(shas: dict, name: str, pairs: int, first_seed: int, seconds: int, scratch, metrics) -> dict:
     runs = []
     for index in range(pairs):
@@ -215,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         name: run_workload(shas, name, pairs, seed, args.seconds, args.scratch, metrics)
         for name, pairs, seed in args.workload
     }
+    outside = outside_bounds(workloads, metrics)
     claim = None
     if args.claim:
         workload, metric, target = args.claim
@@ -223,7 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         if summary and summary["gain_rule_met"] and summary["change_over_parent"] is not None:
             ratio = summary["change_over_parent"]
             met = ratio >= target if summary["better"] == "higher" else ratio <= target
-        claim = {"workload": workload, "metric": metric, "target_change_over_parent": target, "met": met}
+        claim = {"workload": workload, "metric": metric, "target_change_over_parent": target, "met": met,
+                 "others_within_bound": not outside}
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     bench = {
         "label": args.label,
@@ -238,7 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     correct = all(workload["correct"] for workload in workloads.values())
-    print(f"pairs: wrote {out}; {'every run correct' if correct else 'a run failed or was incorrect'}",
+    bounds = f"not within bound: {', '.join(outside)}" if outside else "every metric within bound"
+    print(f"pairs: wrote {out}; {'every run correct' if correct else 'a run failed or was incorrect'}; {bounds}",
           file=sys.stderr)
     return 0 if correct else 1
 

@@ -25,6 +25,7 @@ def test_one_oracle_grid_pair_of_head_against_itself(tmp_path):
     bench = json.loads(out.read_text(encoding="utf-8"))
     assert list(bench) == ["label", "machine", "parent", "change", "command", "method", "claim", "workloads"]
     assert bench["label"] == "smoke" and bench["parent"] == bench["change"] and len(bench["parent"]) == 40
+    assert isinstance(bench["claim"].pop("others_within_bound"), bool)  # one noisy pair may read either way
     assert bench["claim"] == {"workload": "oracle-grid", "metric": "cases_per_s",
                               "target_change_over_parent": 1.5, "met": False}
     assert list(bench["workloads"]) == ["oracle-grid"]
@@ -45,11 +46,50 @@ def test_one_oracle_grid_pair_of_head_against_itself(tmp_path):
     assert list(tmp_path.iterdir()) == [out]  # every checkout was deleted
 
 
-def test_a_failed_run_is_listed_and_exits_1(tmp_path, monkeypatch):
-    # every run fails as perfbench fails on a usage error, so both runs of the pair fail
+def _load_tool():
     spec = importlib.util.spec_from_file_location("pairs", TOOL)
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
+    return pairs
+
+
+def test_the_claim_says_whether_every_metric_is_within_its_bound(tmp_path, monkeypatch, capsys):
+    # synthetic runs, no benchmark: every metric reads 100 at the parent and at the change, except
+    # that the change doubles oracle-grid's cases_per_s (the claim) and, in the second call, raises
+    # cli-calls' peak_rss_mb by 20%, past its 15% bound
+    pairs = _load_tool()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    def synthetic(sha, workload, seed, seconds, scratch):
+        # one pair per workload, so the parent runs first: calls alternate parent, change
+        side = "change" if len(calls) % 2 else "parent"
+        calls.append(side)
+        metrics = {metric["name"]: 100.0 for metric in declared}
+        if side == "change":
+            metrics.update({"cases_per_s": 200.0} if workload == "oracle-grid" else worse.get(workload, {}))
+        return {"metrics": metrics, "wall_s": 0.0}
+
+    monkeypatch.setattr(pairs, "run_once", synthetic)
+    for outside in ([], ["cli-calls:peak_rss_mb"]):
+        calls = []
+        worse = {"cli-calls": {"peak_rss_mb": 120.0}} if outside else {}
+        out = tmp_path / "BENCH_synthetic.json"
+        argv = ["--parent", "HEAD", "--change", "HEAD", "--label", "synthetic", "--workload", "oracle-grid:1:7",
+                "--workload", "cli-calls:1:7", "--claim", "oracle-grid:cases_per_s:1.5", "--out", str(out)]
+        assert pairs.main(argv) == 0 and calls == ["parent", "change"] * 2
+        bench = json.loads(out.read_text(encoding="utf-8"))
+        assert bench["claim"] == {"workload": "oracle-grid", "metric": "cases_per_s",
+                                  "target_change_over_parent": 1.5, "met": True,
+                                  "others_within_bound": not outside}
+        assert pairs.outside_bounds(bench["workloads"], declared) == outside
+        closing = capsys.readouterr().err.splitlines()[-1]
+        assert closing.startswith("pairs: wrote ") and closing.endswith(
+            "; not within bound: cli-calls:peak_rss_mb" if outside else "; every metric within bound")
+
+
+def test_a_failed_run_is_listed_and_exits_1(tmp_path, monkeypatch):
+    # every run fails as perfbench fails on a usage error, so both runs of the pair fail
+    pairs = _load_tool()
     monkeypatch.setattr(pairs, "run_once", lambda *args: {"error": "exit 2: perfbench: usage error"})
     out = tmp_path / "BENCH_failed.json"
     argv = ["--parent", "HEAD", "--change", "HEAD", "--label", "failed", "--workload", "oracle-grid:1:7",
