@@ -262,12 +262,14 @@ def test_dump_line_writes_what_json_dumps_writes(tmp_path):
     # the kept encoder against a fresh `json.dumps` per record: catalog lines, `iterate --trace`
     # records, and `split` records, whose coordinate tags are not ASCII; then a top-level list and
     # string, and a record holding None, True and a tuple.  A refused record comes first, so every
-    # record is written after a failed call of the kept encoder.
+    # record is written after a failed call of the kept encoder.  The refused one is written again
+    # with its Fraction removed, which an encoder that kept the failed call's state would refuse.
     refused = {"rest": ["1/2", Fraction(1, 2)]}
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         json.dumps(refused)
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         dump_line(refused)
+    refused["rest"].pop()
     path = tmp_path / "catalog.jsonl"
     _, enumerated, _ = _main("enumerate", "--catalog", str(path), "--frame", "2,3,1,2", "--depth", "2",
                              "--n-range", "1")
@@ -277,7 +279,7 @@ def test_dump_line_writes_what_json_dumps_writes(tmp_path):
     records = [json.loads(line) for line in (*path.read_text(encoding="utf-8").splitlines(), *traced.splitlines(),
                                              *enumerated.splitlines(), *split.splitlines())]
     assert len(records) > 30 and any("k" in record for record in records) and "λ" in split
-    records += [[1, "τ", [], {}], 'a "quoted"\nλ', {"none": None, "yes": True, "pair": (1, -2), "no": False}]
+    records += [refused, [1, "τ", [], {}], 'a "quoted"\nλ', {"none": None, "yes": True, "pair": (1, -2), "no": False}]
     for record in records:
         assert dump_line(record) == json.dumps(record, separators=(",", ":"), ensure_ascii=False)
 
