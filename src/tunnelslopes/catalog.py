@@ -5,20 +5,16 @@ invariants it produced, warning flags, and a schema version.  Deduplication
 keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
 differ are never merged.  `add_chains` dedups the points `iteration.chain_walk`
-grows, each its prefix plus one join.  `dump_line` writes that serialization
-and every other JSON line the package prints or stores, through one encoder
-from CPython's `json` accelerator built at import: the setup that
-`json.JSONEncoder.encode` repeats on every call was most of a short record's
-cost.  The encoder keeps no circular-reference check, which a kept encoder
-could not reset after a refused record; every record is a fresh tree the
-package builds, and none holds itself.  A line in the exact
-form `enumerate` writes is read by one regular expression; any other line
-goes through `json`, with the same entries and errors as if every line did.
+grows, each its prefix plus one join, and writes each line through
+`slopes.dump_line`.  A line in the exact form `enumerate` writes is read by
+one regular expression; any other line goes through `json`, with the same
+entries and errors as if every line did.  The patterns compile at import:
+only `iterate`, `compare` and `enumerate` load this module, and of those
+only `enumerate` reads a catalog.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 import os
@@ -27,7 +23,7 @@ import sys
 
 from .frames import FareyFrame
 from .iteration import SequenceKind, TwistSequence, assemble_invariants
-from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants
+from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants, dump_line
 
 SCHEMA_VERSION = 1
 
@@ -92,23 +88,6 @@ def read_json(text: str, what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-# CPython's `json` accelerator, built once at import: `JSONEncoder.encode` builds a fresh one, with its
-# closure and circular-reference dict, on every call, and that setup was most of a short record's cost.
-# `markers=None` drops the circular-reference check: a kept encoder could not reset its dict after a
-# refused record, and every record is a fresh tree of dicts, lists, strings, ints and bools, none
-# holding itself (a list that did would raise RecursionError, not json's ValueError).  The arguments
-# are `json.dumps(obj, separators=(",", ":"), ensure_ascii=False)`'s: markers, default, string
-# encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan.
-_ENCODE = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ":", ",", False, False, True
-)
-
-
-def dump_line(obj) -> str:
-    """Compact JSON with a fixed key order: the one serialized form of every record."""
-    return "".join(_ENCODE(obj, 0))
-
-
 def invariants_key(invariants: dict) -> str:
     """Dedup key of an invariants dict, fresh from `TunnelInvariants.to_dict` or read from a line.
 
@@ -149,6 +128,9 @@ _CANONICAL = (
     r'"rest":' + _json_list(r'"(?:' + _SLOPE_TEXT + r')"') + r',"binary":' + _json_list("[01]") + r'\},'
     r'"flags":' + _json_list(r'"' + _JSON_CHARS + r'"') + r',"schema_version":' + str(SCHEMA_VERSION) + r'\}'
 )
+_canonical, _is_first, _is_slope = (
+    re.compile(text).fullmatch for text in (_CANONICAL, _FIRST_TEXT, _SLOPE_TEXT)
+)
 # a matched bit's digit to its int: a lookup costs less than `int()`
 _BIT = {"0": 0, "1": 1}
 
@@ -164,16 +146,6 @@ def _torn(tail: bytes) -> bool:
     except ValueError:  # UnicodeDecodeError too
         return True
     return False
-
-
-@functools.cache
-def _matchers():
-    """`fullmatch` of `_CANONICAL`, `_FIRST_TEXT` and `_SLOPE_TEXT`.
-
-    Compiled at the first load, not at import: the one-shot commands never
-    load a catalog, and `_CANONICAL` takes about 0.5 ms to compile.
-    """
-    return tuple(re.compile(text).fullmatch for text in (_CANONICAL, _FIRST_TEXT, _SLOPE_TEXT))
 
 
 def _json_entry(line: str, where: str) -> dict:
@@ -204,10 +176,9 @@ def _json_entry(line: str, where: str) -> dict:
     if invariants.keys() != _INVARIANT_KEYS:
         raise ValueError(f"{where}: \"invariants\" keys must be exactly first, rest, binary")
     first, rest, binary = invariants["first"], invariants["rest"], invariants["binary"]
-    _, is_first, is_slope = _matchers()
-    if type(first) is not str or not is_first(first):
+    if type(first) is not str or not _is_first(first):
         raise ValueError(f"{where}: \"invariants\" first must be a slope text, got {first!r}")
-    if type(rest) is not list or not all([type(text) is str and is_slope(text) for text in rest]):
+    if type(rest) is not list or not all([type(text) is str and _is_slope(text) for text in rest]):
         raise ValueError(f"{where}: \"invariants\" rest must be a list of slope texts, got {rest!r}")
     # type(...) is int also rejects True, False and floats, which equal 0 or 1
     if type(binary) is not list or not all([type(bit) is int and 0 <= bit <= 1 for bit in binary]):
@@ -228,7 +199,6 @@ def load_entries(path) -> list[dict]:
     """
     if not os.path.exists(path):
         return []
-    canonical = _matchers()[0]
     with open(path, "rb") as handle:
         head, newline, tail = handle.read().rpartition(b"\n")
     try:
@@ -244,7 +214,7 @@ def load_entries(path) -> list[dict]:
     gc.disable()  # no entry holds a cycle, and each of the collector's passes would walk every entry built so far
     try:
         for lineno, line in enumerate(lines, start=1):
-            match = canonical(line)
+            match = _canonical(line)
             if match:
                 frame, kind, twists, bit, from_trivial, first, rest, binary, flags = match.groups()
                 # a JSON list's inside, split on the '","' no string in it can hold

@@ -27,10 +27,11 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 _INT_LIST = "expected comma-separated integers"  # the message for unreadable --a and --b text
+_EMPTY_GRID = "the verification grid is empty; widen its bounds"
 
 
 def _emit(obj: dict) -> None:
-    from .catalog import dump_line
+    from .slopes import dump_line
 
     print(dump_line(obj))
 
@@ -140,7 +141,7 @@ def _cmd_two_bridge_from_twists(args) -> int:
 def _report_grid(result, cases_key: str, failures_key: str) -> int:
     """Print each failure, then the summary; a grid that checked nothing is an input error."""
     if not result.cases:
-        raise ValueError("the verification grid is empty; widen its bounds")
+        raise ValueError(_EMPTY_GRID)
     for failure in result.failures:
         _emit(failure)
     _emit({cases_key: result.cases, failures_key: len(result.failures)})
@@ -150,6 +151,9 @@ def _report_grid(result, cases_key: str, failures_key: str) -> int:
 def _cmd_verify_correspondence(args) -> int:
     from .verify import run_correspondence_grid, worker_count
 
+    # checked before the grid is built: an empty box of a large depth still builds every sign slice
+    if args.max_d < 0 or args.b_range < 1:
+        raise ValueError(_EMPTY_GRID)
     result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
     return _report_grid(result, "checked", "failures")
 
@@ -157,6 +161,9 @@ def _cmd_verify_correspondence(args) -> int:
 def _cmd_verify_oracle(args) -> int:
     from .verify import run_oracle_grid, worker_count
 
+    # checked before the grid is built: an empty grid of a large frame bound still scans every frame of its box
+    if args.frame_bound < 1 or args.depth < 1 or args.n_range < 1:
+        raise ValueError(_EMPTY_GRID)
     result = run_oracle_grid(args.frame_bound, args.depth, args.n_range, workers=worker_count())
     return _report_grid(result, "cases", "mismatches")
 

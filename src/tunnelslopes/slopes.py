@@ -9,7 +9,10 @@ is read (`text()` reads it), and the representative a mod-1 class
 (`SimpleSlope`) keeps, built once per class.  This module adds the thin
 layer the rest of the package builds on: text serialization, the mod-1
 reduction applied to the leading slope of a chain grown out of the trivial
-knot, and the record pairing a slope sequence with its bit sequence.
+knot, and the record pairing a slope sequence with its bit sequence.  It
+also holds the package's one record encoder, `dump_line`, which writes every
+JSON line the package prints or stores: every command loads this module, so
+none loads another only to print.
 
 Every chain slope has the form c + 1/n, an integer c (twice a linking
 number) plus the twist term of a join with n != 0 half-twists.  Its lowest
@@ -34,6 +37,7 @@ constructor, so a value that leaves the process is checked again.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 _set = object.__setattr__  # the one way a `Frozen` field gets its value, in `__init__` or `_trusted`
@@ -100,6 +104,23 @@ def format_rational(x: Fraction) -> str:
 # checks loaded slope texts against them, and neither holds the "," or "|" `invariants_key` joins with
 _SLOPE_TEXT = r"-?[0-9]+/[0-9]+"
 _FIRST_TEXT = rf"{_SLOPE_TEXT}|\[[0-9]+/[0-9]+\]"
+
+
+# CPython's `json` accelerator, built once at import: `JSONEncoder.encode` builds a fresh one, with its
+# closure and circular-reference dict, on every call, and that setup was most of a short record's cost.
+# `markers=None` drops the circular-reference check: a kept encoder could not reset its dict after a
+# refused record, and every record is a fresh tree of dicts, lists, strings, ints and bools, none
+# holding itself (a list that did would raise RecursionError, not json's ValueError).  The arguments
+# are `json.dumps(obj, separators=(",", ":"), ensure_ascii=False)`'s: markers, default, string
+# encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None, ":", ",", False, False, True
+)
+
+
+def dump_line(obj) -> str:
+    """Compact JSON with a fixed key order: the one serialized form of every record."""
+    return "".join(_ENCODE(obj, 0))
 
 
 def _as_exact(value) -> Fraction:

@@ -393,11 +393,20 @@ def test_verify_correspondence_mismatch_exits_1(capsys, monkeypatch):
         ("verify-oracle", "--frame-bound=-1"),
         ("verify-oracle", "--n-range", "0"),
         ("verify-correspondence", "--max-d=-1"),
+        # bounds that would scan 2001^4 frames or build about 2^32 sign slices before finding no case
+        ("verify-oracle", "--frame-bound", "1000", "--depth", "0"),
+        ("verify-correspondence", "--max-d", "30", "--b-range", "0"),
         ("enumerate", "--frame", "2,3,1,2", "--depth", "0"),
         ("enumerate", "--frame", "2,3,1,2", "--n-range", "0"),
     ],
 )
-def test_empty_grid_exits_3(tmp_path, capsys, argv):
+def test_empty_grid_exits_3(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty grid was run")
+
+    # refused before any grid is built
+    monkeypatch.setattr(verify, "run_oracle_grid", refuse)
+    monkeypatch.setattr(verify, "run_correspondence_grid", refuse)
     path = tmp_path / "catalog.jsonl"
     if argv[0] == "enumerate":
         argv += ("--catalog", str(path))

@@ -236,8 +236,13 @@ def test_importing_the_cli_loads_no_other_module_of_the_package():
 def test_split_loads_neither_the_two_bridge_tools_nor_the_grids():
     loaded = _loaded_by("from tunnelslopes.cli import main\nmain(['split', '--frame', '2,3,1,2', '--kind', "
                         "'lift-rho', '--n', '2'])")
-    assert "tunnelslopes.frames" in loaded
-    assert "tunnelslopes.two_bridge" not in loaded and "tunnelslopes.verify" not in loaded
+    assert loaded == ["tunnelslopes", "tunnelslopes.cli", "tunnelslopes.frames", "tunnelslopes.slopes"]
+    # every command prints through `slopes.dump_line`, so only those that read or write catalog records load it
+    for argv in (["two-bridge", "slopes", "--a", "1,1", "--b", "1,1"],
+                 ["verify-oracle", "--frame-bound", "1", "--depth", "1", "--n-range", "1"]):
+        loaded = _loaded_by(f"from tunnelslopes.cli import main\nassert main({argv!r}) == 0")
+        assert "tunnelslopes.slopes" in loaded and "tunnelslopes.catalog" not in loaded, argv
+    assert tunnelslopes.catalog.dump_line is tunnelslopes.slopes.dump_line
 
 
 def test_enumerate_loads_neither_the_two_bridge_tools_nor_the_grids(tmp_path):
