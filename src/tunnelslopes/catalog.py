@@ -9,8 +9,8 @@ grows, each its prefix plus one join, and writes each line through
 `slopes.dump_line`.  A line in the exact form `enumerate` writes is read by
 one regular expression; any other line goes through `json`, with the same
 entries and errors as if every line did.  The patterns compile at import:
-only `iterate`, `compare` and `enumerate` load this module, and of those
-only `enumerate` reads a catalog.
+only `compare` and `enumerate` load this module, and of those only
+`enumerate` reads a catalog.
 """
 
 from __future__ import annotations
@@ -22,30 +22,13 @@ import re
 import sys
 
 from .frames import FareyFrame
-from .iteration import SequenceKind, TwistSequence, assemble_invariants
+from .iteration import SequenceKind, TwistSequence, assemble_invariants, descriptor_dict
 from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants, dump_line
 
 SCHEMA_VERSION = 1
 
 _DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
 _INVARIANT_KEYS = frozenset(("first", "rest", "binary"))
-
-
-def descriptor_dict(
-    frame: FareyFrame,
-    kind: SequenceKind,
-    twists: TwistSequence,
-    splitting_bit: int,
-    from_trivial: bool,
-) -> dict:
-    return {
-        "frame": frame.text(),
-        # `_value_` is the member's plain attribute; `value` is an `enum.property`, run in Python on every read
-        "kind": kind._value_,
-        "twists": twists.text(),
-        "splitting_bit": splitting_bit,
-        "from_trivial": from_trivial,
-    }
 
 
 def parse_descriptor(d: dict, *, bypass: bool = False):

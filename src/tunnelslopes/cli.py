@@ -56,9 +56,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    from .catalog import descriptor_dict
     from .frames import FareyFrame
-    from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain
+    from .iteration import EngineMismatchError, SequenceKind, TwistSequence, _chain, descriptor_dict
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     kind = SequenceKind(args.kind)

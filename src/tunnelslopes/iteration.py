@@ -6,8 +6,7 @@ independent engines compute the slope sequence:
 
 * `closed_form_slopes` reads entry k's integer part as the linear form
   A*mult_k + B*sign_k, with (A, B) fixed per chain (`chain_coefficients`)
-  and (mult_k, sign_k) one `join_step` on from the join before; `enumerate`'s
-  `chain_walk` extends each chain from its prefix by the same two rules;
+  and (mult_k, sign_k) one `join_step` on from the join before;
 * `oracle_slopes` replays the construction join by join, carrying the
   oriented homology class of the growing knot and reading each slope off a
   linking number; one placement rule, fixed for the chain, says which
@@ -17,6 +16,9 @@ independent engines compute the slope sequence:
 The engines must agree everywhere.  `assemble_invariants(..., verify=True)`
 checks that on the fly and raises `EngineMismatchError` on any disagreement,
 which would mean a bug in one of them, never a property of the input.
+
+`prefix_walk` is the one home of the walk order and of its one-level memory
+bound; `enumerate`'s `chain_walk` is that walk plus the closed form's join.
 """
 
 from __future__ import annotations
@@ -93,6 +95,20 @@ def as_twists(twists) -> TwistSequence:
     if isinstance(twists, TwistSequence):
         return twists
     return TwistSequence(tuple(twists))
+
+
+def descriptor_dict(
+    frame: FareyFrame, kind: SequenceKind, twists: TwistSequence, splitting_bit: int, from_trivial: bool
+) -> dict:
+    """A chain's catalog descriptor: its inputs as text and plain values, enough to recompute its invariants."""
+    return {
+        "frame": frame.text(),
+        # `_value_` is the member's plain attribute; `value` is an `enum.property`, run in Python on every read
+        "kind": kind._value_,
+        "twists": twists.text(),
+        "splitting_bit": splitting_bit,
+        "from_trivial": from_trivial,
+    }
 
 
 @lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 2
@@ -260,30 +276,46 @@ def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False
     return TunnelInvariants._trusted(lead_invariant(slopes[0], from_trivial), tuple(slopes[1:]), tuple(bits)), steps
 
 
-def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
-    """`verify.chain_points`' points of one frame, in order, each its prefix plus one join, with its invariants.
+def prefix_walk(options, max_len: int, root, step):
+    """Every choice tuple of length 1..max_len, in `verify.twist_tuples`' order, each its prefix's state plus one step.
 
-    Yields (frame, kind, twists, invariants dict), level by level.  The caller checks the frame first.
+    `step(state, choice, length)` is a generator: it yields the point, then returns the state that
+    extends it, kept only while a next level exists and let go once extended: one level at most.
+    """
+    kept = [root]
+    for length in range(1, max_len + 1):
+        level, kept = kept[::-1], []
+        keep = kept.append if length < max_len else id  # `id` drops a last-level state, bound to no name
+        while level:
+            state = level.pop()
+            for choice in options:
+                keep((yield from step(state, choice, length)))
+
+
+def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
+    """`verify.chain_points`' points of one frame, in order, each as (frame, kind, twists, invariants dict).
+
+    Per kind this is `prefix_walk` plus the closed form's join, whose state is (twists, first text,
+    rest texts, the next join's (mult, sign)).  The caller checks the frame first.
     """
     opts = nonzero_range(n_bound)
     for kind in kinds:
         A, B = chain_coefficients(frame, kind)
         tags = _position_tags(max_len, kind.initial_split)
-        prefixes = [((), None, (), (1, 1))]  # (twists, first text, rest texts, the next join's (mult, sign))
-        for length in range(1, max_len + 1):
-            tag, bits = tags[length - 1], binary_invariants(kind, length, splitting_bit)
-            level, prefixes = prefixes[::-1], []
-            while level:  # a prefix goes once extended, so the states held never outnumber one level's points
-                head, first, rest, pair = level.pop()
-                for n in opts:
-                    slope = chain_slope(A * pair[0] + B * pair[1], n, tag)
-                    if first is None:
-                        tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
-                    else:
-                        tw, text, texts = head + (n,), first, rest + (slope.text(),)
-                    yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": [*bits]}
-                    if length < max_len:
-                        prefixes.append((tw, text, texts, join_step(pair, n)))
+        bits = binary_invariants(kind, max_len, splitting_bit)  # a join's bit rests on its place alone
+
+        def join(state, n, length):
+            head, first, rest, pair = state
+            slope = chain_slope(A * pair[0] + B * pair[1], n, tags[length - 1])
+            if first is None:
+                tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
+            else:
+                tw, text, texts = head + (n,), first, rest + (slope.text(),)
+            yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": bits[:length]}
+            if length < max_len:
+                return tw, text, texts, join_step(pair, n)
+
+        yield from prefix_walk(opts, max_len, ((), None, (), (1, 1)), join)
 
 
 def assemble_invariants(

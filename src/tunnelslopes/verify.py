@@ -97,12 +97,8 @@ def chain_points(frames, kinds, max_len: int, n_bound: int):
 
 
 def _sign_slices(max_depth: int, turn_bound: int) -> list[tuple[tuple[int, ...], int]]:
-    """One (signs, turn_bound) slice per sign tuple of depth 0..max_depth."""
-    return [
-        (signs, turn_bound)
-        for length in range(1, max_depth + 2)
-        for signs in itertools.product((-1, 1), repeat=length)
-    ]
+    """One (signs, turn_bound) slice per sign tuple of depth 0..max_depth: the twist tuples of the box (-1, 1)."""
+    return [(signs, turn_bound) for signs in twist_tuples(max_depth + 1, 1)]
 
 
 def _slice_pairs(signs: tuple[int, ...], turn_bound: int):
@@ -129,7 +125,7 @@ def check_oracle_case(case) -> dict | None:
         return None
     return {
         "frame": frame.text(),
-        "kind": kind._value_,  # not `value`, an `enum.property` (see `catalog.descriptor_dict`)
+        "kind": kind._value_,  # not `value`, an `enum.property` (see `iteration.descriptor_dict`)
         "twists": twists.text(),
         "closed": [slope.text() for slope in closed],
         "replayed": [slope.text() for slope in replayed],

@@ -190,8 +190,9 @@ def test_iteration_takes_the_join_rules_from_frames():
 def test_the_parity_rule_has_one_writer_and_the_oracle_reads_no_closed_form_rule():
     assert "% 2" not in (PACKAGE / "two_bridge.py").read_text(encoding="utf-8")
     assert "step_sign" in two_bridge.twists_to_cf.__code__.co_names
-    # the engines stay independent: the oracle builds its classes from the frame's entries
-    assert not {"_oriented_pairs", "chain_coefficients"} & set(iteration.oracle_slopes.__code__.co_names)
+    # the engines stay independent: the oracle builds its classes from the frame's entries and reads no walk
+    read = set(iteration.oracle_slopes.__code__.co_names)
+    assert not {"_oriented_pairs", "chain_coefficients", "join_step", "prefix_walk", "chain_walk"} & read
 
 
 def test_verify_holds_no_chain_rule_and_imports_no_module_of_the_package_late():
@@ -237,12 +238,15 @@ def test_split_loads_neither_the_two_bridge_tools_nor_the_grids():
     loaded = _loaded_by("from tunnelslopes.cli import main\nmain(['split', '--frame', '2,3,1,2', '--kind', "
                         "'lift-rho', '--n', '2'])")
     assert loaded == ["tunnelslopes", "tunnelslopes.cli", "tunnelslopes.frames", "tunnelslopes.slopes"]
-    # every command prints through `slopes.dump_line`, so only those that read or write catalog records load it
+    # every command prints through `slopes.dump_line`, so only those that read or write catalog records load it;
+    # `iterate` takes its descriptor from `iteration`
     for argv in (["two-bridge", "slopes", "--a", "1,1", "--b", "1,1"],
-                 ["verify-oracle", "--frame-bound", "1", "--depth", "1", "--n-range", "1"]):
+                 ["verify-oracle", "--frame-bound", "1", "--depth", "1", "--n-range", "1"],
+                 ["iterate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--twists", "2,1", "--verify"]):
         loaded = _loaded_by(f"from tunnelslopes.cli import main\nassert main({argv!r}) == 0")
         assert "tunnelslopes.slopes" in loaded and "tunnelslopes.catalog" not in loaded, argv
     assert tunnelslopes.catalog.dump_line is tunnelslopes.slopes.dump_line
+    assert tunnelslopes.catalog.descriptor_dict is iteration.descriptor_dict
 
 
 def test_enumerate_loads_neither_the_two_bridge_tools_nor_the_grids(tmp_path):

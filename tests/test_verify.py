@@ -1,3 +1,4 @@
+import itertools
 import os
 import select
 import signal
@@ -95,6 +96,13 @@ def test_cf_pairs_all_validate():
     assert len(pairs) == 2 * 2 + 4 * 4
     for signs, turns in pairs:
         validate_cf(signs, turns)
+    # the order too: sign tuples by depth outermost, then the turns of each
+    assert list(cf_pairs(2, 2)) == [
+        (signs, turns)
+        for depth in range(3)
+        for signs in itertools.product((-1, 1), repeat=depth + 1)
+        for turns in itertools.product((-2, -1, 1, 2), repeat=depth + 1)
+    ]
 
 
 def test_check_case_helpers_pass():

@@ -11,10 +11,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent / "pairs.py"
 ROOT = TOOL.parent.parent
 
 
+def _in_checkout() -> bool:
+    try:
+        return subprocess.run(["git", "rev-parse"], cwd=ROOT, capture_output=True).returncode == 0
+    except OSError:  # no git at all
+        return False
+
+
+# `pairs.py` resolves `--parent` and `--change` with git, so a copy without `.git` (`git archive`) exits 2
+needs_checkout = pytest.mark.skipif(not _in_checkout(), reason="needs a git checkout")
+
+
+@needs_checkout
 def test_one_oracle_grid_pair_of_head_against_itself(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
     argv = [sys.executable, str(TOOL), "--parent", "HEAD", "--change", "HEAD", "--label", "smoke",
@@ -53,6 +67,7 @@ def _load_tool():
     return pairs
 
 
+@needs_checkout
 def test_the_claim_says_whether_every_metric_is_within_its_bound(tmp_path, monkeypatch, capsys):
     # synthetic runs, no benchmark: every metric reads 100 at the parent and at the change, except
     # that the change doubles oracle-grid's cases_per_s (the claim) and, in the second call, raises
@@ -87,6 +102,7 @@ def test_the_claim_says_whether_every_metric_is_within_its_bound(tmp_path, monke
             "; not within bound: cli-calls:peak_rss_mb" if outside else "; every metric within bound")
 
 
+@needs_checkout
 def test_a_failed_run_is_listed_and_exits_1(tmp_path, monkeypatch):
     # every run fails as perfbench fails on a usage error, so both runs of the pair fail
     pairs = _load_tool()
@@ -113,6 +129,7 @@ def test_seconds_below_1_is_a_usage_error_before_any_run(tmp_path):
     assert list(tmp_path.iterdir()) == []  # no checkout, and no BENCH file
 
 
+@needs_checkout
 def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path):
     out = tmp_path / "BENCH_unknown.json"
     argv = [sys.executable, str(TOOL), "--parent", "HEAD", "--change", "HEAD", "--label", "unknown",
