@@ -9,66 +9,23 @@ grows, each its prefix plus one join, and writes each line through
 `slopes.dump_line`.  A line in the exact form `enumerate` writes is read by
 one regular expression; any other line goes through `json`, with the same
 entries and errors as if every line did.  The patterns compile at import:
-only `compare` and `enumerate` load this module, and of those only
-`enumerate` reads a catalog.
+only `enumerate` loads this module.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import re
 import sys
 
-from .frames import FareyFrame
-from .iteration import SequenceKind, TwistSequence, assemble_invariants, descriptor_dict
-from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants, dump_line
+from .iteration import descriptor_dict, descriptor_invariants
+from .iteration import parse_descriptor  # perfbench pin (workloads.py): delete after ROADMAP item 2
+from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants, dump_line, read_json
 
 SCHEMA_VERSION = 1
 
-_DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
 _INVARIANT_KEYS = frozenset(("first", "rest", "binary"))
-
-
-def parse_descriptor(d: dict, *, bypass: bool = False):
-    """Rebuild the computation inputs from a descriptor dict."""
-    if not isinstance(d, dict):
-        raise ValueError(f"descriptor must be a JSON object, got {type(d).__name__}")
-    missing = [key for key in ("frame", "kind", "twists") if key not in d]
-    if missing:
-        raise ValueError(f"descriptor is missing {missing}")
-    unknown = [key for key in d if key not in _DESCRIPTOR_KEYS]
-    if unknown:
-        raise ValueError(f"descriptor has unknown keys {unknown}")
-    for key in ("frame", "kind", "twists"):
-        if not isinstance(d[key], str):
-            raise ValueError(f"descriptor {key} must be a string, got {d[key]!r}")
-    splitting_bit = d.get("splitting_bit", 0)
-    # type(...) is int also rejects True and False, which are ints to isinstance
-    if type(splitting_bit) is not int or splitting_bit not in (0, 1):
-        raise ValueError(f"descriptor splitting_bit must be the integer 0 or 1, got {splitting_bit!r}")
-    from_trivial = d.get("from_trivial", False)
-    if not isinstance(from_trivial, bool):
-        raise ValueError(f"descriptor from_trivial must be true or false, got {from_trivial!r}")
-    frame = FareyFrame.parse(d["frame"], bypass=bypass)
-    kind = SequenceKind(d["kind"])
-    twists = TwistSequence.parse(d["twists"])
-    return frame, kind, twists, splitting_bit, from_trivial
-
-
-def descriptor_invariants(descriptor: dict, *, bypass: bool = False) -> tuple[FareyFrame, TunnelInvariants]:
-    """The frame a descriptor names and the invariants of its chain, through `parse_descriptor`."""
-    frame, kind, twists, splitting_bit, from_trivial = parse_descriptor(descriptor, bypass=bypass)
-    return frame, assemble_invariants(frame, kind, twists, splitting_bit, from_trivial)
-
-
-def read_json(text: str, what: str):
-    """The package's one `json.loads`; a refusal, RecursionError too, raises `ValueError(f"{what}: ...")`."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{what}: {exc}") from None
 
 
 def invariants_key(invariants: dict) -> str:
@@ -276,5 +233,4 @@ def add_chains(path, chains, splitting_bit: int, from_trivial: bool) -> tuple[li
 
 def recompute_invariants(entry: dict) -> TunnelInvariants:
     """Recompute an entry's invariants from its descriptor, re-reading a frame its flags mark bypassed the same way."""
-    bypass = "unverified-bypass" in entry.get("flags", [])
-    return descriptor_invariants(entry["descriptor"], bypass=bypass)[1]
+    return descriptor_invariants(entry["descriptor"], bypass="unverified-bypass" in entry.get("flags", []))[1]

@@ -196,20 +196,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .catalog import descriptor_invariants, read_json
+    from .iteration import descriptor_invariants
+    from .slopes import read_json
 
-    sides = []
-    for raw in (args.left, args.right):
-        descriptor = read_json(raw, "descriptor is not JSON")
-        sides.append(descriptor_invariants(descriptor, bypass=args.bypass_validation))
-    (left_frame, left), (right_frame, right) = sides
-    flags = sorted(set(left_frame.flags) | set(right_frame.flags))
+    (left_frame, left), (right_frame, right) = [
+        descriptor_invariants(read_json(raw, "descriptor is not JSON"), bypass=args.bypass_validation)
+        for raw in (args.left, args.right)
+    ]
     _emit(
         {
             "equal": left == right,
             "left": left.to_dict(),
             "right": right.to_dict(),
-            "flags": flags,
+            "flags": sorted({*left_frame.flags, *right_frame.flags}),
         }
     )
     return EXIT_OK

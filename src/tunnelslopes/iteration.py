@@ -19,6 +19,8 @@ which would mean a bug in one of them, never a property of the input.
 
 `prefix_walk` is the one home of the walk order and of its one-level memory
 bound; `enumerate`'s `chain_walk` is that walk plus the closed form's join.
+A chain's descriptor has its writer (`descriptor_dict`) and its reader
+(`parse_descriptor`) here, so `compare` reads one without the catalog.
 """
 
 from __future__ import annotations
@@ -109,6 +111,41 @@ def descriptor_dict(
         "splitting_bit": splitting_bit,
         "from_trivial": from_trivial,
     }
+
+
+_DESCRIPTOR_KEYS = ("frame", "kind", "twists", "splitting_bit", "from_trivial")
+
+
+def parse_descriptor(d: dict, *, bypass: bool = False):
+    """Rebuild the computation inputs from a descriptor dict."""
+    if not isinstance(d, dict):
+        raise ValueError(f"descriptor must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in ("frame", "kind", "twists") if key not in d]
+    if missing:
+        raise ValueError(f"descriptor is missing {missing}")
+    unknown = [key for key in d if key not in _DESCRIPTOR_KEYS]
+    if unknown:
+        raise ValueError(f"descriptor has unknown keys {unknown}")
+    for key in ("frame", "kind", "twists"):
+        if not isinstance(d[key], str):
+            raise ValueError(f"descriptor {key} must be a string, got {d[key]!r}")
+    splitting_bit = d.get("splitting_bit", 0)
+    # type(...) is int also rejects True and False, which are ints to isinstance
+    if type(splitting_bit) is not int or splitting_bit not in (0, 1):
+        raise ValueError(f"descriptor splitting_bit must be the integer 0 or 1, got {splitting_bit!r}")
+    from_trivial = d.get("from_trivial", False)
+    if not isinstance(from_trivial, bool):
+        raise ValueError(f"descriptor from_trivial must be true or false, got {from_trivial!r}")
+    frame = FareyFrame.parse(d["frame"], bypass=bypass)
+    kind = SequenceKind(d["kind"])
+    twists = TwistSequence.parse(d["twists"])
+    return frame, kind, twists, splitting_bit, from_trivial
+
+
+def descriptor_invariants(descriptor: dict, *, bypass: bool = False) -> tuple[FareyFrame, TunnelInvariants]:
+    """The frame a descriptor names and the invariants of its chain, through `parse_descriptor`."""
+    frame, kind, twists, splitting_bit, from_trivial = parse_descriptor(descriptor, bypass=bypass)
+    return frame, assemble_invariants(frame, kind, twists, splitting_bit, from_trivial)
 
 
 @lru_cache(maxsize=8192)  # perfbench pin (bench.py): delete after ROADMAP item 2

@@ -11,8 +11,8 @@ layer the rest of the package builds on: text serialization, the mod-1
 reduction applied to the leading slope of a chain grown out of the trivial
 knot, and the record pairing a slope sequence with its bit sequence.  It
 also holds the package's one record encoder, `dump_line`, which writes every
-JSON line the package prints or stores: every command loads this module, so
-none loads another only to print.
+JSON line the package prints or stores, and its one decoder, `read_json`:
+every command loads this module, so none loads another to print or read JSON.
 
 Every chain slope has the form c + 1/n, an integer c (twice a linking
 number) plus the twist term of a join with n != 0 half-twists.  Its lowest
@@ -121,6 +121,14 @@ _ENCODE = json.encoder.c_make_encoder(
 def dump_line(obj) -> str:
     """Compact JSON with a fixed key order: the one serialized form of every record."""
     return "".join(_ENCODE(obj, 0))
+
+
+def read_json(text: str, what: str):
+    """The package's one JSON decoder; a refusal, RecursionError too, raises `ValueError(f"{what}: ...")`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _as_exact(value) -> Fraction:

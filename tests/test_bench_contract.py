@@ -88,6 +88,11 @@ def test_catalog_layers_are_catalog_globals():
         assert name in names, name
 
 
+def test_the_descriptor_reader_still_resolves_in_catalog():
+    # `catalog-enumerate`'s final checks read it as `catalog.parse_descriptor`; it lives in `iteration`
+    assert catalog.parse_descriptor is iteration.parse_descriptor
+
+
 def _fraction_new_calls(fn, *args) -> int:
     """`Fraction.__new__` calls during fn(*args), counted with cProfile as the benchmark counts them."""
     profiler = cProfile.Profile()

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -21,15 +22,14 @@ from tunnelslopes import catalog
 from tunnelslopes.catalog import (
     SCHEMA_VERSION,
     append_lines,
-    descriptor_dict,
     dump_line,
     entry_dict,
     invariants_key,
     load_entries,
-    parse_descriptor,
     recompute_invariants,
 )
 from tunnelslopes.cli import main
+from tunnelslopes.iteration import descriptor_dict, parse_descriptor
 from tunnelslopes.verify import frames_in_box
 
 FRAME = validate_frame(2, 3, 1, 2)
@@ -42,6 +42,11 @@ def test_descriptor_round_trip():
     assert list(d) == ["frame", "kind", "twists", "splitting_bit", "from_trivial"]
     frame, kind, twists, bit, from_trivial = parse_descriptor(d)
     assert (frame, kind, twists.entries, bit, from_trivial) == (FRAME, KIND, (2, 1), 1, False)
+    # the reader returns the writer's inputs for every kind, bit and start; it checks no trivial-frame rule
+    for inputs in itertools.product([FRAME, validate_frame(1, 0, 0, 1)], SequenceKind, [TWISTS, TwistSequence((-3,))],
+                                    (0, 1), (False, True)):
+        parsed = parse_descriptor(descriptor_dict(*inputs))
+        assert parsed == inputs and type(parsed[3]) is int and type(parsed[4]) is bool
 
 
 def test_descriptor_optional_fields_default():

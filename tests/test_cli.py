@@ -21,7 +21,7 @@ from tunnelslopes import (
     validate_frame,
 )
 from tunnelslopes.catalog import load_entries, recompute_invariants
-from tunnelslopes import catalog, cli, frames, iteration, two_bridge, verify
+from tunnelslopes import cli, frames, iteration, two_bridge, verify
 from tunnelslopes.cli import main
 
 REPLAY_PATH = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
@@ -584,7 +584,7 @@ def test_engine_mismatch_outside_iterate_is_a_bug(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise iteration.EngineMismatchError("engines disagree")
 
-    monkeypatch.setattr(catalog, "assemble_invariants", broken)
+    monkeypatch.setattr(iteration, "assemble_invariants", broken)
     descriptor = '{"frame":"2,3,1,2","kind":"drop-rho-pure","twists":"2,1"}'
     code, out, err = run_cli(capsys, "compare", "--left", descriptor, "--right", descriptor)
     assert (code, out) == (cli.EXIT_INTERNAL, "")

@@ -126,7 +126,7 @@ def _trees() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_only_catalog_read_json_calls_json_loads():
+def test_only_slopes_read_json_calls_json_loads():
     trees = _trees()
     calls = [
         (name, node.lineno)
@@ -134,8 +134,8 @@ def test_only_catalog_read_json_calls_json_loads():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and "loads" in _names(node.func)
     ]
-    assert [name for name, _ in calls] == ["catalog.py"]
-    read_json = next(node for node in trees["catalog.py"].body if getattr(node, "name", None) == "read_json")
+    assert [name for name, _ in calls] == ["slopes.py"]
+    read_json = next(node for node in trees["slopes.py"].body if getattr(node, "name", None) == "read_json")
     assert read_json.lineno <= calls[0][1] <= read_json.end_lineno
 
 
@@ -172,6 +172,13 @@ def _defined_in(name: str) -> list[str]:
     return [path for path, tree in _trees().items() for node in tree.body
             if getattr(node, "name", None) == name
             or any(isinstance(target, ast.Name) and target.id == name for target in getattr(node, "targets", ()))]
+
+
+@pytest.mark.parametrize("name, home", [("parse_descriptor", "iteration.py"), ("descriptor_invariants", "iteration.py"),
+                                        ("_DESCRIPTOR_KEYS", "iteration.py"), ("read_json", "slopes.py")])
+def test_the_descriptor_reader_and_the_json_decoder_are_each_defined_once(name, home):
+    # the descriptor's reader sits beside its writer, `descriptor_dict`, and the decoder beside `dump_line`
+    assert _defined_in(name) == [home]
 
 
 def test_iteration_takes_the_join_rules_from_frames():
@@ -247,6 +254,14 @@ def test_split_loads_neither_the_two_bridge_tools_nor_the_grids():
         assert "tunnelslopes.slopes" in loaded and "tunnelslopes.catalog" not in loaded, argv
     assert tunnelslopes.catalog.dump_line is tunnelslopes.slopes.dump_line
     assert tunnelslopes.catalog.descriptor_dict is iteration.descriptor_dict
+
+
+def test_compare_loads_only_the_descriptor_and_json_modules():
+    descriptor = '{"frame":"2,3,1,2","kind":"drop-rho-pure","twists":"2,1"}'
+    loaded = _loaded_by(f"from tunnelslopes.cli import main\nassert main(['compare', '--left', {descriptor!r}, "
+                        f"'--right', {descriptor!r}]) == 0")
+    assert loaded == ["tunnelslopes", "tunnelslopes.cli", "tunnelslopes.frames", "tunnelslopes.iteration",
+                      "tunnelslopes.slopes"]
 
 
 def test_enumerate_loads_neither_the_two_bridge_tools_nor_the_grids(tmp_path):
