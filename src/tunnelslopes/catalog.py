@@ -8,8 +8,10 @@ differ are never merged.  `add_chains` dedups the points `iteration.chain_walk`
 grows, each its prefix plus one join, and writes each line through
 `slopes.dump_line`.  A line in the exact form `enumerate` writes is read by
 one regular expression; any other line goes through `json`, with the same
-entries and errors as if every line did.  The patterns compile at import:
-only `enumerate` loads this module.
+entries and errors as if every line did.  A rerun reads each stored line's
+key alone, cut from the match (about 2.5 us a line, 5.2-5.9 us with its entry
+built, on 2 cores and Python 3.11).  The patterns compile at import: only
+`enumerate` loads this module.
 """
 
 from __future__ import annotations
@@ -126,16 +128,17 @@ def _json_entry(line: str, where: str) -> dict:
     return entry
 
 
-def load_entries(path) -> list[dict]:
-    """Read a catalog file; a missing file is an empty catalog.
+def load_entries(path, *, keys: bool = False) -> list:
+    """Read a catalog file's entries, or with `keys` each line's dedup key; a missing file is an empty catalog.
 
     A line in the exact form `enumerate` writes is read by the `_CANONICAL`
-    pattern alone; any other line goes through `json` (`_json_entry`).  The
-    entries and the error messages are the same either way.  A last line
-    with no newline that does not parse was left by an interrupted append:
-    it is skipped with a warning on stderr, and the next `append_lines` cuts
-    it off.  A bad line anywhere else is an error, and so is an invariant
-    value of the wrong shape, which `invariants_key` could not key apart.
+    pattern alone, its key cut from the match with no entry built; any other
+    line goes through `json` (`_json_entry`).  The entries, the keys and the
+    error messages are the same either way.  A last line with no newline
+    that does not parse was left by an interrupted append: it is skipped
+    with a warning on stderr, and the next `append_lines` cuts it off.  A
+    bad line anywhere else is an error, and so is an invariant value of the
+    wrong shape, which `invariants_key` could not key apart.
     """
     if not os.path.exists(path):
         return []
@@ -155,7 +158,11 @@ def load_entries(path) -> list[dict]:
     try:
         for lineno, line in enumerate(lines, start=1):
             match = _canonical(line)
-            if match:
+            if match and keys:
+                # `invariants_key` of the entry below: no slope text holds '","', and each bit is one digit
+                first, rest, binary = match.group(6, 7, 8)
+                entries.append("|".join((first, rest[1:-1].replace('","', ","), binary[::2])))
+            elif match:
                 frame, kind, twists, bit, from_trivial, first, rest, binary, flags = match.groups()
                 # a JSON list's inside, split on the '","' no string in it can hold
                 entries.append({
@@ -175,7 +182,8 @@ def load_entries(path) -> list[dict]:
                     "schema_version": SCHEMA_VERSION,
                 })
             elif line.strip():
-                entries.append(_json_entry(line, f"{path}:{lineno}"))
+                entry = _json_entry(line, f"{path}:{lineno}")
+                entries.append(invariants_key(entry["invariants"]) if keys else entry)
     finally:
         if collecting:
             gc.enable()
@@ -189,7 +197,7 @@ def load_entries(path) -> list[dict]:
 
 def load_keys(path) -> set[str]:
     """Dedup keys of every entry already in the catalog file."""
-    return {invariants_key(entry["invariants"]) for entry in load_entries(path)}
+    return set(load_entries(path, keys=True))
 
 
 def append_lines(path, lines) -> None:

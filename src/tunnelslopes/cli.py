@@ -6,9 +6,10 @@ engine check and the `enumerate` walk come from `iteration`, the grids from
 `verify` and the catalog dedup from `catalog`.  All output is JSON lines
 with a fixed key order per record type, rationals as "num/den", so identical
 invocations are byte-identical.  Exit codes: 0 ok, 1 a verification found a
-mismatch, 2 usage error (argparse), 3 an input failed validation, 4 an
-internal error (any other exception, reported in one line), 141 (128 +
-SIGPIPE) the reader closed stdout early, with nothing on stderr.
+mismatch, 2 usage error (argparse), 3 an input failed validation, a grid
+past `GRID_CAP` too, 4 an internal error (any other exception, reported in
+one line), 141 (128 + SIGPIPE) the reader closed stdout early, with nothing
+on stderr.
 
 Handlers load on first use: each command imports what it runs when it runs,
 so importing this module loads no other module of the package.
@@ -28,6 +29,19 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its r
 
 _INT_LIST = "expected comma-separated integers"  # the message for unreadable --a and --b text
 _EMPTY_GRID = "the verification grid is empty; widen its bounds"
+# the most points one `enumerate` or `verify-correspondence` runs; above `run_oracle_grid(1, 4, 3)`'s 497,280 cases
+GRID_CAP = 500_000
+
+
+def _check_grid_size(grid: str, factor: int, ratio: int, levels: int) -> int:
+    """factor * (ratio + ratio**2 + ... + ratio**levels), a grid's points, refused once the sum passes `GRID_CAP`."""
+    total, term = 0, factor
+    for _ in range(levels):
+        term *= ratio
+        total += term
+        if total > GRID_CAP:
+            raise ValueError(f"the {grid} grid has more than {GRID_CAP:,} points, the cap; narrow its bounds")
+    return total
 
 
 def _emit(obj: dict) -> None:
@@ -153,6 +167,7 @@ def _cmd_verify_correspondence(args) -> int:
     # checked before the grid is built: an empty box of a large depth still builds every sign slice
     if args.max_d < 0 or args.b_range < 1:
         raise ValueError(_EMPTY_GRID)
+    _check_grid_size("verification", 1, 4 * args.b_range, args.max_d + 1)
     result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
     return _report_grid(result, "checked", "failures")
 
@@ -178,6 +193,7 @@ def _cmd_enumerate(args) -> int:
     # checked before the catalog is loaded or written, as the verify grids check theirs
     if args.depth < 1 or args.n_range < 1:
         raise ValueError("the enumeration grid is empty; widen its bounds")
+    _check_grid_size("enumeration", len(kinds), 2 * args.n_range, args.depth)
     check_trivial_frame(frame, args.from_trivial)
     chains = chain_walk(frame, kinds, args.depth, args.n_range, args.splitting_bit, args.from_trivial)
     # written before any line is printed, so a catalog that cannot be written leaves stdout empty

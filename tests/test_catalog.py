@@ -230,7 +230,27 @@ def test_loaded_line_keys_like_its_fresh_invariants(tmp_path_factory, drawn):
     lines[-1] = json.dumps(json.loads(lines[-1]), sort_keys=True)
     append_lines(path, lines)
     loaded = [invariants_key(entry["invariants"]) for entry in load_entries(path)]
-    assert loaded == [invariants_key(inv.to_dict()) for inv in drawn]
+    assert loaded == load_entries(path, keys=True) == [invariants_key(inv.to_dict()) for inv in drawn]
+    assert catalog.load_keys(path) == set(loaded)
+
+
+def test_keys_skip_blank_lines_and_a_torn_tail_as_entries_do(tmp_path, capsys):
+    path = tmp_path / "catalog.jsonl"
+    entries = [
+        entry_dict(descriptor_dict(FRAME, KIND, TwistSequence(tw), 0, False),
+                   assemble_invariants(FRAME, KIND, tw, 0, False).to_dict(), [])
+        for tw in [(1,), (2, 1)]
+    ]
+    text = f"\n{dump_line(entries[0])}\n  \n\t\n{json.dumps(entries[1], sort_keys=True)}\n\n"
+    path.write_text(text + '{"descriptor":{"fr', encoding="utf-8")  # the last append, cut short
+    keys = [invariants_key(entry["invariants"]) for entry in load_entries(path)]
+    warning = capsys.readouterr().err
+    assert warning == f"{path}:7: warning: skipping a last line cut short by an interrupted append\n"
+    assert keys == [invariants_key(entry["invariants"]) for entry in entries]
+    assert load_entries(path, keys=True) == keys
+    assert capsys.readouterr().err == warning
+    assert catalog.load_keys(path) == set(keys)
+    assert capsys.readouterr().err == warning
 
 
 def test_load_keys_serializes_nothing(tmp_path, monkeypatch):
@@ -543,18 +563,32 @@ def test_every_written_line_loads_without_json(varied, monkeypatch):
     assert loaded == parsed
     # equal dicts may still differ in type, as 1 == True; the serialization does not
     assert [dump_line(entry) for entry in loaded] == lines
+    keys = [invariants_key(i) for i in invariants]
+    assert load_entries(path, keys=True) == keys
+    assert catalog.load_keys(path) == set(keys)
 
 
 def _assert_read_as_json_reads(path, line: str) -> None:
-    """`line` matches the pattern only if `json` reads it, and then `load_entries` reads it alike."""
+    """`line` matches the pattern only if `json` reads it, and then `load_entries` reads it alike.
+
+    `load_keys` gives the key of what `json` reads, or `json`'s error.
+    """
     match = re.compile(catalog._CANONICAL).fullmatch(line)
     try:
-        expected = catalog._json_entry(line, "here")
-    except ValueError:
+        expected = catalog._json_entry(line, f"{path}:1")
+    except ValueError as exc:
         assert match is None, line
+        expected, error = None, str(exc)
+    if "\n" in line or not line.strip():
+        return  # a file of this line holds other lines, or none
+    path.write_text(line + "\n", encoding="utf-8")
+    if expected is None:
+        with pytest.raises(ValueError) as got:
+            catalog.load_keys(path)
+        assert str(got.value) == error
         return
+    assert catalog.load_keys(path) == {invariants_key(expected["invariants"])}
     if match:
-        path.write_text(line + "\n", encoding="utf-8")
         (loaded,) = load_entries(path)
         assert loaded == expected and dump_line(loaded) == dump_line(expected) == line
 

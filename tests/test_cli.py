@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -414,6 +415,71 @@ def test_empty_grid_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert (code, out) == (3, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "empty" in err
     assert not path.exists()
+
+
+# far above the cap, so each would walk or check points until killed
+OVERSIZE_GRIDS = [
+    ("enumerate", "--frame", "2,3,1,2", "--depth", "40", "--n-range", "1"),
+    ("enumerate", "--frame", "2,3,1,2", "--kind", "drop-rho-pure", "--depth", str(10**9), "--n-range", "1"),
+    ("enumerate", "--frame", "1,0,0,1", "--depth", "2", "--n-range", "1000", "--from-trivial"),
+    ("verify-correspondence", "--max-d", "30", "--b-range", "1"),
+    ("verify-correspondence", "--max-d", "0", "--b-range", str(10**9)),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZE_GRIDS)
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_oversize_grid_exits_3_before_any_point(tmp_path, capsys, monkeypatch, argv, existing):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversize grid ran a point")
+
+    monkeypatch.setattr(iteration, "chain_walk", refuse)
+    monkeypatch.setattr(verify, "check_correspondence_case", refuse)
+    path = tmp_path / "catalog.jsonl"
+    if existing:
+        path.write_bytes(b"not a catalog line, so reading it would fail\n")
+    if argv[0] == "enumerate":
+        argv += ("--catalog", str(path))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: the {'enumeration' if argv[0] == 'enumerate' else 'verification'} grid has more than " \
+                  f"{cli.GRID_CAP:,} points, the cap; narrow its bounds\n"
+    assert path.exists() == existing
+    if existing:
+        assert path.read_bytes() == b"not a catalog line, so reading it would fail\n"
+
+
+def test_the_grid_cap_admits_the_largest_grid_run_and_no_point_more():
+    assert cli.GRID_CAP >= 497_280  # `run_oracle_grid(1, 4, 3)`, ROADMAP item 4's target grid
+    assert cli._check_grid_size("grid", cli.GRID_CAP, 1, 1) == cli.GRID_CAP
+    with pytest.raises(ValueError, match=f"more than {cli.GRID_CAP:,} points"):
+        cli._check_grid_size("grid", cli.GRID_CAP, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ("--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1"),
+        ("--kind", "drop-rho-pure", "--kind", "lift-rho-pure", "--depth", "3", "--n-range", "1"),
+        ("--depth", "2", "--n-range", "2"),
+    ],
+)
+@pytest.mark.parametrize("frame", ["2,3,1,2", "1,0,0,1"])
+def test_enumeration_count_is_the_summary_points(tmp_path, capsys, grid, frame):
+    trivial = ("--from-trivial",) if frame == "1,0,0,1" else ()
+    code, out, _ = run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "c.jsonl"), "--frame", frame, *grid, *trivial)
+    args = cli.build_parser("enumerate").parse_args(["enumerate", "--catalog", "c", "--frame", frame, *grid])
+    kinds = len(set(args.kind)) if args.kind else len(SequenceKind)
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["points"] == cli._check_grid_size("", kinds, 2 * args.n_range, args.depth)
+
+
+@pytest.mark.parametrize("max_d, b_range", [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1)])
+def test_correspondence_count_is_the_grid_cases(max_d, b_range):
+    cases = verify.run_correspondence_grid(max_d, b_range).cases
+    assert cases == cli._check_grid_size("", 1, 4 * b_range, max_d + 1)
 
 
 # nested too deeply for the `json` module on every supported Python (3.12 and 3.13 still read 1,200 levels)
