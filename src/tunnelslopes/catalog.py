@@ -9,9 +9,9 @@ grows, each its prefix plus one join, and writes each line through
 `slopes.dump_line`.  A line in the exact form `enumerate` writes is read by
 one regular expression; any other line goes through `json`, with the same
 entries and errors as if every line did.  A rerun reads each stored line's
-key alone, cut from the match (about 2.5 us a line, 5.2-5.9 us with its entry
-built, on 2 cores and Python 3.11).  The patterns compile at import: only
-`enumerate` loads this module.
+key alone, cut from the match (about 2.5 us a line, 5.2-5.9 us when built
+from its entry, on 2 cores and Python 3.11).  The patterns compile at
+import: only `enumerate` loads this module.
 """
 
 from __future__ import annotations

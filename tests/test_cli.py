@@ -444,8 +444,7 @@ def test_oversize_grid_exits_3_before_any_point(tmp_path, capsys, monkeypatch, a
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert err == f"error: the {'enumeration' if argv[0] == 'enumerate' else 'verification'} grid has more than " \
-                  f"{cli.GRID_CAP:,} points, the cap; narrow its bounds\n"
+    assert err.startswith("error:") and err.count("\n") == 1 and f"more than {cli.GRID_CAP:,} points" in err
     assert path.exists() == existing
     if existing:
         assert path.read_bytes() == b"not a catalog line, so reading it would fail\n"
@@ -459,21 +458,16 @@ def test_the_grid_cap_admits_the_largest_grid_run_and_no_point_more():
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [
-        ("--kind", "drop-rho-pure", "--depth", "1", "--n-range", "1"),
-        ("--kind", "drop-rho-pure", "--kind", "lift-rho-pure", "--depth", "3", "--n-range", "1"),
-        ("--depth", "2", "--n-range", "2"),
-    ],
+    "kinds, depth, n_range", [(["drop-rho-pure"], 1, 1), (["drop-rho-pure", "lift-rho-pure"], 3, 1), ([], 2, 2)]
 )
 @pytest.mark.parametrize("frame", ["2,3,1,2", "1,0,0,1"])
-def test_enumeration_count_is_the_summary_points(tmp_path, capsys, grid, frame):
-    trivial = ("--from-trivial",) if frame == "1,0,0,1" else ()
-    code, out, _ = run_cli(capsys, "enumerate", "--catalog", str(tmp_path / "c.jsonl"), "--frame", frame, *grid, *trivial)
-    args = cli.build_parser("enumerate").parse_args(["enumerate", "--catalog", "c", "--frame", frame, *grid])
-    kinds = len(set(args.kind)) if args.kind else len(SequenceKind)
+def test_enumeration_count_is_the_summary_points(tmp_path, capsys, kinds, depth, n_range, frame):
+    argv = ["enumerate", "--catalog", str(tmp_path / "c.jsonl"), "--frame", frame,
+            "--depth", str(depth), "--n-range", str(n_range), *[f"--kind={kind}" for kind in kinds]]
+    code, out, _ = run_cli(capsys, *argv, *(["--from-trivial"] if frame == "1,0,0,1" else []))
     assert code == 0
-    assert json.loads(out.splitlines()[-1])["points"] == cli._check_grid_size("", kinds, 2 * args.n_range, args.depth)
+    points = cli._check_grid_size("", len(kinds) or len(SequenceKind), 2 * n_range, depth)
+    assert json.loads(out.splitlines()[-1])["points"] == points
 
 
 @pytest.mark.parametrize("max_d, b_range", [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1)])
