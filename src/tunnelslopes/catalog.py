@@ -6,17 +6,16 @@ keys on the invariant values joined into one compact string, equal exactly
 when their canonical serializations are equal, so entries whose invariants
 differ are never merged.  `add_chains` dedups the points `iteration.chain_walk`
 grows, each its prefix plus one join, and writes each line through
-`slopes.dump_line`.  A line in the exact form `enumerate` writes is read by
-one regular expression; any other line goes through `json`, with the same
-entries and errors as if every line did.  A rerun reads each stored line's
-key alone, cut from the match (about 2.5 us a line, 5.2-5.9 us when built
-from its entry, on 2 cores and Python 3.11).  The patterns compile at
-import: only `enumerate` loads this module.
+`slopes.dump_line`.  A rerun reads each stored line's key alone: cut from
+one regular expression's match when the line is in the exact form
+`enumerate` writes (about 2.5 us a line on 2 cores and Python 3.11), and
+through `json` otherwise, with the same keys and errors either way.  Entries
+are always read through `json`.  The patterns compile at import: only
+`enumerate` loads this module.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import re
 import sys
@@ -56,25 +55,24 @@ _JSON_CHARS = r'[^"\\\x00-\x1f]*'
 
 
 def _json_list(item: str) -> str:
-    """A compact JSON list of `item`s, its inside as one group."""
-    return r"\[((?:" + item + r"(?:," + item + r")*)?)\]"
+    """The inside of a compact JSON list of `item`s, its brackets left out."""
+    return r"(?:" + item + r"(?:," + item + r")*)?"
 
 
 # Exactly the lines `dump_line(entry_dict(descriptor_dict(...), ...))` writes, in its key order.  Each
-# value has a shape `_json_entry` accepts, so a match needs no check.
+# value has a shape `_json_entry` accepts, so a match needs no check.  Its only groups are the
+# invariants' first, the inside of rest and the inside of binary, in that order.
 _CANONICAL = (
     r'\{"descriptor":\{'
-    r'"frame":"(' + _JSON_CHARS + r')","kind":"(' + _JSON_CHARS + r')","twists":"(' + _JSON_CHARS + r')",'
-    r'"splitting_bit":([01]),"from_trivial":(true|false)\},'
+    r'"frame":"' + _JSON_CHARS + r'","kind":"' + _JSON_CHARS + r'","twists":"' + _JSON_CHARS + r'",'
+    r'"splitting_bit":[01],"from_trivial":(?:true|false)\},'
     r'"invariants":\{"first":"(' + _FIRST_TEXT + r')",'
-    r'"rest":' + _json_list(r'"(?:' + _SLOPE_TEXT + r')"') + r',"binary":' + _json_list("[01]") + r'\},'
-    r'"flags":' + _json_list(r'"' + _JSON_CHARS + r'"') + r',"schema_version":' + str(SCHEMA_VERSION) + r'\}'
+    r'"rest":\[(' + _json_list(r'"(?:' + _SLOPE_TEXT + r')"') + r')\],"binary":\[(' + _json_list("[01]") + r')\]\},'
+    r'"flags":\[' + _json_list(r'"' + _JSON_CHARS + r'"') + r'\],"schema_version":' + str(SCHEMA_VERSION) + r'\}'
 )
 _canonical, _is_first, _is_slope = (
     re.compile(text).fullmatch for text in (_CANONICAL, _FIRST_TEXT, _SLOPE_TEXT)
 )
-# a matched bit's digit to its int: a lookup costs less than `int()`
-_BIT = {"0": 0, "1": 1}
 
 
 def _torn(tail: bytes) -> bool:
@@ -93,9 +91,9 @@ def _torn(tail: bytes) -> bool:
 def _json_entry(line: str, where: str) -> dict:
     """One nonblank catalog line read through `json`, every value's shape checked.
 
-    `load_entries` reads each line not in the `_CANONICAL` form this way,
-    and the tests hold the pattern's reading of a line to this one.  Errors
-    begin with `where`, the line's `path:lineno`.
+    `load_entries` reads every entry this way, and the key of each line not
+    in the `_CANONICAL` form; the tests hold the pattern's reading of a line
+    to this one.  Errors begin with `where`, the line's `path:lineno`.
     """
     entry = read_json(line, f"{where}: not a JSON line")
     if not isinstance(entry, dict):
@@ -131,14 +129,15 @@ def _json_entry(line: str, where: str) -> dict:
 def load_entries(path, *, keys: bool = False) -> list:
     """Read a catalog file's entries, or with `keys` each line's dedup key; a missing file is an empty catalog.
 
-    A line in the exact form `enumerate` writes is read by the `_CANONICAL`
-    pattern alone, its key cut from the match with no entry built; any other
-    line goes through `json` (`_json_entry`).  The entries, the keys and the
-    error messages are the same either way.  A last line with no newline
-    that does not parse was left by an interrupted append: it is skipped
-    with a warning on stderr, and the next `append_lines` cuts it off.  A
-    bad line anywhere else is an error, and so is an invariant value of the
-    wrong shape, which `invariants_key` could not key apart.
+    Every entry is read through `json` (`_json_entry`).  A key is cut from
+    the `_CANONICAL` pattern's match when the line is in the exact form
+    `enumerate` writes, with no entry built, and is the `json` entry's key
+    otherwise; the keys and the error messages are the same either way.  A
+    last line with no newline that does not parse was left by an
+    interrupted append: it is skipped with a warning on stderr, and the next
+    `append_lines` cuts it off.  A bad line anywhere else is an error, and
+    so is an invariant value of the wrong shape, which `invariants_key`
+    could not key apart.
     """
     if not os.path.exists(path):
         return []
@@ -153,51 +152,21 @@ def load_entries(path, *, keys: bool = False) -> list:
     if not torn:
         lines.append(tail.decode("utf-8"))
     entries = []
-    collecting = gc.isenabled()
-    gc.disable()  # no entry holds a cycle, and each of the collector's passes would walk every entry built so far
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            match = _canonical(line)
-            if match and keys:
-                # `invariants_key` of the entry below: no slope text holds '","', and each bit is one digit
-                first, rest, binary = match.group(6, 7, 8)
-                entries.append("|".join((first, rest[1:-1].replace('","', ","), binary[::2])))
-            elif match:
-                frame, kind, twists, bit, from_trivial, first, rest, binary, flags = match.groups()
-                # a JSON list's inside, split on the '","' no string in it can hold
-                entries.append({
-                    "descriptor": {
-                        "frame": frame,
-                        "kind": kind,
-                        "twists": twists,
-                        "splitting_bit": _BIT[bit],
-                        "from_trivial": from_trivial == "true",
-                    },
-                    "invariants": {
-                        "first": first,
-                        "rest": rest[1:-1].split('","') if rest else [],
-                        "binary": [_BIT[digit] for digit in binary[::2]],
-                    },
-                    "flags": flags[1:-1].split('","') if flags else [],
-                    "schema_version": SCHEMA_VERSION,
-                })
-            elif line.strip():
-                entry = _json_entry(line, f"{path}:{lineno}")
-                entries.append(invariants_key(entry["invariants"]) if keys else entry)
-    finally:
-        if collecting:
-            gc.enable()
+    for lineno, line in enumerate(lines, start=1):
+        match = keys and _canonical(line)
+        if match:
+            # `invariants_key` of the line's entry: no slope text holds '","', and each bit is one digit
+            first, rest, binary = match.groups()
+            entries.append("|".join((first, rest[1:-1].replace('","', ","), binary[::2])))
+        elif line.strip():
+            entry = _json_entry(line, f"{path}:{lineno}")
+            entries.append(invariants_key(entry["invariants"]) if keys else entry)
     if torn:
         print(
             f"{path}:{len(lines) + 1}: warning: skipping a last line cut short by an interrupted append",
             file=sys.stderr,
         )
     return entries
-
-
-def load_keys(path) -> set[str]:
-    """Dedup keys of every entry already in the catalog file."""
-    return set(load_entries(path, keys=True))
 
 
 def append_lines(path, lines) -> None:
@@ -226,7 +195,7 @@ def add_chains(path, chains, splitting_bit: int, from_trivial: bool) -> tuple[li
     each key gives its line, and the lines the file lacks go in one append.
     Returns the run's unique lines in order, the point count and the count appended.
     """
-    known = load_keys(path)
+    known = set(load_entries(path, keys=True))
     unique: dict[str, str] = {}  # dedup key -> entry line
     count = 0
     for count, (frame, kind, twists, invariants) in enumerate(chains, start=1):

@@ -34,7 +34,12 @@ GRID_CAP = 500_000
 
 
 def _check_grid_size(grid: str, factor: int, ratio: int, levels: int) -> int:
-    """factor * (ratio + ratio**2 + ... + ratio**levels), a grid's points, refused once the sum passes `GRID_CAP`."""
+    """factor * (ratio + ratio**2 + ... + ratio**levels), a grid's points, refused when empty or past `GRID_CAP`.
+
+    Each caller checks before it builds its grid or reads its catalog, so a refused grid does no work.
+    """
+    if ratio < 1 or levels < 1:
+        raise ValueError(f"the {grid} grid is empty; widen its bounds")
     total, term = 0, factor
     for _ in range(levels):
         term *= ratio
@@ -164,9 +169,6 @@ def _report_grid(result, cases_key: str, failures_key: str) -> int:
 def _cmd_verify_correspondence(args) -> int:
     from .verify import run_correspondence_grid, worker_count
 
-    # checked before the grid is built: an empty box of a large depth still builds every sign slice
-    if args.max_d < 0 or args.b_range < 1:
-        raise ValueError(_EMPTY_GRID)
     _check_grid_size("verification", 1, 4 * args.b_range, args.max_d + 1)
     result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
     return _report_grid(result, "checked", "failures")
@@ -190,9 +192,6 @@ def _cmd_enumerate(args) -> int:
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     # a repeated --kind counts once, in the order first given
     kinds = [SequenceKind(value) for value in dict.fromkeys(args.kind)] if args.kind else SequenceKind
-    # checked before the catalog is loaded or written, as the verify grids check theirs
-    if args.depth < 1 or args.n_range < 1:
-        raise ValueError("the enumeration grid is empty; widen its bounds")
     _check_grid_size("enumeration", len(kinds), 2 * args.n_range, args.depth)
     check_trivial_frame(frame, args.from_trivial)
     chains = chain_walk(frame, kinds, args.depth, args.n_range, args.splitting_bit, args.from_trivial)

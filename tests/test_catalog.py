@@ -140,21 +140,6 @@ def test_load_enables_the_collector_again_after_a_malformed_line(tmp_path, colle
     assert gc.isenabled()
 
 
-def test_load_builds_entries_with_the_collector_paused(tmp_path, monkeypatch, collector):
-    _padded_catalog(tmp_path / "catalog.jsonl")
-    seen = []
-    read = catalog._json_entry
-
-    def recording(line, where):
-        seen.append(gc.isenabled())
-        return read(line, where)
-
-    monkeypatch.setattr(catalog, "_json_entry", recording)
-    gc.enable()
-    load_entries(tmp_path / "catalog.jsonl")
-    assert seen == [False]
-
-
 def test_recompute_honors_bypass_flag():
     entry = {
         "descriptor": {"frame": "2,4,1,2", "kind": "drop-rho-pure", "twists": "2"},
@@ -231,7 +216,6 @@ def test_loaded_line_keys_like_its_fresh_invariants(tmp_path_factory, drawn):
     append_lines(path, lines)
     loaded = [invariants_key(entry["invariants"]) for entry in load_entries(path)]
     assert loaded == load_entries(path, keys=True) == [invariants_key(inv.to_dict()) for inv in drawn]
-    assert catalog.load_keys(path) == set(loaded)
 
 
 def test_keys_skip_blank_lines_and_a_torn_tail_as_entries_do(tmp_path, capsys):
@@ -249,11 +233,9 @@ def test_keys_skip_blank_lines_and_a_torn_tail_as_entries_do(tmp_path, capsys):
     assert keys == [invariants_key(entry["invariants"]) for entry in entries]
     assert load_entries(path, keys=True) == keys
     assert capsys.readouterr().err == warning
-    assert catalog.load_keys(path) == set(keys)
-    assert capsys.readouterr().err == warning
 
 
-def test_load_keys_serializes_nothing(tmp_path, monkeypatch):
+def test_loading_keys_serializes_nothing(tmp_path, monkeypatch):
     path = tmp_path / "catalog.jsonl"
     lines = [
         dump_line(entry_dict(descriptor_dict(FRAME, KIND, TwistSequence(tw), 0, False),
@@ -267,7 +249,7 @@ def test_load_keys_serializes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(catalog, "dump_line", refuse)
     monkeypatch.setattr(json, "dumps", refuse)
-    keys = catalog.load_keys(path)
+    keys = set(load_entries(path, keys=True))
     assert len(keys) == 3
 
 
@@ -556,22 +538,31 @@ def test_every_written_line_loads_without_json(varied, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a line `enumerate` wrote was read through json")
 
-    monkeypatch.setattr(json, "loads", refuse)
-    monkeypatch.setattr(json, "JSONDecoder", refuse)
-    monkeypatch.setattr(catalog, "_json_entry", refuse)
+    with monkeypatch.context() as patched:
+        patched.setattr(json, "loads", refuse)
+        patched.setattr(json, "JSONDecoder", refuse)
+        patched.setattr(catalog, "_json_entry", refuse)
+        assert load_entries(path, keys=True) == [invariants_key(i) for i in invariants]
     loaded = load_entries(path)
     assert loaded == parsed
     # equal dicts may still differ in type, as 1 == True; the serialization does not
     assert [dump_line(entry) for entry in loaded] == lines
-    keys = [invariants_key(i) for i in invariants]
-    assert load_entries(path, keys=True) == keys
-    assert catalog.load_keys(path) == set(keys)
+
+
+def test_entries_never_consult_the_pattern(varied, monkeypatch):
+    path, lines = varied
+
+    def refuse(line):
+        raise AssertionError("an entry was read through the canonical pattern")
+
+    monkeypatch.setattr(catalog, "_canonical", refuse)
+    assert load_entries(path) == [json.loads(line) for line in lines]
 
 
 def _assert_read_as_json_reads(path, line: str) -> None:
     """`line` matches the pattern only if `json` reads it, and then `load_entries` reads it alike.
 
-    `load_keys` gives the key of what `json` reads, or `json`'s error.
+    Its key load gives the key of what `json` reads, or `json`'s error.
     """
     match = re.compile(catalog._CANONICAL).fullmatch(line)
     try:
@@ -584,10 +575,10 @@ def _assert_read_as_json_reads(path, line: str) -> None:
     path.write_text(line + "\n", encoding="utf-8")
     if expected is None:
         with pytest.raises(ValueError) as got:
-            catalog.load_keys(path)
+            set(load_entries(path, keys=True))
         assert str(got.value) == error
         return
-    assert catalog.load_keys(path) == {invariants_key(expected["invariants"])}
+    assert set(load_entries(path, keys=True)) == {invariants_key(expected["invariants"])}
     if match:
         (loaded,) = load_entries(path)
         assert loaded == expected and dump_line(loaded) == dump_line(expected) == line

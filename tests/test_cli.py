@@ -455,6 +455,9 @@ def test_the_grid_cap_admits_the_largest_grid_run_and_no_point_more():
     assert cli._check_grid_size("grid", cli.GRID_CAP, 1, 1) == cli.GRID_CAP
     with pytest.raises(ValueError, match=f"more than {cli.GRID_CAP:,} points"):
         cli._check_grid_size("grid", cli.GRID_CAP, 1, 2)
+    for ratio, levels in [(0, 1), (1, 0), (-2, 3), (4, -1), (0, 10**9)]:
+        with pytest.raises(ValueError, match="^the enumeration grid is empty; widen its bounds$"):
+            cli._check_grid_size("enumeration", 1, ratio, levels)
 
 
 @pytest.mark.parametrize(

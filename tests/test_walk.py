@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunnelslopes import SequenceKind, assemble_invariants, iteration, validate_frame
-from tunnelslopes.catalog import descriptor_dict, dump_line, entry_dict, invariants_key, load_keys
+from tunnelslopes.catalog import descriptor_dict, dump_line, entry_dict, invariants_key, load_entries
 from tunnelslopes.cli import main
 from tunnelslopes.frames import FareyFrame
 from tunnelslopes.iteration import chain_walk
@@ -64,7 +64,7 @@ def test_enumerate_writes_the_per_point_lines(
         other, _, _ = _reference(validate_frame(5, 3, 3, 2), [SequenceKind.LIFT_RHO_PURE], 1, 1, 0, False)
         before = _text(other + own[::3]).encode("utf-8")
         path.write_bytes(before)
-    lines, count, fresh = _reference(frame, kind_list, depth, n_range, bit, from_trivial, load_keys(path))
+    lines, count, fresh = _reference(frame, kind_list, depth, n_range, bit, from_trivial, set(load_entries(path, keys=True)))
     argv = ["enumerate", "--catalog", str(path), f"--frame={frame_text}", "--depth", str(depth),
             "--n-range", str(n_range), "--splitting-bit", str(bit), *[f"--kind={kind}" for kind in kinds]]
     argv += ["--from-trivial"] * from_trivial + ["--bypass-validation"] * bypass
