@@ -6,10 +6,10 @@ engine check and the `enumerate` walk come from `iteration`, the grids from
 `verify` and the catalog dedup from `catalog`.  All output is JSON lines
 with a fixed key order per record type, rationals as "num/den", so identical
 invocations are byte-identical.  Exit codes: 0 ok, 1 a verification found a
-mismatch, 2 usage error (argparse), 3 an input failed validation, a grid
-past `GRID_CAP` too, 4 an internal error (any other exception, reported in
-one line), 141 (128 + SIGPIPE) the reader closed stdout early, with nothing
-on stderr.
+mismatch, 2 usage error (argparse), 3 an input failed validation, an empty
+grid or one past `GRID_CAP` too, 4 an internal error (any other exception,
+reported in one line), 141 (128 + SIGPIPE) the reader closed stdout early,
+with nothing on stderr.
 
 Handlers load on first use: each command imports what it runs when it runs,
 so importing this module loads no other module of the package.
@@ -29,16 +29,16 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its r
 
 _INT_LIST = "expected comma-separated integers"  # the message for unreadable --a and --b text
 _EMPTY_GRID = "the verification grid is empty; widen its bounds"
-# the most points one `enumerate` or `verify-correspondence` runs; above `run_oracle_grid(1, 4, 3)`'s 497,280 cases
+# the most points one grid command runs; above `run_oracle_grid(1, 4, 3)`'s 497,280 cases
 GRID_CAP = 500_000
 
 
 def _check_grid_size(grid: str, factor: int, ratio: int, levels: int) -> int:
     """factor * (ratio + ratio**2 + ... + ratio**levels), a grid's points, refused when empty or past `GRID_CAP`.
 
-    Each caller checks before it builds its grid or reads its catalog, so a refused grid does no work.
+    An argument below 1 empties the grid.  Each caller checks before it builds its grid or reads its catalog.
     """
-    if ratio < 1 or levels < 1:
+    if factor < 1 or ratio < 1 or levels < 1:
         raise ValueError(f"the {grid} grid is empty; widen its bounds")
     total, term = 0, factor
     for _ in range(levels):
@@ -175,11 +175,12 @@ def _cmd_verify_correspondence(args) -> int:
 
 
 def _cmd_verify_oracle(args) -> int:
-    from .verify import run_oracle_grid, worker_count
+    from .iteration import SequenceKind
+    from .verify import frames_in_box, run_oracle_grid, worker_count
 
-    # checked before the grid is built: an empty grid of a large frame bound still scans every frame of its box
-    if args.frame_bound < 1 or args.depth < 1 or args.n_range < 1:
-        raise ValueError(_EMPTY_GRID)
+    # the twist part before the box is scanned; a frame bound below 1 boxes no frame, so no kind runs
+    points = _check_grid_size("verification", len(SequenceKind) * (args.frame_bound >= 1), 2 * args.n_range, args.depth)
+    _check_grid_size("verification", points, len(frames_in_box(args.frame_bound)), 1)
     result = run_oracle_grid(args.frame_bound, args.depth, args.n_range, workers=worker_count())
     return _report_grid(result, "cases", "mismatches")
 

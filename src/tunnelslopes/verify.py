@@ -17,7 +17,7 @@ import itertools
 import os
 from collections import namedtuple
 
-from .frames import FareyFrame, nonzero_range, validate_frame
+from .frames import FareyFrame, nonzero_range
 from .iteration import SequenceKind, TwistSequence, closed_form_slopes, oracle_slopes
 from .two_bridge import validate_cf, verify_correspondence
 
@@ -70,14 +70,13 @@ def _end_with_parent() -> None:
 
 
 def frames_in_box(bound: int) -> tuple[FareyFrame, ...]:
-    """Every frame `validate_frame` accepts with all four entries in [-bound, bound], lexicographic."""
-    out = []
-    for entries in itertools.product(range(-bound, bound + 1), repeat=4):
-        try:
-            out.append(validate_frame(*entries))
-        except ValueError:
-            pass
-    return tuple(out)
+    """Every frame with all four entries in [-bound, bound], lexicographic.
+
+    The determinant alone decides: a common divisor of p and q, or of r and s,
+    divides p*s - q*r, so a determinant of +-1 makes both pairs coprime.
+    """
+    box = itertools.product(range(-bound, bound + 1), repeat=4)
+    return tuple(FareyFrame(p, q, r, s) for p, q, r, s in box if p * s - q * r in (1, -1))
 
 
 def twist_tuples(max_len: int, bound: int):

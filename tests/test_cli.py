@@ -396,6 +396,7 @@ def test_verify_correspondence_mismatch_exits_1(capsys, monkeypatch):
         ("verify-correspondence", "--max-d=-1"),
         # bounds that would scan 2001^4 frames or build about 2^32 sign slices before finding no case
         ("verify-oracle", "--frame-bound", "1000", "--depth", "0"),
+        ("verify-oracle", "--frame-bound", "0", "--depth", "30"),  # empty, though its twist part is past the cap
         ("verify-correspondence", "--max-d", "30", "--b-range", "0"),
         ("enumerate", "--frame", "2,3,1,2", "--depth", "0"),
         ("enumerate", "--frame", "2,3,1,2", "--n-range", "0"),
@@ -424,6 +425,9 @@ OVERSIZE_GRIDS = [
     ("enumerate", "--frame", "1,0,0,1", "--depth", "2", "--n-range", "1000", "--from-trivial"),
     ("verify-correspondence", "--max-d", "30", "--b-range", "1"),
     ("verify-correspondence", "--max-d", "0", "--b-range", str(10**9)),
+    ("verify-oracle", "--frame-bound", "1", "--depth", "30", "--n-range", "1"),
+    ("verify-oracle", "--frame-bound", "1", "--depth", "1", "--n-range", str(10**8)),
+    ("verify-oracle", "--frame-bound", "12", "--depth", "2", "--n-range", "5"),  # 2,920 frames x 8 kinds x 110 twists
 ]
 
 
@@ -435,6 +439,7 @@ def test_oversize_grid_exits_3_before_any_point(tmp_path, capsys, monkeypatch, a
 
     monkeypatch.setattr(iteration, "chain_walk", refuse)
     monkeypatch.setattr(verify, "check_correspondence_case", refuse)
+    monkeypatch.setattr(verify, "check_oracle_case", refuse)
     path = tmp_path / "catalog.jsonl"
     if existing:
         path.write_bytes(b"not a catalog line, so reading it would fail\n")
@@ -455,9 +460,9 @@ def test_the_grid_cap_admits_the_largest_grid_run_and_no_point_more():
     assert cli._check_grid_size("grid", cli.GRID_CAP, 1, 1) == cli.GRID_CAP
     with pytest.raises(ValueError, match=f"more than {cli.GRID_CAP:,} points"):
         cli._check_grid_size("grid", cli.GRID_CAP, 1, 2)
-    for ratio, levels in [(0, 1), (1, 0), (-2, 3), (4, -1), (0, 10**9)]:
+    for factor, ratio, levels in [(1, 0, 1), (1, 1, 0), (1, -2, 3), (1, 4, -1), (1, 0, 10**9), (0, 10**9, 10**9)]:
         with pytest.raises(ValueError, match="^the enumeration grid is empty; widen its bounds$"):
-            cli._check_grid_size("enumeration", 1, ratio, levels)
+            cli._check_grid_size("enumeration", factor, ratio, levels)
 
 
 @pytest.mark.parametrize(
@@ -477,6 +482,13 @@ def test_enumeration_count_is_the_summary_points(tmp_path, capsys, kinds, depth,
 def test_correspondence_count_is_the_grid_cases(max_d, b_range):
     cases = verify.run_correspondence_grid(max_d, b_range).cases
     assert cases == cli._check_grid_size("", 1, 4 * b_range, max_d + 1)
+
+
+@pytest.mark.parametrize("frame_bound, depth, n_range", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1)])
+def test_oracle_count_is_the_grid_cases(frame_bound, depth, n_range):
+    cases = verify.run_oracle_grid(frame_bound, depth, n_range).cases
+    points = cli._check_grid_size("", len(SequenceKind), 2 * n_range, depth)
+    assert cases == cli._check_grid_size("", points, len(verify.frames_in_box(frame_bound)), 1)
 
 
 # nested too deeply for the `json` module on every supported Python (3.12 and 3.13 still read 1,200 levels)

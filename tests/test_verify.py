@@ -21,6 +21,7 @@ from tunnelslopes import (
     TwistSequence,
     two_bridge,
     validate_cf,
+    validate_frame,
     verify,
 )
 from tunnelslopes.verify import (
@@ -64,19 +65,17 @@ def test_frames_in_box_shape():
     assert len(frames_in_box(5)) == 616
 
 
-def test_frames_in_box_follows_validate_frame(monkeypatch):
-    # the box keeps no rule of its own: a stricter frame rule shrinks it, on every call
-    box = frames_in_box(1)
-    validate_frame = verify.validate_frame
-
-    def nonnegative_only(p, q, r, s):
-        if min(p, q, r, s) < 0:
-            raise ValueError("negative entry")
-        return validate_frame(p, q, r, s)
-
-    monkeypatch.setattr(verify, "validate_frame", nonnegative_only)
-    expected = tuple(f for f in box if min(f.p, f.q, f.r, f.s) >= 0)
-    assert frames_in_box(1) == expected and 0 < len(expected) < len(box)
+def test_frames_in_box_follows_validate_frame():
+    # the reference scan: every tuple of the box that the live frame rule accepts, in the box's order
+    for bound in range(-1, 7):
+        expected = []
+        for entries in itertools.product(range(-bound, bound + 1), repeat=4):
+            try:
+                expected.append(validate_frame(*entries))
+            except ValueError:
+                pass
+        box = frames_in_box(bound)
+        assert box == tuple(expected) and all(frame.checked for frame in box)
 
 
 def test_nonzero_range():
