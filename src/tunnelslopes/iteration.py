@@ -2,12 +2,12 @@
 
 A chain starts with one of the four splitting moves and then keeps joining
 fresh copies of a fixed knot, one join per entry of its twist sequence.  Two
-independent engines compute the slope sequence:
+independent engines fold its joins, each rule a global read at call time:
 
-* `closed_form_slopes` reads entry k's integer part as the linear form
-  A*mult_k + B*sign_k, with (A, B) fixed per chain (`chain_coefficients`)
+* `closed_form_slopes` reads entry k's integer part as `_readout`'s linear
+  form A*mult_k + B*sign_k, with (A, B) fixed per chain (`chain_coefficients`)
   and (mult_k, sign_k) one `join_step` on from the join before;
-* `oracle_slopes` replays the construction join by join, carrying the
+* `oracle_slopes` folds `_oracle_join` from `_oracle_start`, carrying the
   oriented homology class of the growing knot and reading each slope off a
   linking number; one placement rule, fixed for the chain, says which
   circle is upper.  On request it also returns the trace, one `TraceStep`
@@ -161,8 +161,7 @@ def _cached_tables(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     so sign_k is the product of the first k step signs (always +-1).  In a
     pure chain the class of the knot assembled after k joins is
     mult_k*(joined knot) + sign_k*(other constituent); a mixed chain carries
-    (mult_k - sign_k) copies of the composite knot instead.  Either way entry
-    k's integer part is A*mult_k + B*sign_k for the chain's pair (A, B).
+    (mult_k - sign_k) copies of the composite knot instead.
     """
     pairs = [(1, 1)]
     for n in entries[:-1]:
@@ -182,6 +181,11 @@ def chain_coefficients(frame: FareyFrame, kind: SequenceKind) -> tuple[int, int]
     return (2 * (a + c) * (b + d), -2 * c * (b + d)) if kind.mixed else (2 * a * b, 2 * a * d)
 
 
+def _readout(coefficients: tuple[int, int], pair: tuple[int, int]) -> int:
+    """A join's integer part A*mult + B*sign, twice its linking number, from the chain's (A, B) and its (mult, sign)."""
+    return coefficients[0] * pair[0] + coefficients[1] * pair[1]
+
+
 def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Slope]:
     """Slope sequence of a chain: one orientation step, then one linear form.
 
@@ -192,16 +196,15 @@ def closed_form_slopes(frame: FareyFrame, kind: SequenceKind, twists) -> list[Sl
         mixed: (A, B) = (2*(a + c)*(b + d), -2*c*(b + d))
 
     and with (mult, sgn) the k-th pair of `_cached_tables`, entry k is
-    A*mult + B*sgn (twice the join's linking number) plus 1/n_k, which
-    `chain_slope` builds from its integer lowest terms.  The first pair is
-    (1, 1), so entry 0 always agrees with the initial move's own slope.
+    `_readout`'s A*mult + B*sgn (twice the join's linking number) plus 1/n_k,
+    which `chain_slope` builds from its integer lowest terms.  The first pair
+    is (1, 1), so entry 0 always agrees with the initial move's own slope.
     """
-    t = as_twists(twists)
-    A, B = chain_coefficients(frame, kind)
+    entries = as_twists(twists).entries
+    coefficients = chain_coefficients(frame, kind)
     out = []
-    tags = _position_tags(len(t.entries), kind.initial_split)
-    for (mult, sgn), n, coords in zip(_cached_tables(t.entries), t.entries, tags):
-        out.append(chain_slope(A * mult + B * sgn, n, coords))
+    for pair, n, coords in zip(_cached_tables(entries), entries, _position_tags(len(entries), kind.initial_split)):
+        out.append(chain_slope(_readout(coefficients, pair), n, coords))
     return out
 
 
@@ -216,10 +219,25 @@ class TraceStep(namedtuple("TraceStep", "k c_prev upper lower linking slope")):
     __slots__ = ()
 
 
+def _oracle_start(frame: FareyFrame, kind: SequenceKind):
+    """The oracle's fixed part (accreted class, whether the old class is upper) and first class; see `oracle_slopes`."""
+    constituent = HomologyClass(frame.p, frame.q) if kind.initial_split.splits_rho else HomologyClass(frame.r, frame.s)
+    composite = HomologyClass(frame.p + frame.r, frame.q + frame.s)
+    accreted, first = (composite, constituent) if kind.mixed else (constituent, composite)
+    return (accreted, kind.initial_split.drops != kind.mixed), first
+
+
+def _oracle_join(fixed, prev: HomologyClass, n: int):
+    """One oracle join after class `prev` with n half-twists: its placed (upper, lower), their link, the next class."""
+    accreted, prev_upper = fixed
+    upper, lower = (prev, accreted) if prev_upper else (accreted, prev)
+    return upper, lower, upper.m * lower.ell, accreted + step_sign(n) * prev
+
+
 def oracle_slopes(
     frame: FareyFrame, kind: SequenceKind, twists, trace: bool = False
 ) -> tuple[list[Slope], tuple[TraceStep, ...]]:
-    """Slope sequence computed with no closed formulas, plus the trace if asked for.
+    """Slope sequence computed with no closed formulas, plus the trace if asked: `_oracle_join` from `_oracle_start`.
 
     Write B for the peeled constituent's class and T for the composite
     knot's.  A pure chain starts from T and accretes B at every join; a mixed
@@ -234,26 +252,17 @@ def oracle_slopes(
     2*link + 1/n with no rational addition, and reduced by `Fraction`'s own
     gcd, so the comparison with the closed form also checks its claim that
     that pair is already in lowest terms.  With `trace` the second item
-    holds one `TraceStep` per join; without it, it is empty and no step is
-    built.
+    holds one `TraceStep` per join; without it, none is built.
     """
     t = as_twists(twists)
-    initial = kind.initial_split
-    constituent = HomologyClass(frame.p, frame.q) if initial.splits_rho else HomologyClass(frame.r, frame.s)
-    composite = HomologyClass(frame.p + frame.r, frame.q + frame.s)
-    accreted, prev = (composite, constituent) if kind.mixed else (constituent, composite)
-    prev_upper = initial.drops != kind.mixed
-    slopes: list[Slope] = []
-    steps: list[TraceStep] = []
-    tags = _position_tags(len(t.entries), initial)
-    for n, coords in zip(t.entries, tags):
-        upper, lower = (prev, accreted) if prev_upper else (accreted, prev)
-        link = upper.m * lower.ell
-        slope = Slope(Fraction(2 * link * n + 1, n), coords)
+    fixed, prev = _oracle_start(frame, kind)
+    slopes, steps = [], []
+    for n, coords in zip(t.entries, _position_tags(len(t.entries), kind.initial_split)):
+        upper, lower, link, after = _oracle_join(fixed, prev, n)
+        slopes.append(Slope(Fraction(2 * link * n + 1, n), coords))
         if trace:
-            steps.append(TraceStep(len(steps), prev, upper, lower, link, slope))
-        slopes.append(slope)
-        prev = accreted + step_sign(n) * prev
+            steps.append(TraceStep(len(steps), prev, upper, lower, link, slopes[-1]))
+        prev = after
     return slopes, tuple(steps)
 
 
@@ -332,18 +341,18 @@ def prefix_walk(options, max_len: int, root, step):
 def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
     """`verify.chain_points`' points of one frame, in order, each as (frame, kind, twists, invariants dict).
 
-    Per kind this is `prefix_walk` plus the closed form's join, whose state is (twists, first text,
-    rest texts, the next join's (mult, sign)).  The caller checks the frame first.
+    Per kind this is `prefix_walk` plus the closed form's join and readout, whose state is (twists,
+    first text, rest texts, the next join's (mult, sign)).  The caller checks the frame first.
     """
     opts = nonzero_range(n_bound)
     for kind in kinds:
-        A, B = chain_coefficients(frame, kind)
+        coefficients = chain_coefficients(frame, kind)
         tags = _position_tags(max_len, kind.initial_split)
         bits = binary_invariants(kind, max_len, splitting_bit)  # a join's bit rests on its place alone
 
         def join(state, n, length):
             head, first, rest, pair = state
-            slope = chain_slope(A * pair[0] + B * pair[1], n, tags[length - 1])
+            slope = chain_slope(_readout(coefficients, pair), n, tags[length - 1])
             if first is None:
                 tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
             else:

@@ -6,7 +6,8 @@ fraction [2*signs[d], 2*turns[d], ..., 2*signs[0], 2*turns[0]], stored
 innermost pair first; every sign is +-1.  Its upper tunnel has an invariant
 computable directly from the encoding, and the same tunnel arises from a
 chain of drop moves on the identity frame whose twist counts the encoding
-determines, so the two computations must always agree.
+determines, so the two computations must always agree.  The direct one folds
+a lead rule, `_bridge_lead`, and an entry rule, `_bridge_entry`.
 
 The crosswalk is one rule both ways: twist count n[i] = 2*turns[i] +
 (signs[i-1] + signs[i]) // 2, the innermost pair reading a virtual -1 sign.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from .frames import SplitKind, _position_tags, step_sign, validate_frame
 from .iteration import SequenceKind, TwistSequence, as_twists, assemble_invariants
-from .slopes import Frozen, TunnelInvariants, _set, chain_slope, pair_class
+from .slopes import Frozen, SimpleSlope, TunnelInvariants, _set, chain_slope, pair_class
 
 
 class TwoBridgeFraction(Frozen):
@@ -96,24 +97,27 @@ def validate_cf(signs, turns) -> TwoBridgeFraction:
     return cf
 
 
-def semisimple_slopes(cf: TwoBridgeFraction) -> TunnelInvariants:
-    """Invariant of the upper tunnel of the 2-bridge position.
+def _bridge_lead(sign: int, turn: int) -> SimpleSlope:
+    """The lead rule: the mod-1 class of the innermost pair, 2b/(4b+1) or (2b-1)/(4b-1), already in lowest terms."""
+    return pair_class(2 * turn, 4 * turn + 1) if sign == 1 else pair_class(2 * turn - 1, 4 * turn - 1)
 
-    The leading invariant is a mod-1 class fixed by the innermost pair; each
-    later slope is -2 * (previous sign) + 1/(step twist).  Both are built
-    from integer pairs already in lowest terms: 2b/(4b+1) or (2b-1)/(4b-1)
-    for the leading class, (c*n + 1)/n for each later slope.  All bits are 0:
-    these tunnels retain a disk of the innermost splitting all the way up.
+
+def _bridge_entry(sign: int) -> int:
+    """The entry rule: a later slope's integer part, -2 * (previous sign)."""
+    return -2 * sign
+
+
+def semisimple_slopes(cf: TwoBridgeFraction) -> TunnelInvariants:
+    """Invariant of the upper tunnel of the 2-bridge position: `_bridge_lead`, then `_bridge_entry` per later slope.
+
+    Each later slope is the entry rule's integer part plus 1/(step twist),
+    built from (c*n + 1)/n, already in lowest terms.  All bits are 0: these
+    tunnels retain a disk of the innermost splitting all the way up.
     """
-    lead_turn = cf.turns[0]
-    if cf.signs[0] == 1:
-        first = pair_class(2 * lead_turn, 4 * lead_turn + 1)
-    else:
-        first = pair_class(2 * lead_turn - 1, 4 * lead_turn - 1)
     # step i pairs with signs[i - 1]: zip stops at the shorter step list
     tags = _position_tags(len(cf.signs), SplitKind.DROP_RHO)[1:]
-    rest = tuple([chain_slope(-2 * sign, n, coords) for sign, n, coords in zip(cf.signs, cf._twists[1:], tags)])
-    return TunnelInvariants._trusted(first, rest, (0,) * len(cf.signs))
+    rest = tuple([chain_slope(_bridge_entry(sign), n, tag) for sign, n, tag in zip(cf.signs, cf._twists[1:], tags)])
+    return TunnelInvariants._trusted(_bridge_lead(cf.signs[0], cf.turns[0]), rest, (0,) * len(cf.signs))
 
 
 def cf_to_twists(cf: TwoBridgeFraction) -> TwistSequence:

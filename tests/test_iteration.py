@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import pstats
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from tunnelslopes import (
     semisimple_slopes,
     splitting_tunnel_slope,
     twists_to_cf,
+    validate_cf,
     validate_frame,
+    verify_correspondence,
 )
 from tunnelslopes.cli import main
 from tunnelslopes.frames import HomologyClass, position_coords, splitting_disk_slope, step_sign
@@ -152,6 +155,45 @@ def test_tags_of_a_300_join_chain_in_every_engine():
     # a shorter chain afterwards reads the same tags off the longer shared list
     short = closed_form_slopes(TREFOIL_FRAME, SequenceKind.LIFT_LAMBDA_PURE, [1, 2, 3])
     assert [s.coords for s in short] == ["(ρ,ρ⁰)", "(τ,τ⁰)", "(γ^0)"]
+
+
+DEEP_TWISTS = [(2, -3, 1, 5, -1, -2)[k % 6] for k in range(300)]
+
+
+@pytest.mark.parametrize("frame", [TREFOIL_FRAME, validate_frame(3, 5, 1, 2), IDENTITY], ids=FareyFrame.text)
+def test_the_engines_agree_on_300_join_chains(frame):
+    # values, not only tags: a closed form that drifts from some late join on fails here
+    for kind in SequenceKind:
+        assert closed_form_slopes(frame, kind, DEEP_TWISTS) == oracle_slopes(frame, kind, DEEP_TWISTS)[0]
+
+
+def test_the_routes_agree_on_300_deep_fractions():
+    rng = random.Random(300)
+    signs = [rng.choice((1, -1)) for _ in range(300)]
+    turns = [rng.choice((-40, -3, -1, 1, 2, 40)) for _ in range(300)]
+    for cf in (twists_to_cf(DEEP_TWISTS), validate_cf(signs, turns)):
+        assert len(cf.signs) == 300 and cf.turns[0] != 0
+        assert verify_correspondence(cf).match
+
+
+@given(box_frames, all_kinds, twist_lists)
+def test_the_oracle_folds_its_join_from_its_start(f, kind, entries):
+    fixed, prev = iteration._oracle_start(f, kind)
+    assert fixed[1] == (kind.initial_split.drops != kind.mixed)
+    _, trace = oracle_slopes(f, kind, entries, trace=True)
+    for step, n in zip(trace, entries):
+        upper, lower, link, after = iteration._oracle_join(fixed, prev, n)
+        assert (step.c_prev, step.upper, step.lower, step.linking) == (prev, upper, lower, link)
+        assert after == fixed[0] + step_sign(n) * prev
+        prev = after
+
+
+@given(box_frames, all_kinds, twist_lists)
+def test_the_closed_form_reads_each_joins_pair_out(f, kind, entries):
+    coefficients, pair = iteration.chain_coefficients(f, kind), (1, 1)
+    for slope, n in zip(closed_form_slopes(f, kind, entries), entries):
+        assert slope.value == iteration._readout(coefficients, pair) + Fraction(1, n)
+        pair = iteration.join_step(pair, n)
 
 
 def test_a_chains_first_coefficients_sum_to_its_moves_disk_slope():

@@ -194,12 +194,38 @@ def test_iteration_takes_the_join_rules_from_frames():
     assert _defined_in("chain_walk") == ["iteration.py"]
 
 
+def _read_names(function) -> set[str]:
+    """The global and attribute names a function's code reads, its nested functions and comprehensions included."""
+    codes, names = [function.__code__], set()
+    while codes:
+        code = codes.pop()
+        names |= set(code.co_names)
+        codes += [const for const in code.co_consts if inspect.iscode(const)]
+    return names
+
+
+ORACLE_STEPS = {"_oracle_start", "_oracle_join", "oracle_slopes"}
+CLOSED_FORM_RULES = {"_oriented_pairs", "chain_coefficients", "join_step", "_readout", "prefix_walk", "chain_walk"}
+
+
 def test_the_parity_rule_has_one_writer_and_the_oracle_reads_no_closed_form_rule():
     assert "% 2" not in (PACKAGE / "two_bridge.py").read_text(encoding="utf-8")
     assert "step_sign" in two_bridge.twists_to_cf.__code__.co_names
     # the engines stay independent: the oracle builds its classes from the frame's entries and reads no walk
     read = set(iteration.oracle_slopes.__code__.co_names)
     assert not {"_oriented_pairs", "chain_coefficients", "join_step", "prefix_walk", "chain_walk"} & read
+    for step in (iteration.oracle_slopes, iteration._oracle_start, iteration._oracle_join):
+        assert not CLOSED_FORM_RULES & _read_names(step), step.__name__
+    # the closed form's fold, its readout and the walk read no oracle step
+    for rule in (iteration.closed_form_slopes, iteration._readout, iteration.chain_walk):
+        assert not ORACLE_STEPS & _read_names(rule), rule.__name__
+    # the bridge route's rules and its fold read nothing of the chain route
+    defined = vars(iteration).items()
+    chain_route = {name for name, value in defined if getattr(value, "__module__", None) == iteration.__name__}
+    chain_route |= {"cf_to_twists", "verify_correspondence", "_IDENTITY_FRAME", "_oriented_pairs", "step_sign"}
+    assert {"_readout", "_oracle_join", "assemble_invariants", "_cached_tables"} <= chain_route
+    for rule in (two_bridge._bridge_lead, two_bridge._bridge_entry, two_bridge.semisimple_slopes):
+        assert not chain_route & _read_names(rule), rule.__name__
 
 
 def test_verify_holds_no_chain_rule_and_imports_no_module_of_the_package_late():

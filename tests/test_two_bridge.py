@@ -11,6 +11,7 @@ from tunnelslopes import (
     cf_to_twists,
     semisimple_slopes,
     twists_to_cf,
+    two_bridge,
     validate_cf,
     verify_correspondence,
 )
@@ -161,6 +162,14 @@ def test_rest_slope_structure(cf):
         even_part = slope.value - Fraction(1, k)
         assert even_part.denominator == 1 and even_part.numerator in (-2, 2)
     assert set(inv.binary) <= {0}
+
+
+@given(fractions_2b())
+def test_the_bridge_route_folds_its_lead_and_entry_rules(cf):
+    inv = semisimple_slopes(cf)
+    assert inv.first == two_bridge._bridge_lead(cf.signs[0], cf.turns[0])
+    steps = zip(cf.signs, cf_to_twists(cf).entries[1:])
+    assert [slope.value for slope in inv.rest] == [two_bridge._bridge_entry(sign) + Fraction(1, n) for sign, n in steps]
 
 
 @given(st.integers(-9, 9).filter(lambda n: n != 0))

@@ -230,6 +230,25 @@ def test_correspondence_grid_failures_do_not_depend_on_worker_count(monkeypatch)
     assert [failure["a"] for failure in serial.failures] == expected
 
 
+@pytest.mark.parametrize("rule", ["_bridge_lead", "_bridge_entry"])
+def test_a_fault_in_a_bridge_rule_reaches_the_correspondence_grid_at_every_worker_count(monkeypatch, rule):
+    original = getattr(two_bridge, rule)
+    faults = {
+        "_bridge_lead": lambda sign, turn: original(sign, turn if turn != 1 else 2),
+        "_bridge_entry": lambda sign: original(sign) + (sign == 1),
+    }
+    # patched before the pool forks, so every worker folds it
+    monkeypatch.setattr(two_bridge, rule, faults[rule])
+    serial = run_correspondence_grid(2, 1, workers=1)
+    assert run_correspondence_grid(2, 1, workers=2) == serial
+    # the lead fault hits the fractions whose innermost turn is 1, the entry fault those with a later slope after a +1
+    hit = {
+        "_bridge_lead": lambda signs, turns: turns[0] == 1,
+        "_bridge_entry": lambda signs, turns: 1 in signs[:-1],
+    }[rule]
+    assert [(tuple(f["a"]), tuple(f["b"])) for f in serial.failures] == [pair for pair in cf_pairs(2, 1) if hit(*pair)]
+
+
 def test_correspondence_grid():
     result = run_correspondence_grid(1, 1)
     assert result.ok

@@ -106,13 +106,14 @@ def _enumerated(tmp_path, capsys, name: str) -> str:
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("rule", ["join_step", "chain_coefficients"])
+@pytest.mark.parametrize("rule", ["join_step", "chain_coefficients", "_readout"])
 def test_a_fault_in_a_shared_rule_reaches_enumerate_and_the_oracle_grid(tmp_path, capsys, monkeypatch, rule):
     # the walk and the closed form read one rule each, so the oracle grid guards the walk too
     original = getattr(iteration, rule)
     faults = {
         "join_step": lambda pair, n: original((pair[0], -pair[1]), n),
         "chain_coefficients": lambda frame, kind: (original(frame, kind)[0], original(frame, kind)[1] + 2),
+        "_readout": lambda coefficients, pair: original(coefficients, pair) + 2,
     }
     clean = _enumerated(tmp_path, capsys, "clean.jsonl")
     assert run_oracle_grid(1, 2, 2).ok
@@ -126,6 +127,27 @@ def test_a_fault_in_a_shared_rule_reaches_enumerate_and_the_oracle_grid(tmp_path
         iteration._cached_tables.cache_clear()
     assert faulty != clean
     assert result.cases == 6400 and result.failures
+
+
+def test_an_oracle_join_fault_reaches_the_grid_at_every_worker_count_but_not_enumerate(tmp_path, capsys, monkeypatch):
+    original = iteration._oracle_join
+
+    def faulty(fixed, prev, n):
+        upper, lower, link, after = original(fixed, prev, n)
+        return upper, lower, link + (n == -2), after
+
+    clean = _enumerated(tmp_path, capsys, "clean.jsonl")
+    # patched before the pool forks, so every worker folds it
+    monkeypatch.setattr(iteration, "_oracle_join", faulty)
+    serial = run_oracle_grid(1, 2, 2)
+    assert run_oracle_grid(1, 2, 2, workers=2) == serial
+    # exactly the points with a -2 among their twists fail, in grid order; `enumerate` reads no oracle
+    frames = frames_in_box(1)
+    expected = [(f.text(), kind.value, twists.text()) for f, kind, twists in chain_points(frames, SequenceKind, 2, 2)
+                if -2 in twists.entries]
+    assert serial.cases == 6400
+    assert [(failure["frame"], failure["kind"], failure["twists"]) for failure in serial.failures] == expected
+    assert _enumerated(tmp_path, capsys, "faulty.jsonl") == clean
 
 
 class _Pair(list):
