@@ -2,16 +2,16 @@
 
 One line per entry: a descriptor (enough to recompute everything), the
 invariants it produced, warning flags, and a schema version.  Deduplication
-keys on the invariant values joined into one compact string, equal exactly
-when their canonical serializations are equal, so entries whose invariants
-differ are never merged.  `add_chains` dedups the points `iteration.chain_walk`
-grows, each its prefix plus one join, and writes each line through
-`slopes.dump_line`.  A rerun reads each stored line's key alone: cut from
-one regular expression's match when the line is in the exact form
-`enumerate` writes (about 2.5 us a line on 2 cores and Python 3.11), and
-through `json` otherwise, with the same keys and errors either way.  Entries
-are always read through `json`.  The patterns compile at import: only
-`enumerate` loads this module.
+keys on the invariants object's canonical JSON text, so two keys are equal
+exactly when the serializations are, and entries whose invariants differ are
+never merged.  `add_chains` dedups the points `iteration.chain_walk` grows,
+each its prefix plus one join, and writes each line from pieces that all come
+from `slopes.dump_line`.  A rerun reads each stored line's key alone: the
+invariants object's text as one regular expression's match holds it when the
+line is in the exact form `enumerate` writes (about 1.9 us a line on 2 cores
+and Python 3.11.7), and through `json` otherwise, with the same keys and
+errors either way.  Entries are always read through `json`.  The patterns
+compile at import: only `enumerate` loads this module.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ _INVARIANT_KEYS = frozenset(("first", "rest", "binary"))
 def invariants_key(invariants: dict) -> str:
     """Dedup key of an invariants dict, fresh from `TunnelInvariants.to_dict` or read from a line.
 
-    Two keys are equal exactly when the `dump_line` serializations are: no
-    slope text holds "," or "|", and each bit is one digit (`load_entries`
-    checks both on every loaded line).
+    The key is the canonical JSON text of the invariants object, its keys in
+    the order `enumerate` writes them, whatever the order of the dict's keys.
     """
-    binary = "".join(map(str, invariants["binary"]))
-    return f"{invariants['first']}|{','.join(invariants['rest'])}|{binary}"
+    return dump_line({"first": invariants["first"], "rest": invariants["rest"], "binary": invariants["binary"]})
 
 
 def entry_dict(descriptor: dict, invariants: dict, flags) -> dict:
@@ -60,14 +58,14 @@ def _json_list(item: str) -> str:
 
 
 # Exactly the lines `dump_line(entry_dict(descriptor_dict(...), ...))` writes, in its key order.  Each
-# value has a shape `_json_entry` accepts, so a match needs no check.  Its only groups are the
-# invariants' first, the inside of rest and the inside of binary, in that order.
+# value has a shape `_json_entry` accepts, so a match needs no check.  Its one group is the invariants
+# object, written as `invariants_key` writes it: the line's dedup key.
 _CANONICAL = (
     r'\{"descriptor":\{'
     r'"frame":"' + _JSON_CHARS + r'","kind":"' + _JSON_CHARS + r'","twists":"' + _JSON_CHARS + r'",'
     r'"splitting_bit":[01],"from_trivial":(?:true|false)\},'
-    r'"invariants":\{"first":"(' + _FIRST_TEXT + r')",'
-    r'"rest":\[(' + _json_list(r'"(?:' + _SLOPE_TEXT + r')"') + r')\],"binary":\[(' + _json_list("[01]") + r')\]\},'
+    r'"invariants":(\{"first":"(?:' + _FIRST_TEXT + r')",'
+    r'"rest":\[' + _json_list(r'"(?:' + _SLOPE_TEXT + r')"') + r'\],"binary":\[' + _json_list("[01]") + r'\]\}),'
     r'"flags":\[' + _json_list(r'"' + _JSON_CHARS + r'"') + r'\],"schema_version":' + str(SCHEMA_VERSION) + r'\}'
 )
 _canonical, _is_first, _is_slope = (
@@ -129,15 +127,15 @@ def _json_entry(line: str, where: str) -> dict:
 def load_entries(path, *, keys: bool = False) -> list:
     """Read a catalog file's entries, or with `keys` each line's dedup key; a missing file is an empty catalog.
 
-    Every entry is read through `json` (`_json_entry`).  A key is cut from
-    the `_CANONICAL` pattern's match when the line is in the exact form
-    `enumerate` writes, with no entry built, and is the `json` entry's key
-    otherwise; the keys and the error messages are the same either way.  A
-    last line with no newline that does not parse was left by an
-    interrupted append: it is skipped with a warning on stderr, and the next
-    `append_lines` cuts it off.  A bad line anywhere else is an error, and
-    so is an invariant value of the wrong shape, which `invariants_key`
-    could not key apart.
+    Every entry is read through `json` (`_json_entry`).  A key is the
+    invariants object's text as the `_CANONICAL` pattern's match holds it
+    when the line is in the exact form `enumerate` writes, with no entry
+    built, and is the `json` entry's key otherwise; the keys and the error
+    messages are the same either way.  A last line with no newline that does
+    not parse was left by an interrupted append: it is skipped with a
+    one-line warning on stderr, and the next `append_lines` cuts it off.  A
+    bad line anywhere else is an error, and so is an invariant value of a
+    shape the package does not write.
     """
     if not os.path.exists(path):
         return []
@@ -155,17 +153,13 @@ def load_entries(path, *, keys: bool = False) -> list:
     for lineno, line in enumerate(lines, start=1):
         match = keys and _canonical(line)
         if match:
-            # `invariants_key` of the line's entry: no slope text holds '","', and each bit is one digit
-            first, rest, binary = match.groups()
-            entries.append("|".join((first, rest[1:-1].replace('","', ","), binary[::2])))
+            entries.append(match[1])
         elif line.strip():
             entry = _json_entry(line, f"{path}:{lineno}")
             entries.append(invariants_key(entry["invariants"]) if keys else entry)
     if torn:
-        print(
-            f"{path}:{len(lines) + 1}: warning: skipping a last line cut short by an interrupted append",
-            file=sys.stderr,
-        )
+        warning = f"{path}:{len(lines) + 1}: warning: skipping a last line cut short by an interrupted append"
+        print(warning.replace("\n", " "), file=sys.stderr)
     return entries
 
 
@@ -193,16 +187,25 @@ def add_chains(path, chains, splitting_bit: int, from_trivial: bool) -> tuple[li
 
     The file is read before the first point is computed; the first point of
     each key gives its line, and the lines the file lacks go in one append.
+    A line is its (frame, kind)'s fixed text around its twists and its key,
+    the fixed text cut from a whole line written when the frame or kind changes.
     Returns the run's unique lines in order, the point count and the count appended.
     """
     known = set(load_entries(path, keys=True))
     unique: dict[str, str] = {}  # dedup key -> entry line
-    count = 0
+    count, run = 0, (None, None)  # the fixed text's (frame, kind), by identity: equal frames can differ in flags
     for count, (frame, kind, twists, invariants) in enumerate(chains, start=1):
         key = invariants_key(invariants)
         if key not in unique:
-            descriptor = descriptor_dict(frame, kind, twists, splitting_bit, from_trivial)
-            unique[key] = dump_line(entry_dict(descriptor, invariants, frame.flags))
+            twists_text = dump_line(twists.text())
+            if frame is not run[0] or kind is not run[1]:
+                run = frame, kind
+                descriptor = descriptor_dict(frame, kind, twists, splitting_bit, from_trivial)
+                line = dump_line(entry_dict(descriptor, invariants, frame.flags))
+                start = line.index(',"twists":') + len(',"twists":')
+                end = line.index(',"invariants":') + len(',"invariants":')
+                head, middle, tail = line[:start], line[start + len(twists_text):end], line[end + len(key):]
+            unique[key] = f"{head}{twists_text}{middle}{key}{tail}"
     fresh = [line for key, line in unique.items() if key not in known]
     append_lines(path, fresh)
     return list(unique.values()), count, len(fresh)

@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).replace("\n", " "), file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # a bug, even an engine mismatch outside `_cmd_iterate`: exit 1 means a real mismatch
         message = str(exc).replace("\n", " ")
