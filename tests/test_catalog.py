@@ -291,18 +291,42 @@ def test_add_chains_appends_only_keys_the_file_lacks(tmp_path):
     assert catalog.add_chains(path, _chains([old, new], 1), 1, False) == ([stored, lines[0]], 2, 0)
 
 
-def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path, monkeypatch):
-    built = []
-    original = catalog.entry_dict
+def _reference_lines(chains, splitting_bit):
+    """The lines `add_chains` writes, each the first point of its key as one whole `dump_line` entry."""
+    unique = {}
+    for frame, kind, twists, invariants in chains:
+        descriptor = descriptor_dict(frame, kind, twists, splitting_bit, False)
+        unique.setdefault(dump_line(invariants), dump_line(entry_dict(descriptor, invariants, frame.flags)))
+    return list(unique.values())
 
-    def counting_entry_dict(*args):
-        built.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(catalog, "entry_dict", counting_entry_dict)
-    points = TWIN_POINTS + [(FRAME, KIND, TwistSequence((1,)))] + TWIN_POINTS
-    lines, count, _ = catalog.add_chains(tmp_path / "catalog.jsonl", _chains(points), 0, False)
-    assert (count, len(lines), len(built)) == (5, 2, 2)
+def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path):
+    chains = _chains(TWIN_POINTS + [(FRAME, KIND, TwistSequence((1,)))] + TWIN_POINTS)
+    lines, count, appended = catalog.add_chains(tmp_path / "catalog.jsonl", iter(chains), 0, False)
+    assert (count, appended) == (5, 2)
+    assert lines == _reference_lines(chains, 0)
+    # the first point of each key wins: the twin frame that comes second is never written
+    assert [json.loads(line)["descriptor"]["frame"] for line in lines] == ["1,0,0,1", FRAME.text()]
+
+
+@pytest.mark.parametrize("splitting_bit", [0, 1])
+def test_add_chains_writes_each_frame_and_kind_into_its_own_lines(tmp_path, splitting_bit):
+    # consecutive lines switch frame with the kind kept, then kind with the frame kept; the frames differ in
+    # text, length and flags, and the second is FRAME bypassed, equal to it and told apart by its flags alone
+    frames = [FRAME, validate_frame(2, 3, 1, 2, bypass=True), validate_frame(-13, -8, -5, -3)]
+    kinds = [KIND, SequenceKind.LIFT_LAMBDA_MIXED_TAU]
+    twists = [TwistSequence((n + 1,) + (-2,) * (n % 3)) for n in range(len(frames) * len(kinds) * 2)]
+    points = [(frame, kind) for kind in kinds for frame in frames for _ in range(2)]
+    points = [(frame, kind, tw) for (frame, kind), tw in zip(points + points[:1], twists + [TwistSequence((9,))])]
+    chains = _chains(points, splitting_bit)
+    assert len({dump_line(invariants) for *_, invariants in chains}) == len(chains)
+    lines, count, appended = catalog.add_chains(tmp_path / "catalog.jsonl", iter(chains), splitting_bit, False)
+    assert count == appended == len(chains)
+    assert lines == _reference_lines(chains, splitting_bit)
+    for line, (frame, kind, tw, _) in zip(lines, chains):
+        entry = json.loads(line)
+        assert entry["descriptor"]["frame"] == frame.text() and entry["descriptor"]["kind"] == kind._value_
+        assert entry["descriptor"]["twists"] == tw.text() and entry["flags"] == sorted(frame.flags)
 
 
 def test_add_chains_reads_the_catalog_before_the_first_point(tmp_path):

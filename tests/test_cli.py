@@ -508,7 +508,7 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         ('{"descriptor":{},"invariants":{},"flags":[1],"schema_version":1}', '"flags"'),
         ('{"invariants":{"first":"1/1"},"flags":[],"schema_version":1}', '"descriptor"'),
         ('{"descriptor":{},"invariants":{"first":"1/1","binary":[0]},"flags":[],"schema_version":1}', '"invariants"'),
-        # invariant values of a shape the dedup key could not tell apart
+        # invariant values of a shape the package never writes
         ('{"descriptor":{},"invariants":{"first":1,"rest":[],"binary":[0]},"flags":[],"schema_version":1}', '"invariants" first'),
         ('{"descriptor":{},"invariants":{"first":"0.5","rest":[],"binary":[0]},"flags":[],"schema_version":1}', '"invariants" first'),
         ('{"descriptor":{},"invariants":{"first":"1/2|x","rest":[],"binary":[0]},"flags":[],"schema_version":1}', '"invariants" first'),
@@ -617,6 +617,20 @@ def test_enumerate_survives_torn_last_line(tmp_path, capsys):
     assert path.read_bytes() == whole  # the torn line was cut off before the append
     code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
     assert code == 0 and err == "" and out.endswith('"appended":0,"existing":4}\n')
+
+
+def test_messages_naming_a_path_with_a_newline_stay_on_one_line(tmp_path, capsys):
+    # each stderr message is one line whatever the catalog path holds: the newline reads as a space
+    path = tmp_path / "bad\nname.jsonl"
+    shown = str(path).replace("\n", " ")
+    path.write_text("not json\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {shown}:1: not a JSON line: ") and err.count("\n") == 1
+    path.write_text('{"descriptor":', encoding="utf-8")  # only a torn last line
+    code, out, err = run_cli(capsys, "enumerate", "--catalog", str(path), *ENUMERATE_SMALL)
+    assert code == 0 and out.endswith('"appended":4,"existing":0}\n')
+    assert err == f"{shown}:1: warning: skipping a last line cut short by an interrupted append\n"
 
 
 def test_enumerate_dedup_ignores_catalog_key_order(tmp_path, capsys):
