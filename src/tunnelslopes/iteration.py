@@ -19,6 +19,8 @@ which would mean a bug in one of them, never a property of the input.
 
 `prefix_walk` is the one home of the walk order and of its one-level memory
 bound; `enumerate`'s `chain_walk` is that walk plus the closed form's join.
+A later slope's text rests on its integer part and its n alone, so one walk
+builds each such text once; its lines are still those of every point alone.
 A chain's descriptor has its writer (`descriptor_dict`) and its reader
 (`parse_descriptor`) here, so `compare` reads one without the catalog.
 """
@@ -85,7 +87,7 @@ class TwistSequence(Frozen):
         return self.entries[index]
 
     def text(self) -> str:
-        return ",".join(str(n) for n in self.entries)
+        return ",".join(map(str, self.entries))
 
     @classmethod
     def parse(cls, text: str) -> "TwistSequence":
@@ -342,9 +344,11 @@ def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, fro
     """`verify.chain_points`' points of one frame, in order, each as (frame, kind, twists, invariants dict).
 
     Per kind this is `prefix_walk` plus the closed form's join and readout, whose state is (twists,
-    first text, rest texts, the next join's (mult, sign)).  The caller checks the frame first.
+    first text, rest texts, the next join's (mult, sign)).  A later slope's text rests on its integer
+    part c and its n alone, so one call builds each such text once.  The caller checks the frame first.
     """
     opts = nonzero_range(n_bound)
+    later = {}  # (c, n) -> text of the later slope c + 1/n; O(depth) values of c, so it stays small
     for kind in kinds:
         coefficients = chain_coefficients(frame, kind)
         tags = _position_tags(max_len, kind.initial_split)
@@ -352,11 +356,14 @@ def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, fro
 
         def join(state, n, length):
             head, first, rest, pair = state
-            slope = chain_slope(_readout(coefficients, pair), n, tags[length - 1])
+            c = _readout(coefficients, pair)
             if first is None:
-                tw, text, texts = (n,), lead_invariant(slope, from_trivial).text(), ()
+                tw, text, texts = (n,), lead_invariant(chain_slope(c, n, tags[0]), from_trivial).text(), ()
             else:
-                tw, text, texts = head + (n,), first, rest + (slope.text(),)
+                slope_text = later.get((c, n))
+                if slope_text is None:
+                    slope_text = later[c, n] = chain_slope(c, n, tags[length - 1]).text()
+                tw, text, texts = head + (n,), first, rest + (slope_text,)
             yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": bits[:length]}
             if length < max_len:
                 return tw, text, texts, join_step(pair, n)

@@ -100,8 +100,8 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# The shapes of the texts `format_rational` and `SimpleSlope.text` write, in ASCII digits; the catalog
-# checks loaded slope texts against them, and neither holds the "," or "|" `invariants_key` joins with
+# The shapes of the texts `format_rational` and `SimpleSlope.text` write, in ASCII digits: the catalog's
+# `_CANONICAL` line pattern is built from them, and `_json_entry` checks loaded slope texts against them
 _SLOPE_TEXT = r"-?[0-9]+/[0-9]+"
 _FIRST_TEXT = rf"{_SLOPE_TEXT}|\[[0-9]+/[0-9]+\]"
 

@@ -46,6 +46,10 @@ CASES = [
     ("2,4,1,2", (), 2, 2, 0, False, True),
     ("3,2,1,1", ("lift-lambda-mixed-tau", "drop-rho-pure", "lift-lambda-mixed-tau"), 3, 3, 1, False, False),
     ("1,1,0,1", ("drop-lambda-pure",), 1, 1, 0, False, False),
+    # an even n flips the sign, so (mult, sign) pairs, and so later slope texts, recur from level to level
+    ("2,3,1,2", (), 5, 2, 0, False, False),
+    # on the identity frame drop-rho-pure has A = 0: every level, the lead's too, has the same integer part
+    ("1,0,0,1", ("drop-rho-pure", "lift-lambda-mixed-tau"), 7, 1, 1, True, False),
 ]
 
 
@@ -98,6 +102,31 @@ def test_the_walk_visits_twist_tuples_in_their_order(max_len, n_bound):
     for kind in SequenceKind:
         visited = [twists.entries for _, _, twists, _ in chain_walk(FRAME, [kind], max_len, n_bound, 0, False)]
         assert visited == list(twist_tuples(max_len, n_bound))
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_the_walk_builds_each_later_slope_text_once(monkeypatch, kind):
+    # a later slope's text rests on its integer part c and its n alone; every lead is built on its own
+    later = set()
+    coefficients = iteration.chain_coefficients(FRAME, kind)
+    for twists in twist_tuples(4, 2):
+        pair = (1, 1)
+        for n in twists[:-1]:
+            pair = iteration.join_step(pair, n)
+        if len(twists) > 1:
+            later.add((iteration._readout(coefficients, pair), twists[-1]))
+    calls = [0]
+    original = iteration.chain_slope
+
+    def counted(c, n, coords):
+        calls[0] += 1
+        return original(c, n, coords)
+
+    monkeypatch.setattr(iteration, "chain_slope", counted)
+    points = sum(1 for _ in chain_walk(FRAME, [kind], 4, 2, 0, False))
+    assert points == 4 + 16 + 64 + 256
+    assert calls[0] == 4 + len(later)
+    assert 36 <= calls[0] <= 44
 
 
 def _enumerated(tmp_path, capsys, name: str) -> str:
