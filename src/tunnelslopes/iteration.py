@@ -348,7 +348,7 @@ def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, fro
     part c and its n alone, so one call builds each such text once.  The caller checks the frame first.
     """
     opts = nonzero_range(n_bound)
-    later = {}  # (c, n) -> text of the later slope c + 1/n; O(depth) values of c, so it stays small
+    later = {}  # (c, n) -> text of the later slope c + 1/n; c takes O(depth) values per kind, so it stays small
     for kind in kinds:
         coefficients = chain_coefficients(frame, kind)
         tags = _position_tags(max_len, kind.initial_split)
