@@ -2,14 +2,14 @@
 
 Single computations, verification grids, enumeration into a catalog, and
 invariant comparison.  This module only parses arguments and prints: the
-engine check and the `enumerate` walk come from `iteration`, the grids from
-`verify` and the catalog dedup from `catalog`.  All output is JSON lines
-with a fixed key order per record type, rationals as "num/den", so identical
-invocations are byte-identical.  Exit codes: 0 ok, 1 a verification found a
-mismatch, 2 usage error (argparse), 3 an input failed validation, an empty
-grid or one past `GRID_CAP` too, 4 an internal error (any other exception,
-reported in one line), 141 (128 + SIGPIPE) the reader closed stdout early,
-with nothing on stderr.
+engine check, the `enumerate` walk and the grid cap come from `iteration`,
+the grids, each sized by its runner, from `verify`, and the catalog dedup
+from `catalog`.  All output is JSON lines with a fixed key order per record
+type, rationals as "num/den", so identical invocations are byte-identical.
+Exit codes: 0 ok, 1 a verification found a mismatch, 2 usage error
+(argparse), 3 an input failed validation, an empty grid or one past the cap
+too, 4 an internal error (any other exception, reported in one line), 141
+(128 + SIGPIPE) the reader closed stdout early, with nothing on stderr.
 
 Handlers load on first use: each command imports what it runs when it runs,
 so importing this module loads no other module of the package.
@@ -28,24 +28,6 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 _INT_LIST = "expected comma-separated integers"  # the message for unreadable --a and --b text
-# the most points one grid command runs; above `run_oracle_grid(1, 4, 3)`'s 497,280 cases
-GRID_CAP = 500_000
-
-
-def _check_grid_size(grid: str, factor: int, ratio: int, levels: int) -> int:
-    """factor * (ratio + ratio**2 + ... + ratio**levels), a grid's points, refused when empty or past `GRID_CAP`.
-
-    An argument below 1 empties the grid.  Each caller checks before it builds its grid or reads its catalog.
-    """
-    if factor < 1 or ratio < 1 or levels < 1:
-        raise ValueError(f"the {grid} grid is empty; widen its bounds")
-    total, term = 0, factor
-    for _ in range(levels):
-        term *= ratio
-        total += term
-        if total > GRID_CAP:
-            raise ValueError(f"the {grid} grid has more than {GRID_CAP:,} points, the cap; narrow its bounds")
-    return total
 
 
 def _emit(obj: dict) -> None:
@@ -156,7 +138,7 @@ def _cmd_two_bridge_from_twists(args) -> int:
 
 
 def _report_grid(result, cases_key: str, failures_key: str) -> int:
-    """Print each failure, then the summary; `_check_grid_size` has refused an empty grid before it ran."""
+    """Print each failure, then the summary; the grid's runner has refused an empty grid before it ran."""
     for failure in result.failures:
         _emit(failure)
     _emit({cases_key: result.cases, failures_key: len(result.failures)})
@@ -166,18 +148,13 @@ def _report_grid(result, cases_key: str, failures_key: str) -> int:
 def _cmd_verify_correspondence(args) -> int:
     from .verify import run_correspondence_grid, worker_count
 
-    _check_grid_size("verification", 1, 4 * args.b_range, args.max_d + 1)
     result = run_correspondence_grid(args.max_d, args.b_range, workers=worker_count())
     return _report_grid(result, "checked", "failures")
 
 
 def _cmd_verify_oracle(args) -> int:
-    from .iteration import SequenceKind
-    from .verify import frames_in_box, run_oracle_grid, worker_count
+    from .verify import run_oracle_grid, worker_count
 
-    # the twist part before the box is scanned; a frame bound below 1 boxes no frame, so no kind runs
-    points = _check_grid_size("verification", len(SequenceKind) * (args.frame_bound >= 1), 2 * args.n_range, args.depth)
-    _check_grid_size("verification", points, len(frames_in_box(args.frame_bound)), 1)
     result = run_oracle_grid(args.frame_bound, args.depth, args.n_range, workers=worker_count())
     return _report_grid(result, "cases", "mismatches")
 
@@ -185,7 +162,7 @@ def _cmd_verify_oracle(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .catalog import add_chains
     from .frames import FareyFrame
-    from .iteration import SequenceKind, chain_walk, check_trivial_frame
+    from .iteration import SequenceKind, _check_grid_size, chain_walk, check_trivial_frame
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     # a repeated --kind counts once, in the order first given

@@ -18,9 +18,10 @@ checks that on the fly and raises `EngineMismatchError` on any disagreement,
 which would mean a bug in one of them, never a property of the input.
 
 `prefix_walk` is the one home of the walk order and of its one-level memory
-bound; `enumerate`'s `chain_walk` is that walk plus the closed form's join.
-A later slope's text rests on its integer part and its n alone, so one walk
-builds each such text once; its lines are still those of every point alone.
+bound; beside it, `_check_grid_size` and `GRID_CAP` size every grid.
+`enumerate`'s `chain_walk` is that walk plus the closed form's join; it
+builds each later slope's text once per (integer part, n), and its lines are
+still those of every point alone.
 A chain's descriptor has its writer (`descriptor_dict`) and its reader
 (`parse_descriptor`) here, so `compare` reads one without the catalog.
 """
@@ -322,6 +323,26 @@ def _chain(frame, kind, twists, splitting_bit, from_trivial, verify, trace=False
     bits = binary_invariants(kind, len(t), splitting_bit)
     # every part was built here from checked values: one bit per slope, shaped by `binary_invariants`
     return TunnelInvariants._trusted(lead_invariant(slopes[0], from_trivial), tuple(slopes[1:]), tuple(bits)), steps
+
+
+# the most points one grid command runs; above `run_oracle_grid(1, 4, 3)`'s 497,280 cases
+GRID_CAP = 500_000
+
+
+def _check_grid_size(grid: str, factor: int, ratio: int, levels: int) -> int:
+    """factor * (ratio + ratio**2 + ... + ratio**levels), a grid's points, refused when empty or past `GRID_CAP`.
+
+    An argument below 1 empties the grid.  Each caller checks before it builds its grid or reads its catalog.
+    """
+    if factor < 1 or ratio < 1 or levels < 1:
+        raise ValueError(f"the {grid} grid is empty; widen its bounds")
+    total, term = 0, factor
+    for _ in range(levels):
+        term *= ratio
+        total += term
+        if total > GRID_CAP:
+            raise ValueError(f"the {grid} grid has more than {GRID_CAP:,} points, the cap; narrow its bounds")
+    return total
 
 
 def prefix_walk(options, max_len: int, root, step):

@@ -6,9 +6,10 @@ pool receives slices, not points: each worker builds the points of its
 slice and returns the slice's case count and failures, so the parent's
 memory does not grow with the grid.  Slices run in order at every worker
 count, through the mapping helper that preserves input order, which keeps
-every grid's output deterministic.  The process pool is imported on first
-parallel use, so a one-worker grid runs without it.  `enumerate` walks
-`chain_points`' order by prefixes, in `iteration.chain_walk`.
+every grid's output deterministic, and each runner sizes its grid before it
+builds a slice.  The process pool is imported on first parallel use, so a
+one-worker grid runs without it.  `enumerate` walks `chain_points`' order by
+prefixes, in `iteration.chain_walk`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 from collections import namedtuple
 
 from .frames import FareyFrame, nonzero_range
-from .iteration import SequenceKind, TwistSequence, closed_form_slopes, oracle_slopes
+from .iteration import SequenceKind, TwistSequence, _check_grid_size, closed_form_slopes, oracle_slopes
 from .two_bridge import validate_cf, verify_correspondence
 
 WORKERS_ENV = "TUNNELSLOPES_WORKERS"
@@ -95,11 +96,6 @@ def chain_points(frames, kinds, max_len: int, n_bound: int):
                 yield frame, kind, TwistSequence._trusted(tw)
 
 
-def _sign_slices(max_depth: int, turn_bound: int) -> list[tuple[tuple[int, ...], int]]:
-    """One (signs, turn_bound) slice per sign tuple of depth 0..max_depth: the twist tuples of the box (-1, 1)."""
-    return [(signs, turn_bound) for signs in twist_tuples(max_depth + 1, 1)]
-
-
 def _slice_pairs(signs: tuple[int, ...], turn_bound: int):
     """Every (signs, turns) pair with these signs, turns over the nonzero box."""
     return ((signs, turns) for turns in itertools.product(nonzero_range(turn_bound), repeat=len(signs)))
@@ -111,8 +107,8 @@ def cf_pairs(max_depth: int, turn_bound: int):
     With turns bounded away from 0 every derived step twist is automatically
     nonzero, so no pair gets filtered.
     """
-    for signs, bound in _sign_slices(max_depth, turn_bound):
-        yield from _slice_pairs(signs, bound)
+    for signs in twist_tuples(max_depth + 1, 1):  # the sign tuples of depth 0..max_depth: twist tuples of (-1, 1)
+        yield from _slice_pairs(signs, turn_bound)
 
 
 def check_oracle_case(case) -> dict | None:
@@ -188,10 +184,16 @@ def _run_grid(run_slice, slices: list, workers: int) -> GridResult:
 
 def run_oracle_grid(frame_bound: int, max_len: int, n_bound: int, *, workers: int = 1) -> GridResult:
     """Both slope engines over frames x all eight kinds x all twist sequences."""
-    slices = [(frame, kind, max_len, n_bound) for frame in frames_in_box(frame_bound) for kind in SequenceKind]
+    # the twist part before the box is scanned; a frame bound below 1 boxes no frame, so no kind runs
+    points = _check_grid_size("verification", len(SequenceKind) * (frame_bound >= 1), 2 * n_bound, max_len)
+    box = frames_in_box(frame_bound)
+    _check_grid_size("verification", points, len(box), 1)
+    slices = [(frame, kind, max_len, n_bound) for frame in box for kind in SequenceKind]
     return _run_grid(_oracle_slice, slices, workers)
 
 
 def run_correspondence_grid(max_depth: int, turn_bound: int, *, workers: int = 1) -> GridResult:
     """Both invariant routes over every continued fraction in the box."""
-    return _run_grid(_correspondence_slice, _sign_slices(max_depth, turn_bound), workers)
+    _check_grid_size("verification", 1, 4 * turn_bound, max_depth + 1)
+    slices = [(signs, turn_bound) for signs in twist_tuples(max_depth + 1, 1)]  # one per sign tuple, as in `cf_pairs`
+    return _run_grid(_correspondence_slice, slices, workers)

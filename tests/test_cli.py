@@ -406,9 +406,8 @@ def test_empty_grid_exits_3(tmp_path, capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("an empty grid was run")
 
-    # refused before any grid is built
-    monkeypatch.setattr(verify, "run_oracle_grid", refuse)
-    monkeypatch.setattr(verify, "run_correspondence_grid", refuse)
+    # refused before any grid is built: the runners size their grids before they hand any slice on
+    monkeypatch.setattr(verify, "_run_grid", refuse)
     path = tmp_path / "catalog.jsonl"
     if argv[0] == "enumerate":
         argv += ("--catalog", str(path))
@@ -449,46 +448,74 @@ def test_oversize_grid_exits_3_before_any_point(tmp_path, capsys, monkeypatch, a
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert err.startswith("error:") and err.count("\n") == 1 and f"more than {cli.GRID_CAP:,} points" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and f"more than {iteration.GRID_CAP:,} points" in err
     assert path.exists() == existing
     if existing:
         assert path.read_bytes() == b"not a catalog line, so reading it would fail\n"
 
 
 def test_the_grid_cap_admits_the_largest_grid_run_and_no_point_more():
-    assert cli.GRID_CAP >= 497_280  # `run_oracle_grid(1, 4, 3)`, ROADMAP item 4's target grid
-    assert cli._check_grid_size("grid", cli.GRID_CAP, 1, 1) == cli.GRID_CAP
-    with pytest.raises(ValueError, match=f"more than {cli.GRID_CAP:,} points"):
-        cli._check_grid_size("grid", cli.GRID_CAP, 1, 2)
+    assert iteration.GRID_CAP >= 497_280  # `run_oracle_grid(1, 4, 3)`, ROADMAP item 4's target grid
+    assert iteration._check_grid_size("grid", iteration.GRID_CAP, 1, 1) == iteration.GRID_CAP
+    with pytest.raises(ValueError, match=f"more than {iteration.GRID_CAP:,} points"):
+        iteration._check_grid_size("grid", iteration.GRID_CAP, 1, 2)
     for factor, ratio, levels in [(1, 0, 1), (1, 1, 0), (1, -2, 3), (1, 4, -1), (1, 0, 10**9), (0, 10**9, 10**9)]:
         with pytest.raises(ValueError, match="^the enumeration grid is empty; widen its bounds$"):
-            cli._check_grid_size("enumeration", factor, ratio, levels)
+            iteration._check_grid_size("enumeration", factor, ratio, levels)
 
 
-@pytest.mark.parametrize(
-    "kinds, depth, n_range", [(["drop-rho-pure"], 1, 1), (["drop-rho-pure", "lift-rho-pure"], 3, 1), ([], 2, 2)]
-)
-@pytest.mark.parametrize("frame", ["2,3,1,2", "1,0,0,1"])
-def test_enumeration_count_is_the_summary_points(tmp_path, capsys, kinds, depth, n_range, frame):
-    argv = ["enumerate", "--catalog", str(tmp_path / "c.jsonl"), "--frame", frame,
-            "--depth", str(depth), "--n-range", str(n_range), *[f"--kind={kind}" for kind in kinds]]
-    code, out, _ = run_cli(capsys, *argv, *(["--from-trivial"] if frame == "1,0,0,1" else []))
-    assert code == 0
-    points = cli._check_grid_size("", len(kinds) or len(SequenceKind), 2 * n_range, depth)
-    assert json.loads(out.splitlines()[-1])["points"] == points
+# the rows of the count tests these replaced, each with the summary key that reports its count
+GRIDS_AT_THEIR_COUNT = [
+    *[(["enumerate", "--frame", frame, "--depth", str(depth), "--n-range", str(n_range),
+        *[f"--kind={kind}" for kind in kinds], *["--from-trivial"] * (frame == "1,0,0,1")], "points")
+      for kinds, depth, n_range in [(["drop-rho-pure"], 1, 1), (["drop-rho-pure", "lift-rho-pure"], 3, 1), ([], 2, 2)]
+      for frame in ["2,3,1,2", "1,0,0,1"]],
+    *[(["verify-correspondence", "--max-d", str(max_d), "--b-range", str(b_range)], "checked")
+      for max_d, b_range in [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1)]],
+    *[(["verify-oracle", "--frame-bound", str(bound), "--depth", str(depth), "--n-range", str(n_range)], "cases")
+      for bound, depth, n_range in [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1)]],
+]
 
 
-@pytest.mark.parametrize("max_d, b_range", [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1)])
-def test_correspondence_count_is_the_grid_cases(max_d, b_range):
-    cases = verify.run_correspondence_grid(max_d, b_range).cases
-    assert cases == cli._check_grid_size("", 1, 4 * b_range, max_d + 1)
+@pytest.mark.parametrize("argv, key", GRIDS_AT_THEIR_COUNT)
+def test_each_grid_runs_with_its_count_as_the_cap_and_is_refused_one_below(tmp_path, capsys, monkeypatch, argv, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid past the cap ran")
+
+    path = tmp_path / "catalog.jsonl"
+    if argv[0] == "enumerate":
+        argv = [*argv, "--catalog", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    count = json.loads(out.splitlines()[-1])[key]
+    assert (code, err) == (0, "") and count > 1
+    # the count a run reports is the cap it fits: the same bytes again, from a fresh catalog
+    path.unlink(missing_ok=True)
+    monkeypatch.setattr(iteration, "GRID_CAP", count)
+    assert run_cli(capsys, *argv) == (0, out, "")
+    path.unlink(missing_ok=True)
+    # one below, it is refused before any point or slice runs, and no catalog is written
+    for module, name in [(iteration, "chain_walk"), (verify, "_run_grid"), (verify, "check_oracle_case"),
+                         (verify, "check_correspondence_case")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(iteration, "GRID_CAP", count - 1)
+    grid = "enumeration" if argv[0] == "enumerate" else "verification"
+    message = f"error: the {grid} grid has more than {count - 1:,} points, the cap; narrow its bounds\n"
+    assert run_cli(capsys, *argv) == (3, "", message)
+    assert not path.exists()
 
 
-@pytest.mark.parametrize("frame_bound, depth, n_range", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1)])
-def test_oracle_count_is_the_grid_cases(frame_bound, depth, n_range):
-    cases = verify.run_oracle_grid(frame_bound, depth, n_range).cases
-    points = cli._check_grid_size("", len(SequenceKind), 2 * n_range, depth)
-    assert cases == cli._check_grid_size("", points, len(verify.frames_in_box(frame_bound)), 1)
+def test_verify_oracle_scans_its_frame_box_once(capsys, monkeypatch):
+    argv = ["verify-oracle", "--frame-bound", "1", "--depth", "1", "--n-range", "1"]
+    _, expected, _ = run_cli(capsys, *argv)
+    box, calls = verify.frames_in_box, []
+
+    def counted(bound):
+        calls.append(bound)
+        return box(bound)
+
+    monkeypatch.setattr(verify, "frames_in_box", counted)
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    assert calls == [1]
 
 
 # nested too deeply for the `json` module on every supported Python (3.12 and 3.13 still read 1,200 levels)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tunnelslopes
-from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction, frames, iteration, two_bridge
+from tunnelslopes import SimpleSlope, TunnelInvariants, TwistSequence, TwoBridgeFraction, cli, frames, iteration, two_bridge
 from tunnelslopes.slopes import Frozen
 
 PACKAGE = Path(tunnelslopes.__file__).resolve().parent
@@ -179,6 +179,15 @@ def _defined_in(name: str) -> list[str]:
 def test_the_descriptor_reader_and_the_json_decoder_are_each_defined_once(name, home):
     # the descriptor's reader sits beside its writer, `descriptor_dict`, and the decoder beside `dump_line`
     assert _defined_in(name) == [home]
+
+
+def test_the_grid_size_rule_and_the_cap_are_defined_once_beside_prefix_walk():
+    # every grid command loads `iteration`, and `enumerate` loads no `verify`
+    for name in ("_check_grid_size", "GRID_CAP"):
+        assert _defined_in(name) == ["iteration.py"], name
+    # the verify runners size their own grids, so the CLI passes on no verify grid's shape
+    for command in (cli._cmd_verify_oracle, cli._cmd_verify_correspondence):
+        assert not {"_check_grid_size", "GRID_CAP"} & _read_names(command), command.__name__
 
 
 def test_iteration_takes_the_join_rules_from_frames():

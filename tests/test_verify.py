@@ -255,6 +255,34 @@ def test_correspondence_grid():
     assert result.cases == 20
 
 
+EMPTY = "the verification grid is empty; widen its bounds"
+OVERSIZE = "the verification grid has more than 500,000 points, the cap; narrow its bounds"
+
+
+@pytest.mark.parametrize(
+    "run, args, message",
+    [
+        (run_oracle_grid, (0, 1, 1), EMPTY),
+        (run_oracle_grid, (0, 30, 1), EMPTY),  # no frame, so no kind: empty, though its twist part is past the cap
+        (run_oracle_grid, (1, 30, 1), OVERSIZE),
+        (run_correspondence_grid, (-1, 1), EMPTY),
+        (run_correspondence_grid, (30, 1), OVERSIZE),
+    ],
+)
+def test_the_grid_runners_refuse_an_empty_or_oversize_grid_before_any_slice(monkeypatch, run, args, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused grid was built")
+
+    # a library call is refused as the CLI's is; the twist part is sized before the frame box is scanned
+    monkeypatch.setattr(verify, "_run_grid", refuse)
+    monkeypatch.setattr(verify, "frames_in_box", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        run(*args)
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == message
+
+
 def test_grid_result_failure_flag():
     assert not GridResult(3, ({"frame": "?"},)).ok
     assert GridResult(3, ()).ok

@@ -37,6 +37,18 @@ def _text(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _assert_same_items(got, want, what: str) -> None:
+    """`got == want` for two sequences, failing with the first differing item and both lengths.
+
+    Never a `==` of the two under pytest's assertion rewriting: its diff of long texts or lists that differ in a
+    few places runs for minutes, and on CI for lists too.
+    """
+    if got != want:
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"{what} {at + 1} differs: got {got[at:at + 1]}, want {want[at:at + 1]}; "
+                    f"{len(got)} got, {len(want)} wanted")
+
+
 # frame, --kind values (none means all eight), --depth, --n-range, --splitting-bit, --from-trivial, --bypass-validation
 CASES = [
     ("2,3,1,2", (), 3, 2, 0, False, False),
@@ -74,8 +86,11 @@ def test_enumerate_writes_the_per_point_lines(
     argv += ["--from-trivial"] * from_trivial + ["--bypass-validation"] * bypass
     assert main(argv) == 0
     summary = {"points": count, "unique": len(lines), "appended": len(fresh), "existing": len(lines) - len(fresh)}
-    assert capsys.readouterr().out == _text(lines + [dump_line(summary)])
-    assert path.read_bytes() == before + _text(fresh).encode("utf-8")
+    # kept line ends: equal line lists are equal texts
+    stdout = capsys.readouterr().out.splitlines(keepends=True)
+    _assert_same_items(stdout, _text(lines + [dump_line(summary)]).splitlines(keepends=True), "stdout line")
+    catalog = path.read_bytes().splitlines(keepends=True)
+    _assert_same_items(catalog, (before + _text(fresh).encode("utf-8")).splitlines(keepends=True), "catalog line")
     assert prefilled == (len(fresh) < len(lines))
 
 
@@ -94,7 +109,7 @@ def test_the_walk_yields_each_points_own_invariants(frame, kinds, depth, n_range
               for f, kind, twists, invariants in chain_walk(frame, kinds, depth, n_range, bit, from_trivial)]
     expected = [(f, kind, twists.entries, assemble_invariants(f, kind, twists, bit, from_trivial).to_dict())
                 for f, kind, twists in chain_points([frame], kinds, depth, n_range)]
-    assert walked == expected
+    _assert_same_items(walked, expected, "point")
 
 
 @pytest.mark.parametrize("max_len, n_bound", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 1)])
