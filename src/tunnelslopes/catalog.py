@@ -4,9 +4,9 @@ One line per entry: a descriptor (enough to recompute everything), the
 invariants it produced, warning flags, and a schema version.  Deduplication
 keys on the invariants object's canonical JSON text, so two keys are equal
 exactly when the serializations are, and entries whose invariants differ are
-never merged.  `add_chains` dedups the points `iteration.chain_walk` grows,
-each its prefix plus one join, and writes each line from pieces that all come
-from `slopes.dump_line`.  A rerun reads each stored line's key alone: the
+never merged.  `add_chains` dedups the points `iteration.chain_walk` grows on
+one frame, each its prefix plus one join, and writes each line from pieces
+that all come from `slopes.dump_line`, cut once per kind.  A rerun reads each stored line's key alone: the
 invariants object's text as one regular expression's match holds it when the
 line is in the exact form `enumerate` writes (about 1.9 us a line on 2 cores
 and Python 3.11.7), and through `json` otherwise, with the same keys and
@@ -182,24 +182,23 @@ def append_lines(path, lines) -> None:
         handle.write(data)
 
 
-def add_chains(path, chains, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
-    """Catalog `chains`, (FareyFrame, SequenceKind, TwistSequence, invariants dict) points of `iteration.chain_walk`.
+def add_chains(path, frame, chains, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
+    """Catalog `chains`, `iteration.chain_walk`'s (kind, twists, invariants dict) points on `frame`.
 
-    The file is read before the first point is computed; the first point of
-    each key gives its line, and the lines the file lacks go in one append.
-    A line is its (frame, kind)'s fixed text around its twists and its key,
-    the fixed text cut from a whole line written when the frame or kind changes.
+    The file is read before the first point is computed; the first point of each key gives its line,
+    and the lines the file lacks go in one append.  A line is its kind's fixed text around its twists
+    and its key, the fixed text cut from a whole line written when the kind changes.
     Returns the run's unique lines in order, the point count and the count appended.
     """
     known = set(load_entries(path, keys=True))
     unique: dict[str, str] = {}  # dedup key -> entry line
-    count, run = 0, (None, None)  # the fixed text's (frame, kind), by identity: equal frames can differ in flags
-    for count, (frame, kind, twists, invariants) in enumerate(chains, start=1):
+    count, run = 0, None  # the kind of the fixed text
+    for count, (kind, twists, invariants) in enumerate(chains, start=1):
         key = invariants_key(invariants)
         if key not in unique:
             twists_text = dump_line(twists.text())
-            if frame is not run[0] or kind is not run[1]:
-                run = frame, kind
+            if kind is not run:
+                run = kind
                 descriptor = descriptor_dict(frame, kind, twists, splitting_bit, from_trivial)
                 line = dump_line(entry_dict(descriptor, invariants, frame.flags))
                 start = line.index(',"twists":') + len(',"twists":')

@@ -2,9 +2,9 @@
 
 Single computations, verification grids, enumeration into a catalog, and
 invariant comparison.  This module only parses arguments and prints: the
-engine check, the `enumerate` walk and the grid cap come from `iteration`,
-the grids, each sized by its runner, from `verify`, and the catalog dedup
-from `catalog`.  All output is JSON lines with a fixed key order per record
+engine check and the `enumerate` walk, which sizes its grid and checks its
+frame, come from `iteration`, the verify grids, each sized by its runner,
+from `verify`, and the catalog dedup from `catalog`.  All output is JSON lines with a fixed key order per record
 type, rationals as "num/den", so identical invocations are byte-identical.
 Exit codes: 0 ok, 1 a verification found a mismatch, 2 usage error
 (argparse), 3 an input failed validation, an empty grid or one past the cap
@@ -162,16 +162,14 @@ def _cmd_verify_oracle(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .catalog import add_chains
     from .frames import FareyFrame
-    from .iteration import SequenceKind, _check_grid_size, chain_walk, check_trivial_frame
+    from .iteration import SequenceKind, chain_walk
 
     frame = FareyFrame.parse(args.frame, bypass=args.bypass_validation)
     # a repeated --kind counts once, in the order first given
     kinds = [SequenceKind(value) for value in dict.fromkeys(args.kind)] if args.kind else SequenceKind
-    _check_grid_size("enumeration", len(kinds), 2 * args.n_range, args.depth)
-    check_trivial_frame(frame, args.from_trivial)
     chains = chain_walk(frame, kinds, args.depth, args.n_range, args.splitting_bit, args.from_trivial)
     # written before any line is printed, so a catalog that cannot be written leaves stdout empty
-    lines, count, appended = add_chains(args.catalog, chains, args.splitting_bit, args.from_trivial)
+    lines, count, appended = add_chains(args.catalog, frame, chains, args.splitting_bit, args.from_trivial)
     for line in lines:
         print(line)
     _emit(

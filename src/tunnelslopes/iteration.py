@@ -19,15 +19,16 @@ which would mean a bug in one of them, never a property of the input.
 
 `prefix_walk` is the one home of the walk order and of its one-level memory
 bound; beside it, `_check_grid_size` and `GRID_CAP` size every grid.
-`enumerate`'s `chain_walk` is that walk plus the closed form's join; it
-builds each later slope's text once per (integer part, n), and its lines are
-still those of every point alone.
+`enumerate`'s `chain_walk` sizes its grid and checks its frame when called;
+per kind its walk is that walk plus the closed form's join, building each
+later slope's text once per (integer part, n), its lines each point's own.
 A chain's descriptor has its writer (`descriptor_dict`) and its reader
 (`parse_descriptor`) here, so `compare` reads one without the catalog.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
@@ -362,15 +363,18 @@ def prefix_walk(options, max_len: int, root, step):
 
 
 def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
-    """`verify.chain_points`' points of one frame, in order, each as (frame, kind, twists, invariants dict).
+    """`verify.chain_points`' points of one frame, in order, each as (kind, twists, invariants dict).
 
-    Per kind this is `prefix_walk` plus the closed form's join and readout, whose state is (twists,
-    first text, rest texts, the next join's (mult, sign)).  A later slope's text rests on its integer
-    part c and its n alone, so one call builds each such text once.  The caller checks the frame first.
+    The call sizes the grid and checks the frame, raising before any point, then returns the lazy walk:
+    per kind, `prefix_walk` plus the closed form's join, its state (twists, first text, rest texts, the
+    next (mult, sign)).  A later slope's text rests on its integer part c and its n alone: one per walk.
     """
+    _check_grid_size("enumeration", len(kinds), 2 * n_bound, max_len)
+    check_trivial_frame(frame, from_trivial)
     opts = nonzero_range(n_bound)
     later = {}  # (c, n) -> text of the later slope c + 1/n; c takes O(depth) values per kind, so it stays small
-    for kind in kinds:
+
+    def kind_walk(kind):
         coefficients = chain_coefficients(frame, kind)
         tags = _position_tags(max_len, kind.initial_split)
         bits = binary_invariants(kind, max_len, splitting_bit)  # a join's bit rests on its place alone
@@ -385,11 +389,13 @@ def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, fro
                 if slope_text is None:
                     slope_text = later[c, n] = chain_slope(c, n, tags[length - 1]).text()
                 tw, text, texts = head + (n,), first, rest + (slope_text,)
-            yield frame, kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": bits[:length]}
+            yield kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": bits[:length]}
             if length < max_len:
                 return tw, text, texts, join_step(pair, n)
 
-        yield from prefix_walk(opts, max_len, ((), None, (), (1, 1)), join)
+        return prefix_walk(opts, max_len, ((), None, (), (1, 1)), join)
+
+    return itertools.chain.from_iterable(kind_walk(kind) for kind in kinds)
 
 
 def assemble_invariants(

@@ -219,16 +219,16 @@ def test_loading_keys_serializes_nothing(tmp_path, monkeypatch):
     assert len(keys) == 3
 
 
-# two descriptors whose chains have equal invariants
-TWIN_POINTS = [
-    (validate_frame(1, 0, 0, 1), KIND, TwistSequence((2,))),
-    (validate_frame(-1, 0, 0, -1), KIND, TwistSequence((2,))),
-]
+# two frames whose chains have equal invariants
+TWIN_FRAMES = [validate_frame(1, 0, 0, 1), validate_frame(-1, 0, 0, -1)]
+# on one frame, the length-1 chains of one initial move's pure and mixed kinds share a key
+SAME_KEY = [(KIND, TwistSequence((2,))), (SequenceKind.DROP_RHO_MIXED_TAU, TwistSequence((2,)))]
 
 
-def _chains(points, splitting_bit=0):
-    """`add_chains`' input as `iteration.chain_walk` yields it: each point with its invariants dict."""
-    return [(*point, assemble_invariants(*point, splitting_bit).to_dict()) for point in points]
+def _chains(frame, points, splitting_bit=0):
+    """`add_chains`' input as `iteration.chain_walk` yields it on `frame`: each (kind, twists) with its invariants."""
+    return [(kind, twists, assemble_invariants(frame, kind, twists, splitting_bit).to_dict())
+            for kind, twists in points]
 
 
 def test_dump_line_writes_what_json_dumps_writes(tmp_path):
@@ -272,61 +272,81 @@ def test_dump_line_refuses_a_list_that_holds_itself():
 
 
 def test_add_chains_keeps_the_first_point_of_each_key(tmp_path):
-    for n, points in enumerate([TWIN_POINTS, TWIN_POINTS[::-1]]):
+    # a twin frame's later call appends nothing, and returns its own line
+    for n, frames in enumerate([TWIN_FRAMES, TWIN_FRAMES[::-1]]):
         path = tmp_path / f"catalog{n}.jsonl"
-        lines, count, appended = catalog.add_chains(path, iter(_chains(points)), 0, False)
+        runs = [catalog.add_chains(path, frame, iter(_chains(frame, SAME_KEY[:1])), 0, False) for frame in frames]
+        assert [(count, appended) for _, count, appended in runs] == [(1, 1), (1, 0)]
+        (first,), (twin,) = [lines for lines, _, _ in runs]
+        assert [json.loads(line)["descriptor"]["frame"] for line in (first, twin)] == [frame.text() for frame in frames]
+        assert path.read_text(encoding="utf-8") == first + "\n"
+    # within one call the first point of a key gives its line
+    for n, points in enumerate([SAME_KEY, SAME_KEY[::-1]]):
+        path = tmp_path / f"same{n}.jsonl"
+        lines, count, appended = catalog.add_chains(path, FRAME, iter(_chains(FRAME, points)), 0, False)
         assert (count, appended) == (2, 1)
-        assert [json.loads(line)["descriptor"]["frame"] for line in lines] == [points[0][0].text()]
+        assert [json.loads(line)["descriptor"]["kind"] for line in lines] == [points[0][0].value]
         assert path.read_text(encoding="utf-8") == lines[0] + "\n"
 
 
 def test_add_chains_appends_only_keys_the_file_lacks(tmp_path):
     path = tmp_path / "catalog.jsonl"
-    old, new = (FRAME, KIND, TwistSequence((1,))), (FRAME, KIND, TwistSequence((2, 1)))
-    (stored,), _, _ = catalog.add_chains(path, _chains([old], 1), 1, False)
-    lines, count, appended = catalog.add_chains(path, _chains([new, old], 1), 1, False)
+    old, new = (KIND, TwistSequence((1,))), (KIND, TwistSequence((2, 1)))
+    (stored,), _, _ = catalog.add_chains(path, FRAME, _chains(FRAME, [old], 1), 1, False)
+    lines, count, appended = catalog.add_chains(path, FRAME, _chains(FRAME, [new, old], 1), 1, False)
     assert (count, appended) == (2, 1)
     assert lines[1] == stored
     assert path.read_text(encoding="utf-8").splitlines() == [stored, lines[0]]
-    assert catalog.add_chains(path, _chains([old, new], 1), 1, False) == ([stored, lines[0]], 2, 0)
+    assert catalog.add_chains(path, FRAME, _chains(FRAME, [old, new], 1), 1, False) == ([stored, lines[0]], 2, 0)
 
 
-def _reference_lines(chains, splitting_bit):
+def _reference_lines(frame, chains, splitting_bit):
     """The lines `add_chains` writes, each the first point of its key as one whole `dump_line` entry."""
     unique = {}
-    for frame, kind, twists, invariants in chains:
+    for kind, twists, invariants in chains:
         descriptor = descriptor_dict(frame, kind, twists, splitting_bit, False)
         unique.setdefault(dump_line(invariants), dump_line(entry_dict(descriptor, invariants, frame.flags)))
     return list(unique.values())
 
 
 def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path):
-    chains = _chains(TWIN_POINTS + [(FRAME, KIND, TwistSequence((1,)))] + TWIN_POINTS)
-    lines, count, appended = catalog.add_chains(tmp_path / "catalog.jsonl", iter(chains), 0, False)
+    path = tmp_path / "catalog.jsonl"
+    first, twin = TWIN_FRAMES
+    points = SAME_KEY[::-1] + [(KIND, TwistSequence((1,)))] + SAME_KEY
+    chains = _chains(first, points)
+    lines, count, appended = catalog.add_chains(path, first, iter(chains), 0, False)
     assert (count, appended) == (5, 2)
-    assert lines == _reference_lines(chains, 0)
-    # the first point of each key wins: the twin frame that comes second is never written
-    assert [json.loads(line)["descriptor"]["frame"] for line in lines] == ["1,0,0,1", FRAME.text()]
+    assert lines == _reference_lines(first, chains, 0)
+    # the first point of each key wins: the pure chain that keys as the mixed one before it is never written
+    assert [json.loads(line)["descriptor"]["kind"] for line in lines] == [SAME_KEY[1][0].value, KIND.value]
+    # the twin frame's run keys as the first's: the same lines with its own descriptor, none appended
+    twin_chains = _chains(twin, points)
+    assert catalog.add_chains(path, twin, iter(twin_chains), 0, False) == (_reference_lines(twin, twin_chains, 0), 5, 0)
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("splitting_bit", [0, 1])
 def test_add_chains_writes_each_frame_and_kind_into_its_own_lines(tmp_path, splitting_bit):
-    # consecutive lines switch frame with the kind kept, then kind with the frame kept; the frames differ in
-    # text, length and flags, and the second is FRAME bypassed, equal to it and told apart by its flags alone
+    # one call per frame into one catalog; within a call consecutive lines switch kind, then switch back.  The frames
+    # differ in text, length and flags, and the second is FRAME bypassed, equal to it and told apart by its flags alone
     frames = [FRAME, validate_frame(2, 3, 1, 2, bypass=True), validate_frame(-13, -8, -5, -3)]
-    kinds = [KIND, SequenceKind.LIFT_LAMBDA_MIXED_TAU]
-    twists = [TwistSequence((n + 1,) + (-2,) * (n % 3)) for n in range(len(frames) * len(kinds) * 2)]
-    points = [(frame, kind) for kind in kinds for frame in frames for _ in range(2)]
-    points = [(frame, kind, tw) for (frame, kind), tw in zip(points + points[:1], twists + [TwistSequence((9,))])]
-    chains = _chains(points, splitting_bit)
-    assert len({dump_line(invariants) for *_, invariants in chains}) == len(chains)
-    lines, count, appended = catalog.add_chains(tmp_path / "catalog.jsonl", iter(chains), splitting_bit, False)
-    assert count == appended == len(chains)
-    assert lines == _reference_lines(chains, splitting_bit)
-    for line, (frame, kind, tw, _) in zip(lines, chains):
-        entry = json.loads(line)
-        assert entry["descriptor"]["frame"] == frame.text() and entry["descriptor"]["kind"] == kind._value_
-        assert entry["descriptor"]["twists"] == tw.text() and entry["flags"] == sorted(frame.flags)
+    kinds = [KIND] * 2 + [SequenceKind.LIFT_LAMBDA_MIXED_TAU] * 2 + [KIND]
+    points = [(kind, TwistSequence((n + 1,) + (-2,) * (n % 3))) for n, kind in enumerate(kinds)]
+    path = tmp_path / "catalog.jsonl"
+    written = []
+    for frame in frames:
+        chains = _chains(frame, points, splitting_bit)
+        lines, count, appended = catalog.add_chains(path, frame, iter(chains), splitting_bit, False)
+        # the bypassed twin keys as FRAME does, so it appends nothing, yet its lines carry its own flag
+        assert count == len(lines) == len(points) and appended == (0 if frame is frames[1] else len(points))
+        assert lines == _reference_lines(frame, chains, splitting_bit)
+        for line, (kind, tw, _) in zip(lines, chains):
+            entry = json.loads(line)
+            assert entry["descriptor"]["frame"] == frame.text() and entry["descriptor"]["kind"] == kind._value_
+            assert entry["descriptor"]["twists"] == tw.text() and entry["flags"] == sorted(frame.flags)
+        written += lines[:appended]
+    assert "unverified-bypass" in frames[1].flags
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in written)
 
 
 def test_add_chains_reads_the_catalog_before_the_first_point(tmp_path):
@@ -336,10 +356,10 @@ def test_add_chains_reads_the_catalog_before_the_first_point(tmp_path):
 
     def points():
         advanced.append(True)
-        yield from _chains(TWIN_POINTS)
+        yield from _chains(FRAME, SAME_KEY)
 
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
-        catalog.add_chains(path, points(), 0, False)
+        catalog.add_chains(path, FRAME, points(), 0, False)
     assert advanced == []
 
 

@@ -436,7 +436,8 @@ def test_oversize_grid_exits_3_before_any_point(tmp_path, capsys, monkeypatch, a
     def refuse(*args, **kwargs):
         raise AssertionError("an oversize grid ran a point")
 
-    monkeypatch.setattr(iteration, "chain_walk", refuse)
+    # `chain_walk` refuses its grid when called, so the walk it would hand on never starts
+    monkeypatch.setattr(iteration, "prefix_walk", refuse)
     monkeypatch.setattr(verify, "check_correspondence_case", refuse)
     monkeypatch.setattr(verify, "check_oracle_case", refuse)
     path = tmp_path / "catalog.jsonl"
@@ -494,7 +495,7 @@ def test_each_grid_runs_with_its_count_as_the_cap_and_is_refused_one_below(tmp_p
     assert run_cli(capsys, *argv) == (0, out, "")
     path.unlink(missing_ok=True)
     # one below, it is refused before any point or slice runs, and no catalog is written
-    for module, name in [(iteration, "chain_walk"), (verify, "_run_grid"), (verify, "check_oracle_case"),
+    for module, name in [(iteration, "prefix_walk"), (verify, "_run_grid"), (verify, "check_oracle_case"),
                          (verify, "check_correspondence_case")]:
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(iteration, "GRID_CAP", count - 1)

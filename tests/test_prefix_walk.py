@@ -100,5 +100,9 @@ def test_the_walk_holds_at_most_one_levels_states_at_any_yield(max_len, n_bound)
 def test_chain_walk_loops_over_kinds_alone_and_leaves_the_levels_to_the_skeleton():
     tree = ast.parse(textwrap.dedent(inspect.getsource(chain_walk)))
     loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
-    assert [ast.unparse(loop.target) for loop in loops] == ["kind"]
-    assert "prefix_walk" in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # the one iteration hands each kind to the per-kind walk, and that walk is `prefix_walk`'s
+    assert [(ast.unparse(loop.target), ast.unparse(loop.iter)) for loop in loops] == [("kind", "kinds")]
+    (per_kind,) = [node.elt for node in ast.walk(tree) if isinstance(node, ast.GeneratorExp)]
+    assert isinstance(per_kind, ast.Call) and [ast.unparse(arg) for arg in per_kind.args] == ["kind"]
+    (walk,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == per_kind.func.id]
+    assert "prefix_walk" in {node.id for node in ast.walk(walk) if isinstance(node, ast.Name)}

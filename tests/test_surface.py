@@ -185,9 +185,13 @@ def test_the_grid_size_rule_and_the_cap_are_defined_once_beside_prefix_walk():
     # every grid command loads `iteration`, and `enumerate` loads no `verify`
     for name in ("_check_grid_size", "GRID_CAP"):
         assert _defined_in(name) == ["iteration.py"], name
-    # the verify runners size their own grids, so the CLI passes on no verify grid's shape
-    for command in (cli._cmd_verify_oracle, cli._cmd_verify_correspondence):
-        assert not {"_check_grid_size", "GRID_CAP"} & _read_names(command), command.__name__
+    # each grid's walk or runner sizes it, and `chain_walk` checks its frame too, so the CLI passes on no grid's
+    # shape and holds no walk's precondition
+    for command in (cli._cmd_verify_oracle, cli._cmd_verify_correspondence, cli._cmd_enumerate):
+        assert not {"_check_grid_size", "GRID_CAP", "check_trivial_frame"} & _read_names(command), command.__name__
+    sized = [path for path, tree in _trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_grid_size"]
+    assert sorted(set(sized)) == ["iteration.py", "verify.py"] and sized.count("iteration.py") == 1
 
 
 def test_iteration_takes_the_join_rules_from_frames():

@@ -6,6 +6,7 @@ serialized by `dump_line(entry_dict(descriptor_dict(...), ...))`, the first
 point of each key giving its line.
 """
 
+import time
 import weakref
 
 import pytest
@@ -105,18 +106,47 @@ def test_enumerate_writes_the_per_point_lines(
 )
 def test_the_walk_yields_each_points_own_invariants(frame, kinds, depth, n_range, bit, trivial):
     from_trivial = trivial and frame.text() in ("1,0,0,1", "-1,0,0,-1")
-    walked = [(f, kind, twists.entries, invariants)
-              for f, kind, twists, invariants in chain_walk(frame, kinds, depth, n_range, bit, from_trivial)]
-    expected = [(f, kind, twists.entries, assemble_invariants(f, kind, twists, bit, from_trivial).to_dict())
-                for f, kind, twists in chain_points([frame], kinds, depth, n_range)]
+    walked = [(kind, twists.entries, invariants)
+              for kind, twists, invariants in chain_walk(frame, kinds, depth, n_range, bit, from_trivial)]
+    expected = [(kind, twists.entries, assemble_invariants(frame, kind, twists, bit, from_trivial).to_dict())
+                for _, kind, twists in chain_points([frame], kinds, depth, n_range)]
     _assert_same_items(walked, expected, "point")
 
 
 @pytest.mark.parametrize("max_len, n_bound", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 1)])
 def test_the_walk_visits_twist_tuples_in_their_order(max_len, n_bound):
     for kind in SequenceKind:
-        visited = [twists.entries for _, _, twists, _ in chain_walk(FRAME, [kind], max_len, n_bound, 0, False)]
+        visited = [twists.entries for _, twists, _ in chain_walk(FRAME, [kind], max_len, n_bound, 0, False)]
         assert visited == list(twist_tuples(max_len, n_bound))
+
+
+_EMPTY = "^the enumeration grid is empty; widen its bounds$"
+_CAP = f"^the enumeration grid has more than {iteration.GRID_CAP:,} points, the cap; narrow its bounds$"
+
+# chain_walk's arguments and its refusal; an empty grid is refused before the cap, and both before the frame
+REFUSED_WALKS = [
+    ((FRAME, SequenceKind, 0, 1, 0, False), _EMPTY),
+    ((FRAME, [], 10**9, 1, 0, False), _EMPTY),
+    ((FRAME, SequenceKind, 0, 1, 0, True), _EMPTY),
+    ((FRAME, [SequenceKind.DROP_RHO_PURE], 10**9, 1, 0, False), _CAP),
+    ((FRAME, SequenceKind, 40, 1, 0, True), _CAP),
+    ((FRAME, SequenceKind, 2, 2, 0, True), "^a chain out of the trivial knot needs the identity frame, up to sign$"),
+    ((validate_frame(1, 0, 0, 1), SequenceKind, 2, 2, 0, 1), "^from_trivial must be True or False, got 1$"),
+]
+
+
+@pytest.mark.parametrize("args, message", REFUSED_WALKS, ids=["depth-0", "no-kind", "depth-0-trivial", "past-cap",
+                                                            "past-cap-trivial", "trivial-frame", "trivial-not-bool"])
+def test_the_walk_refuses_its_grid_when_called(monkeypatch, args, message):
+    # the call itself raises, with no point asked for, as the verify runners refuse theirs
+    def refuse(*args):
+        raise AssertionError("a refused walk reached prefix_walk")
+
+    monkeypatch.setattr(iteration, "prefix_walk", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        chain_walk(*args)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
@@ -214,7 +244,7 @@ def test_the_walk_holds_at_most_one_level_of_one_grid(monkeypatch):
 
     monkeypatch.setattr(iteration, "join_step", tracked)
     kinds = [SequenceKind.DROP_RHO_PURE, SequenceKind.LIFT_LAMBDA_MIXED_TAU]
-    seen = [(kind, len(twists), held[0]) for _, kind, twists, _ in chain_walk(FRAME, kinds, 4, 2, 0, False)]
+    seen = [(kind, len(twists), held[0]) for kind, twists, _ in chain_walk(FRAME, kinds, 4, 2, 0, False)]
     # the grid's levels have 4, 16, 64 and 256 points, and the last is never kept; the prefix being
     # extended counts too, so at most one level's 64 are held
     assert max(count for _, _, count in seen) == 4**3
