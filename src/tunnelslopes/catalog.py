@@ -5,13 +5,15 @@ invariants it produced, warning flags, and a schema version.  Deduplication
 keys on the invariants object's canonical JSON text, so two keys are equal
 exactly when the serializations are, and entries whose invariants differ are
 never merged.  `add_chains` dedups the points `iteration.chain_walk` grows on
-one frame, each its prefix plus one join, and writes each line from pieces
-that all come from `slopes.dump_line`, cut once per kind.  A rerun reads each stored line's key alone: the
-invariants object's text as one regular expression's match holds it when the
-line is in the exact form `enumerate` writes (about 1.9 us a line on 2 cores
-and Python 3.11.7), and through `json` otherwise, with the same keys and
-errors either way.  Entries are always read through `json`.  The patterns
-compile at import: only `enumerate` loads this module.
+one frame, each (kind, twists text, invariants text) its prefix's plus one
+join, the invariants text its key, and writes each line from pieces that all
+come from `slopes.dump_line`, cut once per kind.  A rerun reads each stored
+line's key alone: the invariants object's text as one regular expression's
+match holds it when the line is in the exact form `enumerate` writes (about
+1.9 us a line on 2 cores and Python 3.11.7), and through `json` otherwise,
+with the same keys and errors either way.  Entries are always read through
+`json`.  A catalog is a regular file, a missing one or the null device.  The
+patterns compile at import: only `enumerate` loads this module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import re
 import sys
 
-from .iteration import descriptor_dict, descriptor_invariants
+from .iteration import TwistSequence, descriptor_dict, descriptor_invariants
 from .iteration import parse_descriptor  # perfbench pin (workloads.py): delete after ROADMAP item 2
 from .slopes import _FIRST_TEXT, _SLOPE_TEXT, TunnelInvariants, dump_line, read_json
 
@@ -30,7 +32,7 @@ _INVARIANT_KEYS = frozenset(("first", "rest", "binary"))
 
 
 def invariants_key(invariants: dict) -> str:
-    """Dedup key of an invariants dict, fresh from `TunnelInvariants.to_dict` or read from a line.
+    """Dedup key of an invariants dict read from a line through `json`; `chain_walk` yields a point's as text.
 
     The key is the canonical JSON text of the invariants object, its keys in
     the order `enumerate` writes them, whatever the order of the dict's keys.
@@ -39,7 +41,7 @@ def invariants_key(invariants: dict) -> str:
 
 
 def entry_dict(descriptor: dict, invariants: dict, flags) -> dict:
-    """One catalog entry; `invariants` is a `TunnelInvariants.to_dict()` already built for the key."""
+    """One catalog entry; `invariants` is an invariants dict in `TunnelInvariants.to_dict`'s shape."""
     return {
         "descriptor": descriptor,
         "invariants": invariants,
@@ -135,9 +137,13 @@ def load_entries(path, *, keys: bool = False) -> list:
     not parse was left by an interrupted append: it is skipped with a
     one-line warning on stderr, and the next `append_lines` cuts it off.  A
     bad line anywhere else is an error, and so is an invariant value of a
-    shape the package does not write.
+    shape the package does not write.  So is a path that is neither a regular
+    file nor the null device, which reads as empty: a FIFO or a device never
+    ends, and is refused before it is opened.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
+        if os.path.exists(path) and not os.path.samefile(path, os.devnull):
+            raise ValueError(f"{path}: a catalog must be a regular file")
         return []
     with open(path, "rb") as handle:
         head, newline, tail = handle.read().rpartition(b"\n")
@@ -183,24 +189,24 @@ def append_lines(path, lines) -> None:
 
 
 def add_chains(path, frame, chains, splitting_bit: int, from_trivial: bool) -> tuple[list[str], int, int]:
-    """Catalog `chains`, `iteration.chain_walk`'s (kind, twists, invariants dict) points on `frame`.
+    """Catalog `chains`, `iteration.chain_walk`'s (kind, twists text, invariants text) points on `frame`.
 
-    The file is read before the first point is computed; the first point of each key gives its line,
-    and the lines the file lacks go in one append.  A line is its kind's fixed text around its twists
-    and its key, the fixed text cut from a whole line written when the kind changes.
+    The file is read before the first point is computed; the first point of each key, its invariants
+    text, gives its line, and the lines the file lacks go in one append.  A line is its kind's fixed text
+    around its quoted twists and its key, the fixed text cut from a whole line written when the kind
+    changes, from that point's two texts parsed back.
     Returns the run's unique lines in order, the point count and the count appended.
     """
     known = set(load_entries(path, keys=True))
     unique: dict[str, str] = {}  # dedup key -> entry line
     count, run = 0, None  # the kind of the fixed text
-    for count, (kind, twists, invariants) in enumerate(chains, start=1):
-        key = invariants_key(invariants)
+    for count, (kind, twists, key) in enumerate(chains, start=1):
         if key not in unique:
-            twists_text = dump_line(twists.text())
+            twists_text = dump_line(twists)
             if kind is not run:
                 run = kind
-                descriptor = descriptor_dict(frame, kind, twists, splitting_bit, from_trivial)
-                line = dump_line(entry_dict(descriptor, invariants, frame.flags))
+                descriptor = descriptor_dict(frame, kind, TwistSequence.parse(twists), splitting_bit, from_trivial)
+                line = dump_line(entry_dict(descriptor, read_json(key, "invariants"), frame.flags))
                 start = line.index(',"twists":') + len(',"twists":')
                 end = line.index(',"invariants":') + len(',"invariants":')
                 head, middle, tail = line[:start], line[start + len(twists_text):end], line[end + len(key):]

@@ -20,8 +20,10 @@ which would mean a bug in one of them, never a property of the input.
 `prefix_walk` is the one home of the walk order and of its one-level memory
 bound; beside it, `_check_grid_size` and `GRID_CAP` size every grid.
 `enumerate`'s `chain_walk` sizes its grid and checks its frame when called;
-per kind its walk is that walk plus the closed form's join, building each
-later slope's text once per (integer part, n), its lines each point's own.
+per kind its walk is that walk plus the closed form's join.  Each point is
+(kind, twists text, invariants text), both texts its prefix's plus one join's
+piece, each piece a `dump_line` built once: a later slope's per (integer
+part, n), a binary tail per length.
 A chain's descriptor has its writer (`descriptor_dict`) and its reader
 (`parse_descriptor`) here, so `compare` reads one without the catalog.
 """
@@ -37,7 +39,7 @@ from functools import lru_cache
 from .frames import (
     FareyFrame, HomologyClass, SplitKind, _oriented_pairs, _position_tags, nonzero_range, parse_ints, step_sign,
 )
-from .slopes import Frozen, SimpleSlope, Slope, TunnelInvariants, _set, chain_slope, pair_class
+from .slopes import Frozen, SimpleSlope, Slope, TunnelInvariants, _set, chain_slope, dump_line, pair_class
 
 
 class SequenceKind(Enum):
@@ -363,37 +365,43 @@ def prefix_walk(options, max_len: int, root, step):
 
 
 def chain_walk(frame, kinds, max_len: int, n_bound: int, splitting_bit: int, from_trivial: bool):
-    """`verify.chain_points`' points of one frame, in order, each as (kind, twists, invariants dict).
+    """`verify.chain_points`' points of one frame, in order, each as (kind, twists text, invariants text).
 
-    The call sizes the grid and checks the frame, raising before any point, then returns the lazy walk:
-    per kind, `prefix_walk` plus the closed form's join, its state (twists, first text, rest texts, the
-    next (mult, sign)).  A later slope's text rests on its integer part c and its n alone: one per walk.
+    The texts are `TwistSequence.text()`'s and `dump_line(assemble_invariants(...).to_dict())`'s.  The call
+    sizes the grid and checks the frame, raising before any point, then returns the lazy walk: per kind,
+    `prefix_walk` plus the closed form's join, its state (twists text, invariants text up to the rest list's
+    end, the next (mult, sign)).  Each piece is a `dump_line`: the lead's open text per first-level point, a
+    later slope's quoted text per (integer part c, n) of the walk, and each length's binary tail per kind.
     """
     _check_grid_size("enumeration", len(kinds), 2 * n_bound, max_len)
     check_trivial_frame(frame, from_trivial)
     opts = nonzero_range(n_bound)
-    later = {}  # (c, n) -> text of the later slope c + 1/n; c takes O(depth) values per kind, so it stays small
+    later = {}  # (c, n) -> quoted text of the later slope c + 1/n; c takes O(depth) values per kind: it stays small
 
     def kind_walk(kind):
         coefficients = chain_coefficients(frame, kind)
         tags = _position_tags(max_len, kind.initial_split)
         bits = binary_invariants(kind, max_len, splitting_bit)  # a join's bit rests on its place alone
+        tails = [""]  # at each length, '],"binary":[...]}'; built at the first point of the level
 
         def join(state, n, length):
-            head, first, rest, pair = state
+            head, opened, pair = state
             c = _readout(coefficients, pair)
-            if first is None:
-                tw, text, texts = (n,), lead_invariant(chain_slope(c, n, tags[0]), from_trivial).text(), ()
+            if length == 1:
+                lead = lead_invariant(chain_slope(c, n, tags[0]), from_trivial).text()
+                tw, opened = str(n), dump_line({"first": lead, "rest": []})[:-2]
             else:
-                slope_text = later.get((c, n))
-                if slope_text is None:
-                    slope_text = later[c, n] = chain_slope(c, n, tags[length - 1]).text()
-                tw, text, texts = head + (n,), first, rest + (slope_text,)
-            yield kind, TwistSequence._trusted(tw), {"first": text, "rest": [*texts], "binary": bits[:length]}
+                quoted = later.get((c, n))
+                if quoted is None:
+                    quoted = later[c, n] = dump_line(chain_slope(c, n, tags[length - 1]).text())
+                tw, opened = f"{head},{n}", f"{opened},{quoted}" if length > 2 else opened + quoted
+            if length == len(tails):
+                tails.append(dump_line({"rest": [], "binary": bits[:length]}).partition("[")[2])
+            yield kind, tw, opened + tails[length]
             if length < max_len:
-                return tw, text, texts, join_step(pair, n)
+                return tw, opened, join_step(pair, n)
 
-        return prefix_walk(opts, max_len, ((), None, (), (1, 1)), join)
+        return prefix_walk(opts, max_len, ("", "", (1, 1)), join)
 
     return itertools.chain.from_iterable(kind_walk(kind) for kind in kinds)
 

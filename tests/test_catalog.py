@@ -226,8 +226,8 @@ SAME_KEY = [(KIND, TwistSequence((2,))), (SequenceKind.DROP_RHO_MIXED_TAU, Twist
 
 
 def _chains(frame, points, splitting_bit=0):
-    """`add_chains`' input as `iteration.chain_walk` yields it on `frame`: each (kind, twists) with its invariants."""
-    return [(kind, twists, assemble_invariants(frame, kind, twists, splitting_bit).to_dict())
+    """`add_chains`' input as `iteration.chain_walk` yields it on `frame`: each (kind, twists) as its two texts."""
+    return [(kind, twists.text(), dump_line(assemble_invariants(frame, kind, twists, splitting_bit).to_dict()))
             for kind, twists in points]
 
 
@@ -300,10 +300,11 @@ def test_add_chains_appends_only_keys_the_file_lacks(tmp_path):
     assert catalog.add_chains(path, FRAME, _chains(FRAME, [old, new], 1), 1, False) == ([stored, lines[0]], 2, 0)
 
 
-def _reference_lines(frame, chains, splitting_bit):
+def _reference_lines(frame, points, splitting_bit):
     """The lines `add_chains` writes, each the first point of its key as one whole `dump_line` entry."""
     unique = {}
-    for kind, twists, invariants in chains:
+    for kind, twists in points:
+        invariants = assemble_invariants(frame, kind, twists, splitting_bit).to_dict()
         descriptor = descriptor_dict(frame, kind, twists, splitting_bit, False)
         unique.setdefault(dump_line(invariants), dump_line(entry_dict(descriptor, invariants, frame.flags)))
     return list(unique.values())
@@ -313,15 +314,14 @@ def test_add_chains_builds_one_entry_per_run_unique_key(tmp_path):
     path = tmp_path / "catalog.jsonl"
     first, twin = TWIN_FRAMES
     points = SAME_KEY[::-1] + [(KIND, TwistSequence((1,)))] + SAME_KEY
-    chains = _chains(first, points)
-    lines, count, appended = catalog.add_chains(path, first, iter(chains), 0, False)
+    lines, count, appended = catalog.add_chains(path, first, iter(_chains(first, points)), 0, False)
     assert (count, appended) == (5, 2)
-    assert lines == _reference_lines(first, chains, 0)
+    assert lines == _reference_lines(first, points, 0)
     # the first point of each key wins: the pure chain that keys as the mixed one before it is never written
     assert [json.loads(line)["descriptor"]["kind"] for line in lines] == [SAME_KEY[1][0].value, KIND.value]
     # the twin frame's run keys as the first's: the same lines with its own descriptor, none appended
-    twin_chains = _chains(twin, points)
-    assert catalog.add_chains(path, twin, iter(twin_chains), 0, False) == (_reference_lines(twin, twin_chains, 0), 5, 0)
+    twin_run = catalog.add_chains(path, twin, iter(_chains(twin, points)), 0, False)
+    assert twin_run == (_reference_lines(twin, points, 0), 5, 0)
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
 
 
@@ -339,11 +339,11 @@ def test_add_chains_writes_each_frame_and_kind_into_its_own_lines(tmp_path, spli
         lines, count, appended = catalog.add_chains(path, frame, iter(chains), splitting_bit, False)
         # the bypassed twin keys as FRAME does, so it appends nothing, yet its lines carry its own flag
         assert count == len(lines) == len(points) and appended == (0 if frame is frames[1] else len(points))
-        assert lines == _reference_lines(frame, chains, splitting_bit)
+        assert lines == _reference_lines(frame, points, splitting_bit)
         for line, (kind, tw, _) in zip(lines, chains):
             entry = json.loads(line)
             assert entry["descriptor"]["frame"] == frame.text() and entry["descriptor"]["kind"] == kind._value_
-            assert entry["descriptor"]["twists"] == tw.text() and entry["flags"] == sorted(frame.flags)
+            assert entry["descriptor"]["twists"] == tw and entry["flags"] == sorted(frame.flags)
         written += lines[:appended]
     assert "unverified-bypass" in frames[1].flags
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in written)

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -235,6 +236,33 @@ def test_enumerate_fails_before_printing_when_the_catalog_cannot_be_written(tmp_
     assert json.loads(out.splitlines()[-1]) == {"points": 2, "unique": 2, "appended": 2, "existing": 0}
     # the null device keeps nothing, so it reads as the same fresh catalog every time
     assert run_cli(capsys, "enumerate", "--catalog", os.devnull, *argv) == (0, out, "")
+
+
+
+def _address_space_400_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+
+@pytest.mark.parametrize("kind", ["endless-device", "fifo", "directory"])
+def test_enumerate_refuses_a_catalog_that_is_not_a_regular_file(tmp_path, kind):
+    # /dev/zero reads without end and a FIFO blocks its reader until a writer comes: each is refused before it is
+    # opened.  The child runs under a time limit and a 400 MB address-space limit, so a regression fails here
+    # instead of exhausting memory or hanging.
+    if kind == "endless-device":
+        path = "/dev/zero"
+        if not os.path.exists(path):
+            pytest.skip("no /dev/zero")
+    elif kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+    else:
+        path = str(tmp_path)
+    argv = ["enumerate", "--catalog", path, "--frame", "2,3,1,2", "--depth", "1", "--n-range", "1"]
+    proc = subprocess.run([sys.executable, "-m", "tunnelslopes", *argv], capture_output=True, text=True, timeout=30,
+                          preexec_fn=_address_space_400_mb)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {path}: a catalog must be a regular file\n")
 
 
 def test_enumerate_kind_repeatable(tmp_path, capsys):

@@ -196,6 +196,43 @@ def test_the_closed_form_reads_each_joins_pair_out(f, kind, entries):
         pair = iteration.join_step(pair, n)
 
 
+
+MULT_BOUND = 32
+
+
+def test_the_engines_agree_at_every_joint_state_up_to_a_bound():
+    # breadth first from each chain's start over every state the engines reach together, the closed form's
+    # (mult, sign) with the oracle's class, each side moved by its own steps alone, until |mult| > MULT_BOUND.
+    # A fault at one deep state fails here: (mult, sign) = (10, 1) takes ten odd twist counts, past the
+    # criteria's 4 joins and the hypothesis tests' 6
+    states, disagreements = 0, []
+    for frame in frames_in_box(1):
+        for kind in SequenceKind:
+            coefficients = iteration.chain_coefficients(frame, kind)
+            fixed, first = iteration._oracle_start(frame, kind)
+            level, seen = [((1, 1), first)], {(1, 1): first.pair()}
+            while level:
+                reached = []
+                for pair, before in level:
+                    for n in (1, 2):  # one twist count of each parity: the step sign is all a join reads of n
+                        _, _, link, after = iteration._oracle_join(fixed, before, n)
+                        if 2 * link != iteration._readout(coefficients, pair):
+                            disagreements.append((frame.text(), kind.value, pair, before.pair(), n))
+                        state = iteration.join_step(pair, n)
+                        if abs(state[0]) > MULT_BOUND:
+                            continue
+                        # the oracle's class is a function of (mult, sign): a second class at one (mult, sign)
+                        # is a disagreement, and the walk, which would never end on such a pair of steps, stops
+                        if state not in seen:
+                            seen[state] = after.pair()
+                            reached.append((state, after))
+                        elif seen[state] != after.pair():
+                            disagreements.append((frame.text(), kind.value, state, after.pair(), seen[state]))
+                level = reached
+            states += len(seen)
+    assert not disagreements, f"{len(disagreements)} disagreements, first {disagreements[:3]}"
+    assert states == len(frames_in_box(1)) * len(SequenceKind) * 4 * MULT_BOUND
+
 def test_a_chains_first_coefficients_sum_to_its_moves_disk_slope():
     # entry 0 of every chain is its initial move's slope: mult = sign = 1 there, so it reads A + B
     pairs = [(frame, kind) for frame in frames_in_box(3) for kind in SequenceKind]

@@ -6,6 +6,8 @@ serialized by `dump_line(entry_dict(descriptor_dict(...), ...))`, the first
 point of each key giving its line.
 """
 
+import hashlib
+import json
 import time
 import weakref
 
@@ -95,6 +97,49 @@ def test_enumerate_writes_the_per_point_lines(
     assert prefilled == (len(fresh) < len(lines))
 
 
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the first run's stdout, of the catalog it wrote and of the rerun's stdout, recorded from the per-point
+# serialization before `chain_walk` grew each point's texts from its prefix's.  Depth 4 writes a second later
+# slope, and so its comma, which no golden case reaches.
+DEEP_RUNS = [
+    (["--frame", "2,3,1,2", "--depth", "4", "--n-range", "2"],
+     "b893de2b1e9ced5fb4c22fdaca9a0dee232ede9c1823dba3197fdf6400a87a9d",
+     "21c3a8df8cf1bdca7897386071dae9911e7b684f3b85bc6132eeb8b60ef798e4",
+     "9d6c9e8bcc6ce603cd47706ba18d9b4795db961bf017fed059b145792310e4b4", 2720, 2690),
+    (["--frame", "1,0,0,1", "--from-trivial", "--splitting-bit", "1", "--depth", "4", "--n-range", "2"],
+     "3d695fa5e29feebe09c49c6e22a46e4792f808bd06963ec73f1ebf6e9b2542a0",
+     "198f96ae366ef74c7678bc35f09bfcd3df25f3ff541ec51794cd2957ba7d6c2e",
+     "70d84e4dd389698a1633bddb25b75a74b23dfb5b6af71d56a2c922e4c535b8c1", 2720, 838),
+    (["--frame", "2,4,1,2", "--bypass-validation", "--depth", "3", "--n-range", "2"],
+     "ab6a747579a709eb32cbec324b0735b6047a8045ab1e4aa637dce5dc7196d85e",
+     "5ad0f7fb4392fc1c4a53c76a938df112e9d352fcd8987e208ddd08a4f0460e54",
+     "0ebe3bffd0174476ea454ffac4e7ee7e8119e57c2c2265afd97c618b15edf81e", 672, 328),
+]
+
+
+@pytest.mark.parametrize("args, stdout_digest, catalog_digest, rerun_digest, points, unique", DEEP_RUNS,
+                         ids=["all-kinds", "from-trivial", "bypass"])
+def test_deeper_enumerate_runs_keep_their_bytes(
+    tmp_path, capsys, args, stdout_digest, catalog_digest, rerun_digest, points, unique
+):
+    path = tmp_path / "catalog.jsonl"
+    runs = []
+    for _ in range(2):
+        assert main(["enumerate", "--catalog", str(path), *args]) == 0
+        runs.append((capsys.readouterr().out, path.read_bytes()))
+    (first, written), (rerun, reread) = runs
+    summaries = [json.loads(out.splitlines()[-1]) for out, _ in runs]
+    assert summaries == [{"points": points, "unique": unique, "appended": appended, "existing": unique - appended}
+                         for appended in (unique, 0)]
+    assert reread == written  # the rerun appends nothing
+    assert [_sha256(first.encode("utf-8")), _sha256(written), _sha256(rerun.encode("utf-8"))] == [
+        stdout_digest, catalog_digest, rerun_digest]
+
+
 @settings(derandomize=True, max_examples=60)
 @given(
     frame=st.sampled_from(frames_in_box(2)),
@@ -106,9 +151,9 @@ def test_enumerate_writes_the_per_point_lines(
 )
 def test_the_walk_yields_each_points_own_invariants(frame, kinds, depth, n_range, bit, trivial):
     from_trivial = trivial and frame.text() in ("1,0,0,1", "-1,0,0,-1")
-    walked = [(kind, twists.entries, invariants)
-              for kind, twists, invariants in chain_walk(frame, kinds, depth, n_range, bit, from_trivial)]
-    expected = [(kind, twists.entries, assemble_invariants(frame, kind, twists, bit, from_trivial).to_dict())
+    # both texts byte for byte, against a fresh sequence's text and a fresh invariants dict's `dump_line`
+    walked = list(chain_walk(frame, kinds, depth, n_range, bit, from_trivial))
+    expected = [(kind, twists.text(), dump_line(assemble_invariants(frame, kind, twists, bit, from_trivial).to_dict()))
                 for _, kind, twists in chain_points([frame], kinds, depth, n_range)]
     _assert_same_items(walked, expected, "point")
 
@@ -116,7 +161,8 @@ def test_the_walk_yields_each_points_own_invariants(frame, kinds, depth, n_range
 @pytest.mark.parametrize("max_len, n_bound", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 1)])
 def test_the_walk_visits_twist_tuples_in_their_order(max_len, n_bound):
     for kind in SequenceKind:
-        visited = [twists.entries for _, twists, _ in chain_walk(FRAME, [kind], max_len, n_bound, 0, False)]
+        walked = chain_walk(FRAME, [kind], max_len, n_bound, 0, False)
+        visited = [tuple(map(int, twists.split(","))) for _, twists, _ in walked]
         assert visited == list(twist_tuples(max_len, n_bound))
 
 
@@ -244,7 +290,7 @@ def test_the_walk_holds_at_most_one_level_of_one_grid(monkeypatch):
 
     monkeypatch.setattr(iteration, "join_step", tracked)
     kinds = [SequenceKind.DROP_RHO_PURE, SequenceKind.LIFT_LAMBDA_MIXED_TAU]
-    seen = [(kind, len(twists), held[0]) for kind, twists, _ in chain_walk(FRAME, kinds, 4, 2, 0, False)]
+    seen = [(kind, twists.count(",") + 1, held[0]) for kind, twists, _ in chain_walk(FRAME, kinds, 4, 2, 0, False)]
     # the grid's levels have 4, 16, 64 and 256 points, and the last is never kept; the prefix being
     # extended counts too, so at most one level's 64 are held
     assert max(count for _, _, count in seen) == 4**3
