@@ -238,7 +238,6 @@ def test_enumerate_fails_before_printing_when_the_catalog_cannot_be_written(tmp_
     assert run_cli(capsys, "enumerate", "--catalog", os.devnull, *argv) == (0, out, "")
 
 
-
 def _address_space_400_mb():
     resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
 

@@ -97,7 +97,6 @@ def test_enumerate_writes_the_per_point_lines(
     assert prefilled == (len(fresh) < len(lines))
 
 
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
